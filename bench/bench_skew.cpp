@@ -25,11 +25,9 @@
 // abrupt bucket against ENVELOPE_SLACK x envelope and the graceful means
 // against the committed reference at the deterministic tolerance.
 //
-// Two observability columns quantify the engine cliffs skew stresses:
-// degree_tail (p50/p90/p99/max, Hill tail exponent, fraction of nodes past
-// the 14-neighbor inline record) and shard_skew (max/mean edge-endpoint load
-// over 8 id-hashed shards — how unbalanced ShardedCascadeEngine's default
-// partition would be on this topology).
+// The degree_tail column quantifies the engine cliff skew stresses:
+// p50/p90/p99/max degree, Hill tail exponent, and the fraction of nodes
+// past the 14-neighbor inline record.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -77,7 +75,6 @@ struct Result {
   MetricSummary rounds, broadcasts, messages, bits, adjustments;
   BucketSummary graceful, node_insert, abrupt_node_delete;
   graph::DegreeTail tail;   // post-churn topology shape
-  double shard_skew = 0;    // max/mean endpoint load over 8 id-hashed shards
 };
 
 MetricSummary summarize(std::vector<std::uint64_t>& xs) {
@@ -146,22 +143,6 @@ graph::DynamicGraph build_graph(const std::string& name, NodeId n, double deg,
   std::fprintf(stderr, "unknown graph distribution '%s' "
                "(want ba|chung-lu|planted|uniform)\n", name.c_str());
   std::exit(2);
-}
-
-/// Max/mean edge-endpoint load across 8 id-hashed shards: 1.0 means the
-/// sharded engine's default partition is perfectly balanced on this
-/// topology; hub-heavy graphs push it up.
-double shard_skew_of(const graph::DynamicGraph& g) {
-  constexpr std::size_t kShards = 8;
-  std::uint64_t load[kShards] = {};
-  g.for_each_node([&](NodeId v) { load[v % kShards] += g.degree(v); });
-  std::uint64_t max_load = 0, sum = 0;
-  for (const std::uint64_t l : load) {
-    max_load = std::max(max_load, l);
-    sum += l;
-  }
-  if (sum == 0) return 1.0;
-  return static_cast<double>(max_load) * kShards / static_cast<double>(sum);
 }
 
 Result run_cell(const std::string& graph_name, const std::string& policy, NodeId n,
@@ -240,7 +221,6 @@ Result run_cell(const std::string& graph_name, const std::string& policy, NodeId
   r.node_insert = node_insert.summary();
   r.abrupt_node_delete = abrupt_delete.summary();
   r.tail = graph::degree_tail(gen->graph());
-  r.shard_skew = shard_skew_of(gen->graph());
   return r;
 }
 
@@ -303,10 +283,9 @@ bool write_json(const std::string& path, const std::vector<Result>& results,
     std::fprintf(f,
                  "      \"degree_tail\": {\"p50\": %zu, \"p90\": %zu, \"p99\": %zu, "
                  "\"max\": %zu, \"spilled_fraction\": %.4f, "
-                 "\"tail_exponent\": %.3f},\n",
+                 "\"tail_exponent\": %.3f}}%s\n",
                  r.tail.p50, r.tail.p90, r.tail.p99, r.tail.maximum,
-                 r.tail.spilled_fraction, r.tail.tail_exponent);
-    std::fprintf(f, "      \"shard_skew\": %.4f}%s\n", r.shard_skew,
+                 r.tail.spilled_fraction, r.tail.tail_exponent,
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -337,7 +316,7 @@ bool validate(const std::vector<Result>& results) {
     for (const BucketSummary* b : {&r.graceful, &r.node_insert, &r.abrupt_node_delete})
       ok = ok && b->rounds >= 0 && b->broadcasts >= 0 && b->adjustments >= 0;
     ok = ok && r.tail.p50 <= r.tail.p90 && r.tail.p90 <= r.tail.p99 &&
-         r.tail.p99 <= r.tail.maximum && r.shard_skew >= 1.0;
+         r.tail.p99 <= r.tail.maximum;
     if (!ok) {
       std::fprintf(stderr, "validate: malformed row (%s/%s, n=%u)\n",
                    r.graph.c_str(), r.policy.c_str(), r.n);
@@ -406,13 +385,13 @@ int main(int argc, char** argv) {
         std::printf(
             "%-9s %-12s n=%-7u %6.2fs  graceful: bcast=%.2f  abrupt-del: "
             "bcast=%.2f env=%.2f (x%llu)  tail: p99=%zu max=%zu a=%.2f  "
-            "spill=%.1f%% shard-skew=%.2f\n",
+            "spill=%.1f%%\n",
             r.graph.c_str(), r.policy.c_str(), r.n, r.seconds,
             r.graceful.broadcasts, r.abrupt_node_delete.broadcasts,
             r.abrupt_node_delete.envelope,
             static_cast<unsigned long long>(r.abrupt_node_delete.count),
             r.tail.p99, r.tail.maximum, r.tail.tail_exponent,
-            100.0 * r.tail.spilled_fraction, r.shard_skew);
+            100.0 * r.tail.spilled_fraction);
         std::fflush(stdout);
       }
     }

@@ -27,11 +27,13 @@
 // then, in the SAME process with cold/warm reps strictly interleaved (so
 // machine drift hits both sides equally — the ROADMAP's rule for perf
 // claims),
-//   engine_cold   Snapshot::open + CascadeEngine(snap, kCold): bulk graph
-//                 load, fresh priority draws, full greedy recompute — the
-//                 engine-ready path every snapshot consumer paid before v2,
-//   engine_warm   Snapshot::open + CascadeEngine(snap, kWarm): bulk graph
-//                 load + bulk key/membership adoption, zero recompute.
+//   engine_cold   Snapshot::open + DynamicGraph::load + CascadeEngine
+//                 (kCold): bulk graph load, fresh priority draws, full
+//                 greedy recompute — the engine-ready path every snapshot
+//                 consumer paid before v2,
+//   engine_warm   Snapshot::open + DynamicGraph::load + CascadeEngine
+//                 (kWarm): bulk graph load + bulk key/membership adoption,
+//                 zero recompute.
 // The acceptance bar for the warm start is warm_speedup >= 2 at n = 1e6.
 // Warm-vs-cold-keys equality is pinned outside the timed region.
 //
@@ -46,22 +48,6 @@
 //   borrow_speedup    load_s / borrow_open_s. Acceptance bar: >= 10 at
 //                     n = 1e6 (gated by scripts/check_bench.py).
 // The borrowed graph is compared to the original outside the timed region.
-//
-// The v3 columns quantify the shard-partitioned snapshot: a version-3 file
-// (same sections as v2 plus the 128-byte shard table) is saved from the
-// same engine, and per rep — strictly interleaved with the v2 cold/warm
-// pair, same CascadeEngine consumer so the ratio isolates the FORMAT cost —
-//   engine_warm_v3   Snapshot::open + CascadeEngine(snap, kWarm) off v3,
-//   v3_warm_ratio    engine_warm_v3_s / engine_warm_s. Acceptance bar:
-//                    within 10% of 1.0 at S=1 (gated by check_bench.py —
-//                    the shard table must be free when nobody shards).
-//   v3_load_s        Snapshot::open + DynamicGraph::load(snap, --loaders):
-//                    the parallel adoption path, one thread per shard
-//                    stripe (reference runs record --loaders 1; the sweep
-//                    is for machines with real cores).
-// The v2 and v3 warm engines are differentially pinned outside the timed
-// region: identical membership and |MIS|, and identical post-restart RNG
-// state (one add_node continuation must re-decide identically on both).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -104,11 +90,6 @@ struct Result {
   double engine_cold_s = 0;  // open + cold engine start (fresh keys + greedy)
   double engine_warm_s = 0;  // open + warm engine start (persisted state)
   double warm_speedup = 0;   // engine_cold_s / engine_warm_s (interleaved run)
-  // v3 (shard-partitioned) columns, rep-interleaved with the v2 pair:
-  double engine_warm_v3_s = 0;  // open + warm engine start off the v3 file
-  double v3_warm_ratio = 0;     // engine_warm_v3_s / engine_warm_s
-  unsigned v3_loaders = 1;      // threads given to the parallel graph load
-  double v3_load_s = 0;         // open + DynamicGraph::load(snap, loaders)
 };
 
 template <typename F>
@@ -124,10 +105,9 @@ double min_seconds(int reps, F&& f) {
 }
 
 Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
-                unsigned loaders, const std::filesystem::path& dir) {
+                const std::filesystem::path& dir) {
   Result r;
   r.n = n;
-  r.v3_loaders = loaders;
   util::Rng rng(seed);
   const graph::DynamicGraph g = graph::random_avg_degree(n, deg, rng);
   r.edges = g.edge_count();
@@ -283,17 +263,10 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
   // swing and their ratio is trustworthy within this one process.
   const std::string v2_path =
       (dir / ("bench_" + std::to_string(n) + "_v2.snap")).string();
-  const std::string v3_path =
-      (dir / ("bench_" + std::to_string(n) + "_v3.snap")).string();
   {
     const core::CascadeEngine source(g, seed);
     if (!core::save_snapshot(source, v2_path, &error)) {
       std::fprintf(stderr, "v2 snapshot save failed: %s\n", error.c_str());
-      std::exit(1);
-    }
-    if (!core::save_snapshot_sharded(source, v3_path, graph::kSnapshotMaxShards,
-                                     &error)) {
-      std::fprintf(stderr, "v3 snapshot save failed: %s\n", error.c_str());
       std::exit(1);
     }
   }
@@ -306,7 +279,8 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
         std::fprintf(stderr, "v2 snapshot open failed: %s\n", error.c_str());
         std::exit(1);
       }
-      const core::CascadeEngine cold(snap, seed, graph::SnapshotLoad::kCold);
+      const core::CascadeEngine cold(graph::DynamicGraph::load(snap), snap, seed,
+                                     graph::SnapshotLoad::kCold);
       sink += cold.mis_size();
     }
     const double cold_s = std::chrono::duration<double>(Clock::now() - t_cold).count();
@@ -319,47 +293,14 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
         std::fprintf(stderr, "v2 snapshot open failed: %s\n", error.c_str());
         std::exit(1);
       }
-      const core::CascadeEngine warm(snap, seed, graph::SnapshotLoad::kWarm);
+      const core::CascadeEngine warm(graph::DynamicGraph::load(snap), snap, seed,
+                                     graph::SnapshotLoad::kWarm);
       sink += warm.mis_size();
     }
     const double warm_s = std::chrono::duration<double>(Clock::now() - t_warm).count();
     if (rep == 0 || warm_s < r.engine_warm_s) r.engine_warm_s = warm_s;
-
-    // v3 warm start, same consumer, same rep: any machine-state swing hits
-    // the v2 and v3 columns alike, so their ratio isolates the format cost.
-    const auto t_v3 = Clock::now();
-    {
-      graph::Snapshot snap;
-      if (!snap.open(v3_path, &error)) {
-        std::fprintf(stderr, "v3 snapshot open failed: %s\n", error.c_str());
-        std::exit(1);
-      }
-      const core::CascadeEngine warm3(snap, seed, graph::SnapshotLoad::kWarm);
-      sink += warm3.mis_size();
-    }
-    const double v3_s = std::chrono::duration<double>(Clock::now() - t_v3).count();
-    if (rep == 0 || v3_s < r.engine_warm_v3_s) r.engine_warm_v3_s = v3_s;
   }
   r.warm_speedup = r.engine_warm_s > 0 ? r.engine_cold_s / r.engine_warm_s : 0;
-  r.v3_warm_ratio =
-      r.engine_warm_s > 0 ? r.engine_warm_v3_s / r.engine_warm_s : 0;
-
-  // The parallel adoption path: open + DynamicGraph::load with --loaders
-  // threads adopting disjoint shard stripes. Equality-checked below.
-  graph::DynamicGraph loaded3;
-  r.v3_load_s = min_seconds(reps, [&] {
-    graph::Snapshot snap;
-    if (!snap.open(v3_path, &error)) {
-      std::fprintf(stderr, "v3 snapshot open failed: %s\n", error.c_str());
-      std::exit(1);
-    }
-    loaded3 = graph::DynamicGraph::load(snap, loaders);
-  });
-  if (!(loaded3 == g)) {
-    std::fprintf(stderr, "v3 parallel-load mismatch at n=%u\n", n);
-    std::exit(1);
-  }
-
   // Correctness pin outside the timed region: the warm start must equal the
   // greedy recompute over the same persisted keys, node for node.
   {
@@ -368,8 +309,10 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
       std::fprintf(stderr, "v2 snapshot open failed: %s\n", error.c_str());
       std::exit(1);
     }
-    const core::CascadeEngine warm(snap, seed, graph::SnapshotLoad::kWarm);
-    const core::CascadeEngine coldkeys(snap, seed, graph::SnapshotLoad::kColdKeys);
+    const core::CascadeEngine warm(graph::DynamicGraph::load(snap), snap, seed,
+                                   graph::SnapshotLoad::kWarm);
+    const core::CascadeEngine coldkeys(graph::DynamicGraph::load(snap), snap, seed,
+                                       graph::SnapshotLoad::kColdKeys);
     if (warm.mis_size() != coldkeys.mis_size() ||
         !(warm.membership() == coldkeys.membership())) {
       std::fprintf(stderr, "warm-vs-cold state mismatch at n=%u\n", n);
@@ -377,37 +320,11 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
     }
     sink += warm.mis_size();
   }
-
-  // v2-vs-v3 differential pin: same membership, same |MIS|, and the SAME
-  // post-restart RNG state — one continuation op must re-decide identically
-  // on both, or the v3 path silently forked the persisted fill stream.
-  {
-    graph::Snapshot s2, s3;
-    if (!s2.open(v2_path, &error) || !s3.open(v3_path, &error)) {
-      std::fprintf(stderr, "v2/v3 pin open failed: %s\n", error.c_str());
-      std::exit(1);
-    }
-    core::CascadeEngine w2(s2, seed, graph::SnapshotLoad::kWarm);
-    core::CascadeEngine w3(s3, seed, graph::SnapshotLoad::kWarm);
-    if (w2.mis_size() != w3.mis_size() ||
-        !(w2.membership() == w3.membership())) {
-      std::fprintf(stderr, "v2-vs-v3 warm state mismatch at n=%u\n", n);
-      std::exit(1);
-    }
-    (void)w2.add_node();
-    (void)w3.add_node();
-    if (!(w2.membership() == w3.membership())) {
-      std::fprintf(stderr, "v2-vs-v3 RNG continuation mismatch at n=%u\n", n);
-      std::exit(1);
-    }
-    sink += w2.mis_size();
-  }
   if (sink == 0) std::fprintf(stderr, "(empty MIS — suspicious)\n");
 
   std::filesystem::remove(trace_path);
   std::filesystem::remove(snap_path);
   std::filesystem::remove(v2_path);
-  std::filesystem::remove(v3_path);
   return r;
 }
 
@@ -426,8 +343,7 @@ bool validate(const std::vector<Result>& results) {
                     r.speedup_vs_rebuild > 0 && r.engine_cold_s > 0 &&
                     r.engine_warm_s > 0 && r.warm_speedup > 0 &&
                     r.borrow_open_s > 0 && r.borrow_first_op_s > 0 &&
-                    r.borrow_speedup > 0 && r.engine_warm_v3_s > 0 &&
-                    r.v3_warm_ratio > 0 && r.v3_loaders >= 1 && r.v3_load_s > 0;
+                    r.borrow_speedup > 0;
     if (!ok) {
       std::fprintf(stderr, "validate: malformed row at n=%u\n", r.n);
       return false;
@@ -456,17 +372,14 @@ bool write_json(const std::string& path, const std::vector<Result>& results,
                  "\"open_s\": %.6f, \"load_s\": %.6f, \"speedup_vs_rebuild\": %.2f, "
                  "\"engine_cold_s\": %.6f, \"engine_warm_s\": %.6f, "
                  "\"warm_speedup\": %.2f, \"borrow_open_s\": %.6f, "
-                 "\"borrow_first_op_s\": %.6f, \"borrow_speedup\": %.2f, "
-                 "\"engine_warm_v3_s\": %.6f, \"v3_warm_ratio\": %.3f, "
-                 "\"v3_loaders\": %u, \"v3_load_s\": %.6f}%s\n",
+                 "\"borrow_first_op_s\": %.6f, \"borrow_speedup\": %.2f}%s\n",
                  r.n, static_cast<unsigned long long>(r.edges),
                  static_cast<unsigned long long>(r.snapshot_bytes),
                  static_cast<unsigned long long>(r.trace_bytes), r.rebuild_s,
                  r.rebuild_tuned_s, r.save_s, r.open_s, r.load_s,
                  r.speedup_vs_rebuild, r.engine_cold_s, r.engine_warm_s,
                  r.warm_speedup, r.borrow_open_s, r.borrow_first_op_s,
-                 r.borrow_speedup, r.engine_warm_v3_s, r.v3_warm_ratio,
-                 r.v3_loaders, r.v3_load_s, i + 1 < results.size() ? "," : "");
+                 r.borrow_speedup, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -480,7 +393,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   double deg = 8.0;
   int reps = 3;
-  unsigned loaders = 1;
   std::vector<NodeId> sizes = {10'000, 100'000, 1'000'000};
   std::string out = "BENCH_snapshot.json";
   std::string dir = std::filesystem::temp_directory_path().string();
@@ -492,10 +404,6 @@ int main(int argc, char** argv) {
     if (arg == "--seed") seed = std::strtoull(next(), nullptr, 10);
     else if (arg == "--deg") deg = std::strtod(next(), nullptr);
     else if (arg == "--reps") reps = static_cast<int>(std::strtol(next(), nullptr, 10));
-    else if (arg == "--loaders") {
-      loaders = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-      if (loaders < 1) loaders = 1;
-    }
     else if (arg == "--out") out = next();
     else if (arg == "--dir") dir = next();
     else if (arg == "--validate") validate_flag = true;
@@ -515,7 +423,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--sizes a,b,c] [--deg D] [--seed S] [--reps R] "
-                   "[--loaders L] [--dir TMP] [--out F] [--validate]\n",
+                   "[--dir TMP] [--out F] [--validate]\n",
                    argv[0]);
       return 2;
     }
@@ -523,7 +431,7 @@ int main(int argc, char** argv) {
 
   std::vector<Result> results;
   for (const NodeId n : sizes) {
-    const Result r = run_size(n, deg, seed, reps, loaders, dir);
+    const Result r = run_size(n, deg, seed, reps, dir);
     results.push_back(r);
     std::printf("n=%-8u edges=%-8llu rebuild=%8.4fs (tuned %8.4fs) save=%8.4fs "
                 "open=%.6fs load=%8.4fs  speedup=%.1fx\n",
@@ -535,9 +443,6 @@ int main(int argc, char** argv) {
     std::printf("            borrowed open+query=%.6fs first-op=%.6fs  "
                 "borrow-speedup=%.1fx\n",
                 r.borrow_open_s, r.borrow_first_op_s, r.borrow_speedup);
-    std::printf("            v3 warm=%8.4fs (%.2fx of v2)  "
-                "v3-load(%u loaders)=%8.4fs\n",
-                r.engine_warm_v3_s, r.v3_warm_ratio, r.v3_loaders, r.v3_load_s);
     std::fflush(stdout);
   }
   if (validate_flag && !validate(results)) return 1;

@@ -63,14 +63,6 @@ Tolerances (CI's contract — change them here, not in the workflow):
   reference AND against the intrinsic >= 10x floor at n >= 1e6), the
   absolute open time is wall clock (best-of-N fold, throughput band).
 
-  The v3 columns (engine_warm_v3_s / v3_warm_ratio, PRs since the
-  shard-partitioned snapshot landed) gate the ratio: the v3 warm load is
-  strictly interleaved with the v2 warm load in one process, and at S=1
-  it walks the same fill loop over the same sections (the shard table is
-  a fixed 128-byte extension), so the ratio must stay within the
-  intrinsic V3_WARM_NOISE_BAR of 1.0 — checked even under
-  --deterministic-only — plus the usual reference band.
-
 * oom — the beyond-RAM cells (bench_oom: one materialized, one borrowed,
   both under a heap cap smaller than the snapshot). The claim is intrinsic
   and needs no reference: materialized load must FAIL under the cap,
@@ -143,14 +135,6 @@ ENVELOPE_SLACK = 1.5
 # enough samples. Below this bar the envelope column is reference-gated only.
 MIN_ENVELOPE_SAMPLES = 100
 BORROW_SPEEDUP_FLOOR = 10.0
-# Single-loader v3 warm load must be within this fraction of the v2 warm
-# load (the shard extension is 128 fixed bytes; S=1 walks the same fill
-# loop over the same sections, so anything beyond noise is a real tax).
-# Small-n cells warm in sub-millisecond times where a pure ratio flaps, so
-# the gate grants the same 100us absolute grace as the borrow-open band —
-# negligible at the n=1e6 acceptance point.
-V3_WARM_NOISE_BAR = 0.10
-V3_WARM_ABS_SLACK_S = 1e-4
 
 
 def close(candidate, reference, tolerance, absolute=1e-3):
@@ -178,8 +162,7 @@ def merge_best(candidates):
                             f"FAIL: {field} differs between candidate runs at "
                             f"n={row['n']} — nondeterministic snapshot writer")
                 for field in ("engine_warm_s", "engine_cold_s", "load_s",
-                              "borrow_open_s", "borrow_first_op_s",
-                              "engine_warm_v3_s"):
+                              "borrow_open_s", "borrow_first_op_s"):
                     if field in row and field in cell:
                         cell[field] = min(cell[field], row[field])
         for cell in cells.values():
@@ -187,9 +170,6 @@ def merge_best(candidates):
                 cell["warm_speedup"] = cell["engine_cold_s"] / cell["engine_warm_s"]
             if cell.get("borrow_open_s", 0) > 0:
                 cell["borrow_speedup"] = cell["load_s"] / cell["borrow_open_s"]
-            if cell.get("engine_warm_v3_s", 0) > 0 and cell["engine_warm_s"] > 0:
-                cell["v3_warm_ratio"] = (cell["engine_warm_v3_s"] /
-                                         cell["engine_warm_s"])
         return merged
     if kind == "recovery":
         # Cells are (interval, ops): the byte/op fields are deterministic
@@ -453,28 +433,6 @@ def check_snapshot(candidate, reference, tolerance, deterministic_only):
                     cell_failures.append(
                         f"n={key}: borrowed open regression {got:.6f}s vs "
                         f"reference {want:.6f}s (> {tolerance:.0%} slower)")
-        # v3 (shard-partitioned) columns: the v3-vs-v2 warm ratio is
-        # strictly interleaved in-process, so S=1 must sit within the
-        # V3_WARM_NOISE_BAR of the v2 warm load — the shard table only adds
-        # a fixed 128-byte extension, and with one loader the fill loop is
-        # the same code walking the same sections. Intrinsic, no reference
-        # needed; gated even under --deterministic-only.
-        if "v3_warm_ratio" in row:
-            got = row["v3_warm_ratio"]
-            overhead = row["engine_warm_v3_s"] - row["engine_warm_s"]
-            if overhead > (V3_WARM_NOISE_BAR * row["engine_warm_s"]
-                           + V3_WARM_ABS_SLACK_S):
-                cell_failures.append(
-                    f"n={key}: v3 warm load is {got:.2f}x the v2 warm load "
-                    f"at S=1 (bar: {1.0 + V3_WARM_NOISE_BAR:.2f}x + "
-                    f"{V3_WARM_ABS_SLACK_S * 1e6:.0f}us) — the "
-                    f"shard-partitioned path taxes the single-loader case")
-            want = base.get("v3_warm_ratio")
-            if want is not None and got > want * (1.0 + tolerance) + 0.05:
-                cell_failures.append(
-                    f"n={key}: v3/v2 warm ratio grew to {got:.2f}x vs "
-                    f"reference {want:.2f}x (> {tolerance:.0%}; "
-                    f"same-process interleaved ratio)")
         if not cell_failures:
             print(f"OK   n={key}: warm {row['engine_warm_s']:.6f}s, "
                   f"{row['warm_speedup']:.2f}x vs cold "
@@ -702,12 +660,6 @@ def inject_regression(candidate, deterministic_only):
             if "borrow_speedup" in row:
                 row["borrow_open_s"] *= 2.0
                 row["borrow_speedup"] /= 2.0
-            if "v3_warm_ratio" in row:
-                # Past the intrinsic noise bar regardless of the base times
-                # (engine_warm_s was just doubled above, so quadruple-plus-1
-                # keeps the v3 overhead decisively over the 10% + 100us bar).
-                row["engine_warm_v3_s"] = row["engine_warm_v3_s"] * 4.0 + 1.0
-                row["v3_warm_ratio"] = row["v3_warm_ratio"] * 2.0 + 1.0
         elif kind == "oom":
             # The gate's core claim is the loaded/failed split — flip it.
             if row["mode"] == "materialized":

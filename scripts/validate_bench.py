@@ -55,19 +55,6 @@ def validate_update_latency(data):
         require_metric(row, "adjustments_per_update")
 
 
-def validate_batch_throughput(data):
-    rows = data["results"]
-    require(rows, "no result rows")
-    for row in rows:
-        require(row.get("engine") in ("serial", "sharded"), f"unknown engine in {row}")
-        require_metric(row, "n", lo=2)
-        require_metric(row, "batch_size", lo=1)
-        require_metric(row, "ops", lo=1)
-        require_metric(row, "batches", lo=1)
-        require_metric(row, "updates_per_sec", lo=1)
-        require_metric(row, "adjustments_per_op")
-
-
 def validate_distributed_cost(data):
     rows = data["results"]
     require(rows, "no result rows")
@@ -124,7 +111,6 @@ def validate_skew(data):
                 f"degree_tail percentiles out of order in {row}")
         require(tail["spilled_fraction"] <= 1.0,
                 f"spilled_fraction above 1 in {row}")
-        require_metric(row, "shard_skew", lo=1.0)
 
 
 def validate_snapshot(data):
@@ -235,7 +221,6 @@ def validate_oom(data):
 
 VALIDATORS = {
     "update_latency": validate_update_latency,
-    "batch_throughput": validate_batch_throughput,
     "distributed_cost": validate_distributed_cost,
     "skew": validate_skew,
     "snapshot": validate_snapshot,

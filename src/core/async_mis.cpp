@@ -4,18 +4,11 @@
 
 namespace dmis::core {
 
-AsyncMis::AsyncMis(const graph::Snapshot& snapshot, std::uint64_t priority_seed,
-                   std::uint64_t scheduler_seed, std::uint64_t max_delay,
-                   graph::SnapshotLoad mode)
-    : Base(priority_seed, scheduler_seed, max_delay) {
-  init_from_snapshot(snapshot, mode);
-}
-
-AsyncMis::AsyncMis(std::shared_ptr<const graph::Snapshot> snapshot,
+AsyncMis::AsyncMis(graph::DynamicGraph&& g, const graph::Snapshot& snapshot,
                    std::uint64_t priority_seed, std::uint64_t scheduler_seed,
                    std::uint64_t max_delay, graph::SnapshotLoad mode)
     : Base(priority_seed, scheduler_seed, max_delay) {
-  init_from_snapshot(std::move(snapshot), mode);
+  init_from_snapshot(std::move(g), snapshot, mode);
 }
 
 AsyncMisProtocol::Local& AsyncMisProtocol::local(NodeId v) {

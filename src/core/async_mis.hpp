@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <span>
 
 #include "core/neighbor_view.hpp"
@@ -113,25 +112,21 @@ class AsyncMis : public NetworkDriver<sim::AsyncNetwork, AsyncMisProtocol> {
            std::uint64_t max_delay = 8)
       : Base(priority_seed, scheduler_seed, max_delay) {}
 
-  AsyncMis(const graph::DynamicGraph& g, std::uint64_t priority_seed,
+  AsyncMis(graph::DynamicGraph g, std::uint64_t priority_seed,
            std::uint64_t scheduler_seed, std::uint64_t max_delay = 8)
       : Base(priority_seed, scheduler_seed, max_delay) {
-    init_stable(g);
+    init_stable(std::move(g));
   }
 
-  /// Start from a binary snapshot (graph/snapshot.hpp); defined in
-  /// async_mis.cpp to keep the snapshot header out of this one. A v2
+  /// Start from a binary snapshot (graph/snapshot.hpp): `g` is the graph
+  /// loaded or borrowed from `snapshot` by the caller (defined in
+  /// async_mis.cpp to keep the snapshot header out of this one). A v2
   /// snapshot warm-starts by default — persisted keys + membership are
   /// installed into every view with no greedy recompute and no priority
   /// draws; see CascadeEngine's snapshot ctor for the mode rules.
-  AsyncMis(const graph::Snapshot& snapshot, std::uint64_t priority_seed,
-           std::uint64_t scheduler_seed, std::uint64_t max_delay = 8,
-           graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
-
-  /// Borrowed-mode snapshot start: the logical graph reads the mapping in
-  /// place (DynamicGraph::borrow) and the communication twin shares it.
-  AsyncMis(std::shared_ptr<const graph::Snapshot> snapshot, std::uint64_t priority_seed,
-           std::uint64_t scheduler_seed, std::uint64_t max_delay = 8,
+  AsyncMis(graph::DynamicGraph&& g, const graph::Snapshot& snapshot,
+           std::uint64_t priority_seed, std::uint64_t scheduler_seed,
+           std::uint64_t max_delay = 8,
            graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
 
   ChangeResult insert_edge(NodeId u, NodeId v);

@@ -4,8 +4,11 @@
 
 namespace dmis::core {
 
-namespace detail {
+namespace {
 
+/// Apply the topology mutations through the engine's raw_* interface and
+/// emit the repair seeds (sorted, deduplicated) plus the ids of inserted
+/// nodes.
 void apply_ops_collect_seeds(CascadeEngine& engine, const Batch& batch,
                              std::vector<NodeId>& seeds,
                              std::vector<NodeId>& new_nodes) {
@@ -47,7 +50,7 @@ void apply_ops_collect_seeds(CascadeEngine& engine, const Batch& batch,
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
 }
 
-}  // namespace detail
+}  // namespace
 
 BatchResult apply_batch(CascadeEngine& engine, const Batch& batch) {
   BatchResult result;
@@ -64,7 +67,7 @@ void apply_batch(CascadeEngine& engine, const Batch& batch, BatchResult& out) {
   // per-call allocation for the seed scratch.
   static thread_local std::vector<NodeId> seeds;
   seeds.clear();
-  detail::apply_ops_collect_seeds(engine, batch, seeds, out.new_nodes);
+  apply_ops_collect_seeds(engine, batch, seeds, out.new_nodes);
   // Copy-assign into the caller's report: `changed` reuses its capacity
   // once it has seen its steady-state maximum.
   out.report = engine.repair(seeds);

@@ -116,13 +116,4 @@ struct BatchResult {
 /// the engine allocates.
 void apply_batch(CascadeEngine& engine, const Batch& batch, BatchResult& out);
 
-namespace detail {
-/// Shared front half of every batch path (serial and sharded): apply the
-/// topology mutations through the engine's raw_* interface and emit the
-/// repair seeds (sorted, deduplicated) plus the ids of inserted nodes.
-void apply_ops_collect_seeds(CascadeEngine& engine, const Batch& batch,
-                             std::vector<NodeId>& seeds,
-                             std::vector<NodeId>& new_nodes);
-}  // namespace detail
-
 }  // namespace dmis::core

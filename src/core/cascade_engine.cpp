@@ -9,40 +9,14 @@
 
 namespace dmis::core {
 
-CascadeEngine::CascadeEngine(const graph::DynamicGraph& g, std::uint64_t priority_seed)
-    : g_(g), priorities_(priority_seed) {
-  init_mis();
-}
-
-CascadeEngine::CascadeEngine(graph::DynamicGraph&& g, std::uint64_t priority_seed)
+CascadeEngine::CascadeEngine(graph::DynamicGraph g, std::uint64_t priority_seed)
     : g_(std::move(g)), priorities_(priority_seed) {
   init_mis();
-}
-
-CascadeEngine::CascadeEngine(const graph::Snapshot& snapshot, std::uint64_t priority_seed,
-                             graph::SnapshotLoad mode)
-    : g_(graph::DynamicGraph::load(snapshot)), priorities_(priority_seed) {
-  adopt_snapshot_state(snapshot, mode);
 }
 
 CascadeEngine::CascadeEngine(graph::DynamicGraph&& g, const graph::Snapshot& snapshot,
                              std::uint64_t priority_seed, graph::SnapshotLoad mode)
     : g_(std::move(g)), priorities_(priority_seed) {
-  adopt_snapshot_state(snapshot, mode);
-}
-
-CascadeEngine::CascadeEngine(std::shared_ptr<const graph::Snapshot> snapshot,
-                             std::uint64_t priority_seed, graph::SnapshotLoad mode)
-    : priorities_(priority_seed) {
-  // The reference stays valid across the move: the snapshot object is owned
-  // by the shared_ptr, which the borrowed graph keeps alive.
-  const graph::Snapshot& s = *snapshot;
-  g_ = graph::DynamicGraph::borrow(std::move(snapshot));
-  adopt_snapshot_state(s, mode);
-}
-
-void CascadeEngine::adopt_snapshot_state(const graph::Snapshot& snapshot,
-                                         graph::SnapshotLoad mode) {
   if (graph::snapshot_load_warm(mode, snapshot.has_engine_state())) {
     DMIS_ASSERT_MSG(snapshot.has_engine_state(),
                     "warm start requested from a graph-only (v1) snapshot");

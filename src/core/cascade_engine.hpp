@@ -47,7 +47,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -71,39 +70,25 @@ class CascadeEngine {
   explicit CascadeEngine(std::uint64_t priority_seed) : priorities_(priority_seed) {}
 
   /// Build from an existing graph (initial MIS computed from scratch; the
-  /// initial computation is not an "update" and produces no report).
-  CascadeEngine(const graph::DynamicGraph& g, std::uint64_t priority_seed);
-  CascadeEngine(graph::DynamicGraph&& g, std::uint64_t priority_seed);
+  /// initial computation is not an "update" and produces no report). Pass
+  /// an rvalue to hand the graph over without a copy.
+  CascadeEngine(graph::DynamicGraph g, std::uint64_t priority_seed);
 
-  /// Build from a binary snapshot (graph/snapshot.hpp): the graph arrives
-  /// via DynamicGraph::load's bulk path instead of edge-by-edge rebuild.
-  /// With `mode` kAuto (default) a v2 snapshot warm-starts — persisted
+  /// Build from a binary snapshot (graph/snapshot.hpp). The caller supplies
+  /// the graph — materialized with DynamicGraph::load or borrowed in place
+  /// with DynamicGraph::borrow — and `snapshot` provides the engine-state
+  /// sections; it must be the snapshot the graph came from. RecoveryManager
+  /// uses this split to time graph acquisition separately from warm-up.
+  /// With `mode` kAuto (default) a v2+ snapshot warm-starts — persisted
   /// priority keys and membership are bulk-loaded and the greedy recompute
   /// is skipped entirely (zero priority draws, zero cascade work; the
   /// persisted membership is the unique greedy fixpoint of the persisted
   /// keys, which dmis_snapshot verify deep-checks) — while a v1 snapshot
-  /// cold-starts exactly as before. kColdKeys adopts the persisted keys but
-  /// recomputes the MIS: its result must equal the warm start bit for bit,
-  /// which the warm-vs-cold equivalence tests pin. `priority_seed` feeds
-  /// the RNG for *future* draws in every mode.
-  CascadeEngine(const graph::Snapshot& snapshot, std::uint64_t priority_seed,
-                graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
-
-  /// As above, but the graph is supplied by the caller — pre-materialized
-  /// with DynamicGraph::load or borrowed with DynamicGraph::borrow — while
-  /// `snapshot` provides the engine-state sections. RecoveryManager uses
-  /// this split to time graph acquisition separately from engine warm-up.
-  /// `snapshot` must be the same snapshot the graph came from.
+  /// cold-starts. kColdKeys adopts the persisted keys but recomputes the
+  /// MIS: its result must equal the warm start bit for bit, which the
+  /// warm-vs-cold equivalence tests pin. `priority_seed` feeds the RNG for
+  /// *future* draws in every mode.
   CascadeEngine(graph::DynamicGraph&& g, const graph::Snapshot& snapshot,
-                std::uint64_t priority_seed,
-                graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
-
-  /// Borrowed-mode snapshot constructor: the engine's graph reads the
-  /// mapped snapshot in place (zero-copy; DynamicGraph::borrow), so
-  /// construction is ~O(id_bound) for the warm bulk copies instead of
-  /// O(n + m) materialization, and clean graph regions page in on demand.
-  /// Shares ownership of the snapshot so the mapping outlives the engine.
-  CascadeEngine(std::shared_ptr<const graph::Snapshot> snapshot,
                 std::uint64_t priority_seed,
                 graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
 
@@ -154,11 +139,6 @@ class CascadeEngine {
   void debug_set_epoch(std::uint32_t epoch);
 
  private:
-  // The sharded batch engine runs its parallel repair directly on this
-  // engine's graph/priority/state arrays (core/sharded_engine.hpp); it is
-  // the one component allowed behind the repair invariants.
-  friend class ShardedCascadeEngine;
-
   struct HeapEntry {
     std::uint64_t key;
     NodeId id;
@@ -180,12 +160,7 @@ class CascadeEngine {
     std::uint8_t state = 0;     // mirror of state_ (eagerly maintained)
   };
 
-  /// Shared tail of the snapshot constructors, run after g_ is in place:
-  /// dispatch the SnapshotLoad mode (warm adopt / cold-keys / cold).
-  void adopt_snapshot_state(const graph::Snapshot& snapshot,
-                            graph::SnapshotLoad mode);
-  /// Shared tail of the from-graph constructors: compute the initial greedy
-  /// MIS for g_ and size the hot arrays.
+  /// Compute the initial greedy MIS for g_ and size the hot arrays.
   void init_mis();
   /// Warm-start tail: adopt the snapshot's membership + key sections
   /// verbatim (bulk copies only — no priority hashing, no greedy pass, no

@@ -4,16 +4,10 @@
 
 namespace dmis::core {
 
-DistMis::DistMis(const graph::Snapshot& snapshot, std::uint64_t seed,
-                 graph::SnapshotLoad mode)
+DistMis::DistMis(graph::DynamicGraph&& g, const graph::Snapshot& snapshot,
+                 std::uint64_t seed, graph::SnapshotLoad mode)
     : Base(seed) {
-  init_from_snapshot(snapshot, mode);
-}
-
-DistMis::DistMis(std::shared_ptr<const graph::Snapshot> snapshot, std::uint64_t seed,
-                 graph::SnapshotLoad mode)
-    : Base(seed) {
-  init_from_snapshot(std::move(snapshot), mode);
+  init_from_snapshot(std::move(g), snapshot, mode);
 }
 
 DistMis::ChangeResult DistMis::insert_edge(NodeId u, NodeId v) {

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <span>
 
 #include "core/mis_protocol.hpp"
@@ -46,22 +45,17 @@ class DistMis : public NetworkDriver<sim::SyncNetwork, MisProtocol> {
   explicit DistMis(std::uint64_t seed) : Base(seed) {}
 
   /// Start from an existing stable graph (stable-start assumption).
-  DistMis(const graph::DynamicGraph& g, std::uint64_t seed) : Base(seed) {
-    init_stable(g);
+  DistMis(graph::DynamicGraph g, std::uint64_t seed) : Base(seed) {
+    init_stable(std::move(g));
   }
 
-  /// Start from a binary snapshot (graph/snapshot.hpp): the stable-start
-  /// graph arrives via DynamicGraph::load's bulk path (defined in
+  /// Start from a binary snapshot (graph/snapshot.hpp): `g` is the graph
+  /// loaded or borrowed from `snapshot` by the caller (defined in
   /// dist_mis.cpp to keep the snapshot header out of this one). A v2
   /// snapshot warm-starts by default — persisted keys + membership are
   /// installed into every protocol view with no greedy recompute and no
   /// priority draws; see CascadeEngine's snapshot ctor for the mode rules.
-  DistMis(const graph::Snapshot& snapshot, std::uint64_t seed,
-          graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
-
-  /// Borrowed-mode snapshot start: the logical graph reads the mapping in
-  /// place (DynamicGraph::borrow) and the communication twin shares it.
-  DistMis(std::shared_ptr<const graph::Snapshot> snapshot, std::uint64_t seed,
+  DistMis(graph::DynamicGraph&& g, const graph::Snapshot& snapshot, std::uint64_t seed,
           graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
 
   ChangeResult insert_edge(NodeId u, NodeId v);

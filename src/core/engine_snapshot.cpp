@@ -58,44 +58,12 @@ bool save_snapshot(const CascadeEngine& engine, const std::string& path,
   return graph::save_snapshot(engine.graph(), state, path, factory, error);
 }
 
-bool save_snapshot(const ShardedCascadeEngine& engine, const std::string& path,
-                   std::string* error) {
-  return save_snapshot(engine.serial(), path, error);
-}
-
 bool save_snapshot(const DistMis& engine, const std::string& path, std::string* error) {
   return save_driver(engine, path, error);
 }
 
 bool save_snapshot(const AsyncMis& engine, const std::string& path, std::string* error) {
   return save_driver(engine, path, error);
-}
-
-bool save_snapshot(const LockFreeEngine& engine, const std::string& path,
-                   std::string* error) {
-  graph::EngineStateView state;
-  state.keys = keys_view(engine.priorities(), engine.graph());
-  state.membership = engine.membership();
-  fill_rng(state, engine.priorities());
-  return graph::save_snapshot(engine.graph(), state, path, error);
-}
-
-bool save_snapshot_sharded(const CascadeEngine& engine, const std::string& path,
-                           std::uint32_t shard_count, std::string* error) {
-  graph::EngineStateView state;
-  state.keys = keys_view(engine.priorities(), engine.graph());
-  state.membership = engine.membership();
-  fill_rng(state, engine.priorities());
-  return graph::save_snapshot_sharded(engine.graph(), state, path, shard_count, error);
-}
-
-bool save_snapshot_sharded(const LockFreeEngine& engine, const std::string& path,
-                           std::uint32_t shard_count, std::string* error) {
-  graph::EngineStateView state;
-  state.keys = keys_view(engine.priorities(), engine.graph());
-  state.membership = engine.membership();
-  fill_rng(state, engine.priorities());
-  return graph::save_snapshot_sharded(engine.graph(), state, path, shard_count, error);
 }
 
 }  // namespace dmis::core

@@ -14,42 +14,24 @@
 
 #include <string>
 
-#include <cstdint>
-
 #include "core/async_mis.hpp"
 #include "core/cascade_engine.hpp"
 #include "core/dist_mis.hpp"
-#include "core/lockfree_engine.hpp"
-#include "core/sharded_engine.hpp"
 #include "util/fault_file.hpp"  // util::FileFactory
 
 namespace dmis::core {
 
 /// Write `engine`'s graph + engine state as a version-2 snapshot. Returns
-/// false (with *error) on I/O failure. The engine must be quiescent (no
-/// batch repair in flight); every engine in this repository is between
-/// public calls.
+/// false (with *error) on I/O failure.
 bool save_snapshot(const CascadeEngine& engine, const std::string& path,
                    std::string* error = nullptr);
 /// With a non-empty `factory`, all file bytes route through it (the
 /// Checkpointer's fault-injection seam — graph/snapshot.hpp).
 bool save_snapshot(const CascadeEngine& engine, const std::string& path,
                    const util::FileFactory& factory, std::string* error = nullptr);
-bool save_snapshot(const ShardedCascadeEngine& engine, const std::string& path,
-                   std::string* error = nullptr);
 bool save_snapshot(const DistMis& engine, const std::string& path,
                    std::string* error = nullptr);
 bool save_snapshot(const AsyncMis& engine, const std::string& path,
                    std::string* error = nullptr);
-bool save_snapshot(const LockFreeEngine& engine, const std::string& path,
-                   std::string* error = nullptr);
-
-/// Version-3 writers: identical engine state plus the shard table that lets
-/// S loaders adopt disjoint id ranges during a warm start (docs/FORMATS.md).
-/// `shard_count` is clamped to [1, graph::kSnapshotMaxShards].
-bool save_snapshot_sharded(const CascadeEngine& engine, const std::string& path,
-                           std::uint32_t shard_count, std::string* error = nullptr);
-bool save_snapshot_sharded(const LockFreeEngine& engine, const std::string& path,
-                           std::uint32_t shard_count, std::string* error = nullptr);
 
 }  // namespace dmis::core

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -82,54 +81,40 @@ class NetworkDriver {
   /// Start from an existing stable graph: states are initialized to the
   /// greedy MIS and every node knows its neighbors' priorities and states
   /// (the paper's stable-start assumption); no communication is charged.
-  void init_stable(const graph::DynamicGraph& g) {
-    logical_ = g;
-    install_stable();
-  }
-  /// Move overload — a borrowed graph (or a freshly loaded one) lands in
-  /// logical_ without a deep copy; the communication twin still copies, but
-  /// a copy of a borrowed graph only shares the mapping + clones the (empty
-  /// at this point) overlay.
-  void init_stable(graph::DynamicGraph&& g) {
-    logical_ = std::move(g);
-    install_stable();
-  }
-
-  /// Warm start from persisted engine state (a v2 snapshot's priority-key
-  /// and membership sections, passed as raw spans so this header stays
-  /// independent of the snapshot layout): install the persisted keys
-  /// without drawing, then hand every node and view its *persisted* state.
-  /// Skips the greedy recompute entirely — the persisted membership is the
-  /// greedy fixpoint of the persisted keys, so the system is born stable,
-  /// exactly as init_stable's assumption demands.
-  void init_warm(graph::DynamicGraph&& g, std::span<const std::uint64_t> keys,
-                 std::span<const std::uint8_t> membership,
-                 const std::uint64_t (&rng_words)[4], std::uint64_t priority_seed) {
+  /// The communication twin copies logical_; a copy of a borrowed graph
+  /// only shares the mapping and clones the (still empty) overlay.
+  void init_stable(graph::DynamicGraph g) {
     logical_ = std::move(g);
     net_.comm() = logical_;
-    priorities_.bulk_load(keys, rng_words, priority_seed);
-    logical_.for_each_node([&](NodeId v) {
-      protocol_.install_node(v, keys[v], membership[v] != 0);
-    });
-    logical_.for_each_edge([&](NodeId u, NodeId v) {
-      protocol_.install_neighbor(u, v, keys[v], membership[v] != 0);
-      protocol_.install_neighbor(v, u, keys[u], membership[u] != 0);
-    });
+    const Membership oracle = greedy_mis(logical_, priorities_);
+    install_views([&](NodeId v) { return priorities_.key(v); },
+                  [&](NodeId v) { return oracle[v] != 0; });
   }
 
   /// Shared snapshot-mode dispatch for the drivers' snapshot constructors
   /// (DistMis and AsyncMis resolve graph::SnapshotLoad identically; keeping
-  /// the rules here means a new mode is implemented once). A template so
-  /// this header stays free of the snapshot layout — it is only
-  /// instantiated from TUs that include graph/snapshot.hpp.
+  /// the rules here means a new mode is implemented once). `g` is the
+  /// caller's graph from `snapshot` — loaded or borrowed. A warm start
+  /// installs the persisted keys without drawing and hands every node and
+  /// view its *persisted* state, skipping the greedy recompute entirely:
+  /// the persisted membership is the greedy fixpoint of the persisted keys,
+  /// so the system is born stable, exactly as init_stable's assumption
+  /// demands. A template so this header stays free of the snapshot layout —
+  /// it is only instantiated from TUs that include graph/snapshot.hpp.
   template <typename SnapshotT>
-  void init_from_snapshot(const SnapshotT& snapshot, graph::SnapshotLoad mode) {
+  void init_from_snapshot(graph::DynamicGraph&& g, const SnapshotT& snapshot,
+                          graph::SnapshotLoad mode) {
     if (graph::snapshot_load_warm(mode, snapshot.has_engine_state())) {
       DMIS_ASSERT_MSG(snapshot.has_engine_state(),
                       "warm start requested from a graph-only (v1) snapshot");
-      init_warm(graph::DynamicGraph::load(snapshot), snapshot.priority_keys(),
-                snapshot.membership_bytes(), snapshot.engine_ext().rng_state,
-                snapshot.priority_seed());
+      const auto keys = snapshot.priority_keys();
+      const auto membership = snapshot.membership_bytes();
+      logical_ = std::move(g);
+      net_.comm() = logical_;
+      priorities_.bulk_load(keys, snapshot.engine_ext().rng_state,
+                            snapshot.priority_seed());
+      install_views([&](NodeId v) { return keys[v]; },
+                    [&](NodeId v) { return membership[v] != 0; });
       return;
     }
     if (mode == graph::SnapshotLoad::kColdKeys) {
@@ -138,33 +123,7 @@ class NetworkDriver {
       priorities_.bulk_load(snapshot.priority_keys(), snapshot.engine_ext().rng_state,
                             snapshot.priority_seed());
     }
-    init_stable(graph::DynamicGraph::load(snapshot));
-  }
-
-  /// Borrowed-mode variant: the logical graph reads the mapped snapshot in
-  /// place (DynamicGraph::borrow — no materialization), and the
-  /// communication twin copies it, sharing the same mapping with its own
-  /// overlay. Same SnapshotLoad dispatch rules as the by-reference overload.
-  template <typename SnapshotT>
-  void init_from_snapshot(std::shared_ptr<const SnapshotT> snapshot,
-                          graph::SnapshotLoad mode) {
-    // The reference outlives the moves below: the snapshot object is owned
-    // by the shared_ptr, which the borrowed graph keeps alive.
-    const SnapshotT& s = *snapshot;
-    if (graph::snapshot_load_warm(mode, s.has_engine_state())) {
-      DMIS_ASSERT_MSG(s.has_engine_state(),
-                      "warm start requested from a graph-only (v1) snapshot");
-      init_warm(graph::DynamicGraph::borrow(std::move(snapshot)), s.priority_keys(),
-                s.membership_bytes(), s.engine_ext().rng_state, s.priority_seed());
-      return;
-    }
-    if (mode == graph::SnapshotLoad::kColdKeys) {
-      DMIS_ASSERT_MSG(s.has_engine_state(),
-                      "kColdKeys requested from a graph-only (v1) snapshot");
-      priorities_.bulk_load(s.priority_keys(), s.engine_ext().rng_state,
-                            s.priority_seed());
-    }
-    init_stable(graph::DynamicGraph::borrow(std::move(snapshot)));
+    init_stable(std::move(g));
   }
 
   /// Create a node in both graphs, wire its edges, and register it with the
@@ -202,17 +161,15 @@ class NetworkDriver {
   Proto protocol_;
 
  private:
-  /// Shared tail of the init_stable overloads: copy logical_ into the
-  /// communication twin, compute the oracle and install every view.
-  void install_stable() {
-    net_.comm() = logical_;
-    const Membership oracle = greedy_mis(logical_, priorities_);
-    logical_.for_each_node([&](NodeId v) {
-      protocol_.install_node(v, priorities_.key(v), oracle[v] != 0);
-    });
+  /// Hand every node its key and state, and every node's view of each
+  /// neighbor the same: the stable start both init paths end in.
+  template <typename KeyOf, typename MemberOf>
+  void install_views(KeyOf key_of, MemberOf member) {
+    logical_.for_each_node(
+        [&](NodeId v) { protocol_.install_node(v, key_of(v), member(v)); });
     logical_.for_each_edge([&](NodeId u, NodeId v) {
-      protocol_.install_neighbor(u, v, priorities_.key(v), oracle[v] != 0);
-      protocol_.install_neighbor(v, u, priorities_.key(u), oracle[u] != 0);
+      protocol_.install_neighbor(u, v, key_of(v), member(v));
+      protocol_.install_neighbor(v, u, key_of(u), member(u));
     });
   }
 };

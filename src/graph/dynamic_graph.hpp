@@ -363,15 +363,6 @@ class DynamicGraph {
   /// whose edge table fails FlatSet::restore validation.
   [[nodiscard]] static DynamicGraph load(const Snapshot& snapshot);
 
-  /// As load(), but a shard-partitioned (v3) snapshot's disjoint node
-  /// ranges are adopted by concurrent loader threads — one per shard, the
-  /// caller included, capped at `loaders`. The shard table guarantees the
-  /// ranges tile [0, id_bound), so the loaders write disjoint slices of the
-  /// pre-sized adjacency arrays with no coordination. Falls back to the
-  /// serial path for pre-v3 snapshots or loaders <= 1; the result is
-  /// identical to load(snapshot) in every case. Defined in graph/snapshot.cpp.
-  [[nodiscard]] static DynamicGraph load(const Snapshot& snapshot, unsigned loaders);
-
   /// Serialize to a snapshot file (wrapper around graph::save_snapshot).
   bool save(const std::string& path, std::string* error = nullptr) const;
 

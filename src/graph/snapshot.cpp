@@ -1,10 +1,8 @@
 #include "graph/snapshot.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 
 #include "util/binary_io.hpp"
 #include "util/fault_file.hpp"
@@ -58,8 +56,9 @@ bool Snapshot::open(const std::string& path, std::string* error, bool force_read
                 sizeof(SnapshotShardExt));
     // The shard table must name a valid partition of [0, id_bound): a
     // plausible count, monotone interior boundaries within range, and dormant
-    // slots zero. Anything else is structural corruption — the parallel
-    // loaders index the sections by these values.
+    // slots zero. Anything else is structural corruption. No reader consumes
+    // the table any more, but v3 files stay held to the rules they were
+    // written under.
     if (shard_.shard_count < 1 || shard_.shard_count > kSnapshotMaxShards)
       return fail("shard count out of range");
     std::uint64_t last = 0;
@@ -252,21 +251,14 @@ bool Snapshot::verify(std::string* error) const {
 
 namespace {
 
-/// Compute the header (and, for v2+, the extension headers) a save will
+/// Compute the header (and, for v2, the extension header) a save will
 /// write: section offsets, counts, file size — everything except the
 /// payload checksum, which only exists once the payload has streamed.
-/// `shard` non-null selects version 3: its table partitions [0, id_bound)
-/// into shard->shard_count ranges balanced by adjacency mass (degree + 1
-/// per node, so empty graphs still split evenly).
 void layout_snapshot(const DynamicGraph& g, const util::FlatSet& edges,
                      const EngineStateView* state, SnapshotHeader* header,
-                     SnapshotEngineExt* ext, SnapshotShardExt* shard = nullptr) {
+                     SnapshotEngineExt* ext) {
   std::memcpy(header->magic, kSnapshotMagic, sizeof(kSnapshotMagic));
-  DMIS_ASSERT_MSG(shard == nullptr || state != nullptr,
-                  "sharded snapshots carry engine state (v3 extends v2)");
-  header->version = state == nullptr ? kSnapshotVersion
-                    : shard == nullptr ? kSnapshotVersionEngine
-                                       : kSnapshotVersionSharded;
+  header->version = state == nullptr ? kSnapshotVersion : kSnapshotVersionEngine;
   header->endian_tag = kSnapshotEndianTag;
   header->id_bound = g.id_bound();
   header->node_count = g.node_count();
@@ -283,30 +275,9 @@ void layout_snapshot(const DynamicGraph& g, const util::FlatSet& edges,
     for (const std::uint8_t m : state->membership) ext->mis_size += m;
   }
 
-  if (shard != nullptr) {
-    // Balance the shard ranges by adjacency mass (degree + 1 per id): each
-    // interior boundary is the first id at which the running mass reaches
-    // the next 1/shard_count fraction of the total, so parallel loaders get
-    // near-equal byte work even on skewed graphs.
-    const std::uint64_t shards = shard->shard_count;
-    DMIS_ASSERT_MSG(shards >= 1 && shards <= kSnapshotMaxShards,
-                    "shard count out of range");
-    const std::uint64_t total =
-        2 * header->edge_count + static_cast<std::uint64_t>(header->id_bound);
-    std::uint64_t mass = 0;
-    std::uint64_t next = 1;
-    for (NodeId v = 0; v < header->id_bound && next < shards; ++v) {
-      mass += 1 + (g.has_node(v) ? g.degree(v) : 0);
-      while (next < shards && mass * shards >= next * total)
-        shard->boundary[next++ - 1] = v + 1;
-    }
-    while (next < shards) shard->boundary[next++ - 1] = header->id_bound;
-  }
-
   // Lay out the sections up front so the header can be written first.
   std::uint64_t off = sizeof(SnapshotHeader);
   if (state != nullptr) off += sizeof(SnapshotEngineExt);
-  if (shard != nullptr) off += sizeof(SnapshotShardExt);
   header->alive_off = off;
   off = pad8(off + header->id_bound);
   header->offsets_off = off;
@@ -334,13 +305,11 @@ template <class Sink>
 bool stream_snapshot_payload(const DynamicGraph& g, const util::FlatSet& edges,
                              const SnapshotHeader& header,
                              const SnapshotEngineExt* ext,
-                             const SnapshotShardExt* shard,
                              const EngineStateView* state, Sink& w) {
   bool ok = true;
-  // The extension headers are part of the checksummed payload, so they
-  // stream through the writer like any section (never patched afterwards).
+  // The extension header is part of the checksummed payload, so it streams
+  // through the writer like any section (never patched afterwards).
   if (state != nullptr) ok = w.write(ext, sizeof(*ext));
-  if (ok && shard != nullptr) ok = w.write(shard, sizeof(*shard));
   for (NodeId v = 0; ok && v < header.id_bound; ++v) {
     const std::uint8_t alive = g.has_node(v) ? 1 : 0;
     ok = w.write(&alive, 1);
@@ -416,8 +385,7 @@ class WritableFileSink {
 /// torn file at the published path — a reader sees the old snapshot or the
 /// new one, never a mixture (util/fs.hpp documents the protocol).
 bool save_snapshot_impl(const DynamicGraph& g, const EngineStateView* state,
-                        const std::string& path, std::string* error,
-                        std::uint32_t shard_count = 0) {
+                        const std::string& path, std::string* error) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
@@ -427,18 +395,15 @@ bool save_snapshot_impl(const DynamicGraph& g, const EngineStateView* state,
 
   SnapshotHeader header{};
   SnapshotEngineExt ext{};
-  SnapshotShardExt shard{};
-  shard.shard_count = shard_count;
-  SnapshotShardExt* shard_p = shard_count != 0 ? &shard : nullptr;
   // A borrowed graph's edge table is merged (base + overlay) into the
   // scratch here; a materialized graph's is referenced directly, no copy.
   util::FlatSet merged_scratch;
   const util::FlatSet& edges = g.merged_edge_set(merged_scratch);
-  layout_snapshot(g, edges, state, &header, &ext, shard_p);
+  layout_snapshot(g, edges, state, &header, &ext);
 
   bool ok = std::fwrite(&header, sizeof(header), 1, f) == 1;
   util::PayloadWriter w(f, sizeof(SnapshotHeader));
-  ok = ok && stream_snapshot_payload(g, edges, header, &ext, shard_p, state, w);
+  ok = ok && stream_snapshot_payload(g, edges, header, &ext, state, w);
 
   // Patch the checksum now that the payload has streamed through the hash.
   header.payload_checksum = w.checksum();
@@ -480,7 +445,7 @@ bool save_snapshot_via_factory(const DynamicGraph& g, const EngineStateView* sta
   layout_snapshot(g, edges, state, &header, &ext);
 
   util::PayloadHasher hasher(sizeof(SnapshotHeader));
-  stream_snapshot_payload(g, edges, header, &ext, nullptr, state, hasher);
+  stream_snapshot_payload(g, edges, header, &ext, state, hasher);
   header.payload_checksum = hasher.checksum();
 
   const std::string tmp = path + ".tmp";
@@ -488,7 +453,7 @@ bool save_snapshot_via_factory(const DynamicGraph& g, const EngineStateView* sta
   if (file == nullptr) return false;
   WritableFileSink sink(file.get(), sizeof(SnapshotHeader), error);
   bool ok = file->write(&header, sizeof(header), error) &&
-            stream_snapshot_payload(g, edges, header, &ext, nullptr, state, sink) &&
+            stream_snapshot_payload(g, edges, header, &ext, state, sink) &&
             file->sync(error);
   ok = file->close(ok ? error : nullptr) && ok;
   if (ok && !util::atomic_publish(tmp, path, error)) ok = false;
@@ -515,14 +480,6 @@ bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
                    std::string* error) {
   if (!factory) return save_snapshot_impl(g, &state, path, error);
   return save_snapshot_via_factory(g, &state, path, factory, error);
-}
-
-bool save_snapshot_sharded(const DynamicGraph& g, const EngineStateView& state,
-                           const std::string& path, std::uint32_t shard_count,
-                           std::string* error) {
-  if (shard_count < 1) shard_count = 1;
-  if (shard_count > kSnapshotMaxShards) shard_count = kSnapshotMaxShards;
-  return save_snapshot_impl(g, &state, path, error, shard_count);
 }
 
 DynamicGraph DynamicGraph::load(const Snapshot& snapshot) {
@@ -553,59 +510,6 @@ DynamicGraph DynamicGraph::load(const Snapshot& snapshot) {
     }
     g.adjacency_.push_back(rec);
   }
-  g.bound_ = bound;
-  const bool restored = g.edges_.restore(
-      snapshot.edge_ctrl(), snapshot.edge_keys(),
-      static_cast<std::size_t>(snapshot.edge_count()),
-      static_cast<std::size_t>(snapshot.edge_occupied()));
-  DMIS_ASSERT_MSG(restored, "snapshot edge table fails validation");
-  return g;
-}
-
-DynamicGraph DynamicGraph::load(const Snapshot& snapshot, unsigned loaders) {
-  DMIS_ASSERT_MSG(snapshot.is_open(), "load from a closed snapshot");
-  const std::uint32_t shards = snapshot.shard_count();
-  if (shards <= 1 || loaders <= 1) return load(snapshot);
-  DynamicGraph g;
-  const NodeId bound = snapshot.id_bound();
-  // Parallel fill needs random-index writes, so the adjacency array is
-  // resized up front (the zero-fill is repaid by the shard fan-out) and each
-  // loader rewrites its disjoint [shard_begin, shard_end) id range.
-  g.adjacency_.resize(bound);
-  g.overflow_.resize(bound);
-  g.node_count_ = snapshot.node_count();
-  const std::uint64_t* offs = snapshot.csr_offsets().data();
-  const NodeId* nbrs = snapshot.csr_neighbors().data();
-  const std::uint8_t* alive = snapshot.alive_bytes().data();
-  const auto fill = [&](NodeId begin, NodeId end) {
-    for (NodeId v = begin; v < end; ++v) {
-      AdjRecord rec;
-      const std::uint64_t first = offs[v];
-      const auto deg = static_cast<std::uint32_t>(offs[v + 1] - first);
-      rec.alive = alive[v];
-      rec.size = deg;
-      if (deg > kInlineNeighbors) {
-        rec.spilled = 1;
-        g.overflow_[v].assign(nbrs + first, nbrs + first + deg);
-      } else if (deg > 0) {
-        std::memcpy(rec.inline_slots, nbrs + first, deg * sizeof(NodeId));
-      }
-      g.adjacency_[v] = rec;
-    }
-  };
-  // One loader per claimed shard, capped at `loaders`; loader t adopts the
-  // shards congruent to t so the mass-balanced boundaries spread evenly.
-  // The caller is loader 0.
-  const unsigned active = std::min<unsigned>(loaders, shards);
-  std::vector<std::thread> crew;
-  crew.reserve(active - 1);
-  const auto drive = [&](unsigned t) {
-    for (std::uint32_t s = t; s < shards; s += active)
-      fill(snapshot.shard_begin(s), snapshot.shard_end(s));
-  };
-  for (unsigned t = 1; t < active; ++t) crew.emplace_back(drive, t);
-  drive(0);
-  for (std::thread& th : crew) th.join();
   g.bound_ = bound;
   const bool restored = g.edges_.restore(
       snapshot.edge_ctrl(), snapshot.edge_keys(),

@@ -23,15 +23,17 @@
 // Version 1 (graph-only) is frozen; version 2 appends the engine-state
 // sections — per-node 64-bit priority keys plus the MIS membership bytes —
 // located by offsets in the SnapshotEngineExt header that immediately
-// follows the frozen 104-byte base header. Version 3 inserts one more fixed
-// header (SnapshotShardExt) carrying a node-range shard table for parallel
-// warm loads; every section's contents stay byte-identical to v2. Because the greedy-by-priority
+// follows the frozen 104-byte base header. Because the greedy-by-priority
 // MIS is the unique fixpoint of the node priorities (paper §3), those two
 // arrays ARE the complete engine state: an engine that adopts them warm
 // (CascadeEngine et al., graph::SnapshotLoad::kWarm) restarts with zero
 // greedy-recompute work. v2 readers cold-start v1 files; v1 readers reject
 // v2 files because they need the base-header version check to vouch for
 // the bytes they map (see docs/FORMATS.md for the negotiation rules).
+// Version 3 inserts one more fixed header (SnapshotShardExt) carrying a
+// node-range shard table; every section's contents stay byte-identical to
+// v2. v3 is read-only: open() still accepts and validates it, no writer
+// emits it, and nothing consumes the shard table.
 //
 // Sections are 8-byte aligned (writer pads with zeros) so the reader can
 // hand out properly aligned spans straight into the mapped file. All
@@ -64,11 +66,10 @@ inline constexpr std::uint32_t kSnapshotVersion = 1;
 /// membership). save_snapshot without engine state still writes version 1,
 /// byte-identical to the frozen format.
 inline constexpr std::uint32_t kSnapshotVersionEngine = 2;
-/// v2 + SnapshotShardExt: shard-partitioned node-range boundaries so S
-/// loaders can adopt disjoint ranges in parallel (section contents are
-/// byte-identical to v2 — the shard table only inserts a third fixed header,
-/// per the FORMATS.md append-only versioning rules). Written only by the
-/// explicit shard-count save overload; the default writers stay v2/v1.
+/// v2 + SnapshotShardExt: a node-range shard table once used for parallel
+/// warm loads (section contents are byte-identical to v2 — the shard table
+/// only inserts a third fixed header, per the FORMATS.md append-only
+/// versioning rules). Read-only: accepted and validated, never written.
 inline constexpr std::uint32_t kSnapshotVersionSharded = 3;
 /// Upper bound on v3 shard counts (the shard table is fixed-size).
 inline constexpr std::uint32_t kSnapshotMaxShards = 16;
@@ -117,8 +118,7 @@ static_assert(sizeof(SnapshotEngineExt) == 64, "extension header layout is froze
 /// mass at save time: shard s covers [b_s, b_{s+1}) where b_0 = 0,
 /// b_shard_count = id_bound, and boundary[i] stores the interior split
 /// b_{i+1} for i < shard_count - 1. Every key/membership/CSR section is
-/// unchanged from v2 — the table only names disjoint ranges of them — so S
-/// loaders can bulk-adopt the ranges in parallel with no coordination.
+/// unchanged from v2 — the table only names disjoint ranges of them.
 /// Unused boundary slots must be zero (open() rejects otherwise, so a bit
 /// flip in the dormant slots is a structural failure, not silent garbage).
 struct SnapshotShardExt {
@@ -244,23 +244,13 @@ class Snapshot {
   }
   [[nodiscard]] const SnapshotEngineExt& engine_ext() const noexcept { return ext_; }
 
-  /// Shard partition of the node-id space (v3). Pre-v3 snapshots report a
-  /// single shard covering [0, id_bound), so consumers can treat every
-  /// version uniformly: `for s in [0, shard_count()): adopt [shard_begin(s),
-  /// shard_end(s))` is always a disjoint cover of the id space.
+  /// Shard count of a v3 file's (validated, otherwise unused) shard table;
+  /// pre-v3 snapshots report a single shard.
   [[nodiscard]] std::uint32_t shard_count() const noexcept {
     return header_.version >= kSnapshotVersionSharded
                ? static_cast<std::uint32_t>(shard_.shard_count)
                : 1U;
   }
-  [[nodiscard]] NodeId shard_begin(std::uint32_t s) const noexcept {
-    return s == 0 ? 0 : static_cast<NodeId>(shard_.boundary[s - 1]);
-  }
-  [[nodiscard]] NodeId shard_end(std::uint32_t s) const noexcept {
-    return s + 1 == shard_count() ? header_.id_bound
-                                  : static_cast<NodeId>(shard_.boundary[s]);
-  }
-  [[nodiscard]] const SnapshotShardExt& shard_ext() const noexcept { return shard_; }
 
   /// Deep integrity check (full pass over the file): payload checksum, edge
   /// table ↔ CSR agreement (every adjacency pair present in the table with a
@@ -305,14 +295,5 @@ bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
 bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
                    const std::string& path, const util::FileFactory& factory,
                    std::string* error = nullptr);
-
-/// Write a version-3 (shard-partitioned) snapshot: v2's sections plus a
-/// SnapshotShardExt naming `shard_count` node ranges balanced by adjacency
-/// mass, so warm loaders can adopt the ranges in parallel. `shard_count` is
-/// clamped to [1, kSnapshotMaxShards]. Explicit opt-in: the overloads above
-/// keep writing v2/v1 byte-identically.
-bool save_snapshot_sharded(const DynamicGraph& g, const EngineStateView& state,
-                           const std::string& path, std::uint32_t shard_count,
-                           std::string* error = nullptr);
 
 }  // namespace dmis::graph

@@ -224,7 +224,8 @@ bool FollowerService::try_rewarm(std::string* error) {
     good = good && snapshot.has_engine_state();
     good = good && (!options_.verify_checkpoint_checksum || snapshot.verify(&cp_error));
     if (!good) continue;  // like recovery: try the next-newest
-    engine_.emplace(snapshot, snapshot.priority_seed(), graph::SnapshotLoad::kWarm);
+    engine_.emplace(graph::DynamicGraph::load(snapshot), snapshot,
+                    snapshot.priority_seed(), graph::SnapshotLoad::kWarm);
     applied_lsn_ = it->lsn;
     checkpoint_lsn_ = it->lsn;
     ++stats_.rewarms;

@@ -123,7 +123,7 @@ bool WalWriter::write_record(WalRecordType type, const core::Batch* batch,
   header.type = static_cast<std::uint32_t>(type);
   header.lsn = next_lsn_;
   header.op_count = static_cast<std::uint32_t>(count);
-  append_bytes(buf_, &header, sizeof(header));  // placeholder, patched below
+  buf_.resize(sizeof(header));  // zeroed placeholder, patched below
 
   std::uint32_t arena_len = 0;
   if (batch != nullptr) {

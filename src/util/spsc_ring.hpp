@@ -1,18 +1,15 @@
 // SpscRing — a fixed-capacity lock-free single-producer single-consumer
 // ring buffer.
 //
-// The sharded cascade engine wires one ring per ordered shard pair (p → c):
-// during a repair round, shard p pushes node ids whose owner is shard c, and
-// shard c drains them at the start of the next round. Exactly one thread
-// pushes and exactly one thread pops, so the classic two-counter scheme
-// suffices: the producer owns tail_, the consumer owns head_, each reads the
-// other's counter with acquire and publishes its own with release. No CAS,
-// no locks, no allocation after init().
+// service::IngestQueue gives each producer lane one ring: the producer
+// thread pushes client ops and the single consumer drains them. Exactly one
+// thread pushes and exactly one thread pops, so the classic two-counter
+// scheme suffices: the producer owns tail_, the consumer owns head_, each
+// reads the other's counter with acquire and publishes its own with
+// release. No CAS, no locks, no allocation after init().
 //
 // Capacity is a power of two fixed at init(); try_push reports failure when
-// full (the engine falls back to a producer-owned spill vector that the
-// round coordinator hands over at the next barrier, so frontier overflow
-// degrades to the barrier's synchronization instead of losing work).
+// full, which IngestQueue turns into backpressure on the producer.
 #pragma once
 
 #include <atomic>

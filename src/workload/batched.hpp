@@ -1,7 +1,6 @@
 // Batched traces: carve a topology-change trace into core::Batch groups so
-// the batch engines (serial single-cascade apply_batch and the sharded
-// parallel engine) can be driven by the same workload generators as the
-// per-change engines.
+// the batch path (core::apply_batch, the one MisService runs) can be driven
+// by the same workload generators as the per-change engines.
 //
 // Node ids stay positional: a trace's k-th add-node op creates the engine's
 // k-th fresh id, and apply_batch assigns ids in op order, so chunking a

@@ -108,26 +108,6 @@ void apply(core::AsyncMis& engine, const GraphOp& op) {
   }
 }
 
-void apply(core::LockFreeEngine& engine, const GraphOp& op) {
-  switch (op.kind) {
-    case OpKind::kAddNode:
-    case OpKind::kUnmuteNode:
-      (void)engine.add_node(op.neighbors);
-      break;
-    case OpKind::kAddEdge:
-      engine.add_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-    case OpKind::kRemoveEdgeAbrupt:
-      engine.remove_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveNodeGraceful:
-    case OpKind::kRemoveNodeAbrupt:
-      engine.remove_node(op.u);
-      break;
-  }
-}
-
 graph::DynamicGraph materialize(const Trace& trace) {
   graph::DynamicGraph g;
   for (const GraphOp& op : trace) {

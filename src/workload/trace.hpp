@@ -25,7 +25,6 @@
 #include "core/async_mis.hpp"
 #include "core/cascade_engine.hpp"
 #include "core/dist_mis.hpp"
-#include "core/lockfree_engine.hpp"
 #include "core/template_engine.hpp"
 #include "graph/dynamic_graph.hpp"
 
@@ -79,7 +78,6 @@ void apply(core::CascadeEngine& engine, const GraphOp& op);
 void apply(core::TemplateEngine& engine, const GraphOp& op);
 void apply(core::DistMis& engine, const GraphOp& op);
 void apply(core::AsyncMis& engine, const GraphOp& op);
-void apply(core::LockFreeEngine& engine, const GraphOp& op);
 
 template <typename Engine>
 void replay(Engine& engine, const Trace& trace) {

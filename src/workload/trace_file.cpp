@@ -240,26 +240,6 @@ void apply_view(core::AsyncMis& engine, const TraceFile::OpView& op) {
   }
 }
 
-void apply_view(core::LockFreeEngine& engine, const TraceFile::OpView& op) {
-  switch (op.kind) {
-    case OpKind::kAddNode:
-    case OpKind::kUnmuteNode:
-      (void)engine.add_node(op.neighbors);
-      break;
-    case OpKind::kAddEdge:
-      engine.add_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-    case OpKind::kRemoveEdgeAbrupt:
-      engine.remove_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveNodeGraceful:
-    case OpKind::kRemoveNodeAbrupt:
-      engine.remove_node(op.u);
-      break;
-  }
-}
-
 void append_to_batch(const TraceFile& trace, std::size_t begin, std::size_t end,
                      core::Batch& batch) {
   DMIS_ASSERT(begin <= end && end <= trace.size());

@@ -133,7 +133,6 @@ void apply_view(core::CascadeEngine& engine, const TraceFile::OpView& op);
 void apply_view(core::TemplateEngine& engine, const TraceFile::OpView& op);
 void apply_view(core::DistMis& engine, const TraceFile::OpView& op);
 void apply_view(core::AsyncMis& engine, const TraceFile::OpView& op);
-void apply_view(core::LockFreeEngine& engine, const TraceFile::OpView& op);
 
 /// Append ops [begin, end) to `batch` (arena-to-arena copy; the same
 /// graceful/abrupt collapse as workload::append_op).

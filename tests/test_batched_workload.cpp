@@ -1,10 +1,10 @@
 // Batched-trace plumbing: chunking a trace into core::Batch groups and
-// replaying them through apply_batch (serial or sharded) must reach exactly
-// the graph and MIS the per-change replay reaches.
+// replaying them through apply_batch must reach exactly the graph and MIS
+// the per-change replay reaches.
 #include <gtest/gtest.h>
 
 #include "core/batch.hpp"
-#include "core/sharded_engine.hpp"
+#include "core/cascade_engine.hpp"
 #include "graph/generators.hpp"
 #include "workload/batched.hpp"
 #include "workload/churn.hpp"
@@ -53,7 +53,7 @@ TEST(BatchedWorkload, ChunkedReplayMatchesPerChangeReplay) {
   });
 }
 
-TEST(BatchedWorkload, ChurnBatchesDriveShardedEngine) {
+TEST(BatchedWorkload, ChurnBatchesDriveBatchEngine) {
   util::Rng graph_rng(2);
   const auto g = graph::random_avg_degree(120, 6.0, graph_rng);
   workload::ChurnConfig config;
@@ -64,18 +64,12 @@ TEST(BatchedWorkload, ChurnBatchesDriveShardedEngine) {
   ASSERT_EQ(batches.size(), 12U);
   for (const auto& b : batches) EXPECT_EQ(b.size(), 50U);
 
-  core::CascadeEngine serial(g, 55);
-  core::ShardedCascadeEngine sharded(g, 55, 4);
+  core::CascadeEngine engine(g, 55);
   for (const core::Batch& batch : batches) {
-    (void)core::apply_batch(serial, batch);
-    (void)sharded.apply_batch(batch);
-    sharded.verify();
+    (void)core::apply_batch(engine, batch);
+    engine.verify();
   }
-  ASSERT_TRUE(serial.graph() == sharded.graph());
-  ASSERT_TRUE(serial.graph() == gen.graph());
-  serial.graph().for_each_node([&](graph::NodeId v) {
-    EXPECT_EQ(serial.in_mis(v), sharded.in_mis(v)) << "node " << v;
-  });
+  ASSERT_TRUE(engine.graph() == gen.graph());
 }
 
 }  // namespace

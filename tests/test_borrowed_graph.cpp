@@ -10,7 +10,7 @@
 // state through write-back (save of a borrowed graph streams the base table
 // from the mapping and merges the overlay) and require the round-tripped
 // file to load back equal. Engine-level transparency gets the same
-// treatment across all four engines: borrowed-mode construction from a v2
+// treatment across every engine: borrowed-mode construction from a v2
 // snapshot must track a materialized twin bit for bit (membership, MIS
 // size, priority-RNG state) through churn.
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 #include "core/cascade_engine.hpp"
 #include "core/dist_mis.hpp"
 #include "core/engine_snapshot.hpp"
-#include "core/sharded_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
 #include "util/rng.hpp"
@@ -276,13 +275,13 @@ TEST(BorrowedGraph, WriteBackRoundTripsThroughMergedEdgeSet) {
   EXPECT_TRUE(lb == materialized);
 }
 
-// ---- engine-level transparency: all four engines ----
+// ---- engine-level transparency: every snapshot-constructible engine ----
 
 /// Drive the borrowed-constructed engine set and the materialized twins
 /// through the same churn trace; memberships must agree after every op and
 /// the cascade pair must also agree on the priority-RNG stream (so future
 /// draws stay aligned forever).
-TEST(BorrowedEngines, AllFourEnginesTrackMaterializedTwins) {
+TEST(BorrowedEngines, EveryEngineTracksMaterializedTwins) {
   const std::uint64_t seed = 31;
   const DynamicGraph g0 = churned_graph(150, seed);
   core::CascadeEngine source(g0, /*priority_seed=*/seed * 3 + 1);
@@ -294,19 +293,21 @@ TEST(BorrowedEngines, AllFourEnginesTrackMaterializedTwins) {
   ASSERT_TRUE(snap->open(file.path, &error)) << error;
   ASSERT_TRUE(snap->has_engine_state());
 
-  // Borrowed set (shared_ptr ctors: graphs read the mapping in place).
-  core::CascadeEngine cascade_b(snap, seed * 3 + 1);
-  core::ShardedCascadeEngine sharded_b(snap, seed * 3 + 1, /*shard_count=*/4,
-                                       /*frontier_capacity=*/64);
-  core::DistMis dist_b(snap, seed * 3 + 1);
-  core::AsyncMis async_b(snap, seed * 3 + 1, /*scheduler_seed=*/seed + 5);
+  // Borrowed set (graphs read the mapping in place). The second cascade
+  // pair is fed batch-of-one apply_batch, the path MisService runs.
+  const auto borrow = [&] { return DynamicGraph::borrow(snap); };
+  core::CascadeEngine cascade_b(borrow(), *snap, seed * 3 + 1);
+  core::CascadeEngine batched_b(borrow(), *snap, seed * 3 + 1);
+  core::DistMis dist_b(borrow(), *snap, seed * 3 + 1);
+  core::AsyncMis async_b(borrow(), *snap, seed * 3 + 1, /*scheduler_seed=*/seed + 5);
   EXPECT_TRUE(cascade_b.graph().borrowed());
 
   // Materialized twins from the same file.
-  core::CascadeEngine cascade_m(*snap, seed * 3 + 1);
-  core::ShardedCascadeEngine sharded_m(*snap, seed * 3 + 1, 4, 64);
-  core::DistMis dist_m(*snap, seed * 3 + 1);
-  core::AsyncMis async_m(*snap, seed * 3 + 1, seed + 5);
+  const auto load = [&] { return DynamicGraph::load(*snap); };
+  core::CascadeEngine cascade_m(load(), *snap, seed * 3 + 1);
+  core::CascadeEngine batched_m(load(), *snap, seed * 3 + 1);
+  core::DistMis dist_m(load(), *snap, seed * 3 + 1);
+  core::AsyncMis async_m(load(), *snap, seed * 3 + 1, seed + 5);
   EXPECT_FALSE(cascade_m.graph().borrowed());
 
   workload::ChurnConfig config;
@@ -319,8 +320,8 @@ TEST(BorrowedEngines, AllFourEnginesTrackMaterializedTwins) {
     workload::apply(cascade_m, op);
     batch.clear();
     workload::append_op(batch, op);
-    (void)sharded_b.apply_batch(batch);
-    (void)sharded_m.apply_batch(batch);
+    (void)core::apply_batch(batched_b, batch);
+    (void)core::apply_batch(batched_m, batch);
     (void)workload::apply_with_cost(dist_b, op);
     (void)workload::apply_with_cost(dist_m, op);
     (void)workload::apply_with_cost(async_b, op);
@@ -330,7 +331,7 @@ TEST(BorrowedEngines, AllFourEnginesTrackMaterializedTwins) {
     bool agree = true;
     cascade_m.graph().for_each_node([&](NodeId v) {
       agree &= cascade_b.in_mis(v) == cascade_m.in_mis(v) &&
-               sharded_b.in_mis(v) == sharded_m.in_mis(v) &&
+               batched_b.in_mis(v) == batched_m.in_mis(v) &&
                dist_b.in_mis(v) == dist_m.in_mis(v) &&
                async_b.in_mis(v) == async_m.in_mis(v);
     });
@@ -343,7 +344,7 @@ TEST(BorrowedEngines, AllFourEnginesTrackMaterializedTwins) {
   EXPECT_EQ(cascade_b.membership(), cascade_m.membership());
   EXPECT_TRUE(cascade_b.priorities().rng_state() == cascade_m.priorities().rng_state());
   cascade_b.verify();
-  sharded_b.verify();
+  batched_b.verify();
   dist_b.verify();
   async_b.verify();
 }
@@ -361,7 +362,7 @@ TEST(BorrowedEngines, CheckpointOfBorrowedEngineWarmStartsEqual) {
   auto snap = std::make_shared<Snapshot>();
   std::string error;
   ASSERT_TRUE(snap->open(first.path, &error)) << error;
-  core::CascadeEngine live(snap, seed);
+  core::CascadeEngine live(DynamicGraph::borrow(snap), *snap, seed);
   util::Rng rng(seed + 7);
   for (int i = 0; i < 500; ++i) {
     const auto u = static_cast<NodeId>(rng.below(live.graph().id_bound()));
@@ -376,7 +377,8 @@ TEST(BorrowedEngines, CheckpointOfBorrowedEngineWarmStartsEqual) {
   Snapshot reopened;
   ASSERT_TRUE(reopened.open(second.path, &error)) << error;
   EXPECT_TRUE(reopened.verify(&error)) << error;  // incl. greedy fixpoint
-  const core::CascadeEngine warm(reopened, seed, graph::SnapshotLoad::kWarm);
+  const core::CascadeEngine warm(DynamicGraph::load(reopened), reopened, seed,
+                                 graph::SnapshotLoad::kWarm);
   ASSERT_TRUE(warm.graph() == live.graph());
   EXPECT_EQ(warm.membership(), live.membership());
   EXPECT_TRUE(warm.priorities().rng_state() == live.priorities().rng_state());

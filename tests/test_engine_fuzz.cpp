@@ -3,12 +3,11 @@
 //
 // Each fuzz case generates a random churn trace (mixed graceful/abrupt edge
 // and node ops, unmutes included, across several n / density regimes) and
-// replays it op by op through all five dynamic engines — CascadeEngine,
-// ShardedCascadeEngine (driven through batch-of-one apply_batch so the
-// parallel rounds machinery actually runs), DistMis, AsyncMis and the
-// lock-free CAS engine (whose worker count follows the DMIS_THREADS compile
-// knob, so the TSan leg fuzzes it 4-threaded) — plus the sequential
-// random-greedy oracle. History independence makes the comparison exact:
+// replays it op by op through five dynamic engines — CascadeEngine, a second
+// CascadeEngine driven through batch-of-one core::apply_batch (the path
+// MisService runs), DistMis, AsyncMis and TemplateEngine (the paper's
+// Algorithm 1) — plus the sequential random-greedy oracle. History
+// independence makes the comparison exact:
 // same priority seed ⇒ same permutation ⇒ the engines must agree on the
 // full membership after EVERY op and report identical per-op adjustment
 // counts. Divergence is reported with the regime, the seed and the op index;
@@ -42,8 +41,7 @@
 #include "core/dist_mis.hpp"
 #include "core/engine_snapshot.hpp"
 #include "core/greedy_mis.hpp"
-#include "core/lockfree_engine.hpp"
-#include "core/sharded_engine.hpp"
+#include "core/template_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
 #include "util/rng.hpp"
@@ -149,11 +147,10 @@ bool run_trace_case(const char* regime_name, const graph::DynamicGraph& g0,
   const std::uint64_t prio_seed = seed * 1000 + 17;
 
   core::CascadeEngine cascade(g0, prio_seed);
-  core::ShardedCascadeEngine sharded(g0, prio_seed, /*shard_count=*/4,
-                                     /*frontier_capacity=*/64);
+  core::CascadeEngine batched(g0, prio_seed);
   core::DistMis dist(g0, prio_seed);
   core::AsyncMis async(g0, prio_seed, /*scheduler_seed=*/seed + 5);
-  core::LockFreeEngine lockfree(g0, prio_seed);
+  core::TemplateEngine templ(g0, prio_seed);
 
   workload::Trace applied;
   applied.reserve(ops);
@@ -167,21 +164,21 @@ bool run_trace_case(const char* regime_name, const graph::DynamicGraph& g0,
 
     batch.clear();
     workload::append_op(batch, op);
-    const core::BatchResult sharded_result = sharded.apply_batch(batch);
+    const core::BatchResult batched_result = core::apply_batch(batched, batch);
     const workload::CostSample dist_sample = workload::apply_with_cost(dist, op);
     const workload::CostSample async_sample = workload::apply_with_cost(async, op);
-    workload::apply(lockfree, op);
-    const std::uint64_t lockfree_adjustments = lockfree.last_report().adjustments;
+    workload::apply(templ, op);
+    const std::uint64_t templ_adjustments = templ.last_report().adjustments;
 
-    if (sharded_result.report.adjustments != want_adjustments ||
+    if (batched_result.report.adjustments != want_adjustments ||
         dist_sample.cost.adjustments != want_adjustments ||
         async_sample.cost.adjustments != want_adjustments ||
-        lockfree_adjustments != want_adjustments) {
+        templ_adjustments != want_adjustments) {
       ADD_FAILURE() << "adjustment-count divergence: cascade=" << want_adjustments
-                    << " sharded=" << sharded_result.report.adjustments
+                    << " batched=" << batched_result.report.adjustments
                     << " dist=" << dist_sample.cost.adjustments
                     << " async=" << async_sample.cost.adjustments
-                    << " lockfree=" << lockfree_adjustments << "\n  "
+                    << " template=" << templ_adjustments << "\n  "
                     << locate(regime_name, seed, i, op)
                     << dump_divergence(regime_name, seed, prio_seed, g0, applied, i);
       return false;
@@ -194,26 +191,26 @@ bool run_trace_case(const char* regime_name, const graph::DynamicGraph& g0,
     bool members_ok = true;
     cascade.graph().for_each_node([&](NodeId v) {
       const bool want = oracle[v] != 0;
-      members_ok &= cascade.in_mis(v) == want && sharded.in_mis(v) == want &&
+      members_ok &= cascade.in_mis(v) == want && batched.in_mis(v) == want &&
                     dist.in_mis(v) == want && async.in_mis(v) == want &&
-                    lockfree.in_mis(v) == want;
+                    templ.in_mis(v) == want;
     });
     if (!members_ok) {
       NodeId bad = graph::kInvalidNode;
       cascade.graph().for_each_node([&](NodeId v) {
         const bool want = oracle[v] != 0;
         if (bad == graph::kInvalidNode &&
-            (cascade.in_mis(v) != want || sharded.in_mis(v) != want ||
+            (cascade.in_mis(v) != want || batched.in_mis(v) != want ||
              dist.in_mis(v) != want || async.in_mis(v) != want ||
-             lockfree.in_mis(v) != want))
+             templ.in_mis(v) != want))
           bad = v;
       });
       ADD_FAILURE() << "membership divergence from the greedy oracle at node " << bad
                     << ": oracle=" << (oracle[bad] != 0)
                     << " cascade=" << cascade.in_mis(bad)
-                    << " sharded=" << sharded.in_mis(bad)
+                    << " batched=" << batched.in_mis(bad)
                     << " dist=" << dist.in_mis(bad) << " async=" << async.in_mis(bad)
-                    << " lockfree=" << lockfree.in_mis(bad)
+                    << " template=" << templ.in_mis(bad)
                     << "\n  " << locate(regime_name, seed, i, op)
                     << dump_divergence(regime_name, seed, prio_seed, g0, applied, i);
       return false;
@@ -222,14 +219,15 @@ bool run_trace_case(const char* regime_name, const graph::DynamicGraph& g0,
 
   // End-of-trace deep checks: internal invariants and graph agreement.
   cascade.verify();
-  sharded.verify();
+  batched.verify();
   dist.verify();
   async.verify();
-  lockfree.verify();
+  templ.verify();
   EXPECT_TRUE(cascade.graph() == gen.graph());
+  EXPECT_TRUE(batched.graph() == gen.graph());
   EXPECT_TRUE(dist.graph() == gen.graph());
   EXPECT_TRUE(async.graph() == gen.graph());
-  EXPECT_TRUE(lockfree.graph() == gen.graph());
+  EXPECT_TRUE(templ.graph() == gen.graph());
   return true;
 }
 
@@ -324,7 +322,8 @@ TEST(EngineFuzz, DivergenceDumpReplaysToPreFailureState) {
   graph::Snapshot snap;
   ASSERT_TRUE(snap.open(stem + ".snap", &error)) << error;
   EXPECT_TRUE(snap.verify(&error)) << error;
-  core::CascadeEngine pre(snap, snap.priority_seed(), graph::SnapshotLoad::kWarm);
+  core::CascadeEngine pre(graph::DynamicGraph::load(snap), snap, snap.priority_seed(),
+                          graph::SnapshotLoad::kWarm);
   workload::apply(pre, ops[fail]);
   EXPECT_EQ(pre.membership(), replayed.membership());
   EXPECT_EQ(pre.mis_size(), replayed.mis_size());

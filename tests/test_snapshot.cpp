@@ -20,7 +20,6 @@
 #include "core/dist_mis.hpp"
 #include "core/async_mis.hpp"
 #include "core/engine_snapshot.hpp"
-#include "core/sharded_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
 #include "util/rng.hpp"
@@ -117,7 +116,7 @@ TEST(Snapshot, MisEqualityFromSnapshot) {
   ASSERT_TRUE(snap.open(file.path));
 
   const core::CascadeEngine direct(g, /*priority_seed=*/77);
-  const core::CascadeEngine from_snap(snap, /*priority_seed=*/77);
+  const core::CascadeEngine from_snap(DynamicGraph::load(snap), snap, /*priority_seed=*/77);
   EXPECT_EQ(direct.mis_size(), from_snap.mis_size());
   EXPECT_TRUE(direct.mis_set() == from_snap.mis_set());
   from_snap.verify();
@@ -131,7 +130,7 @@ TEST(Snapshot, EngineStateEquivalenceUnderContinuedChurn) {
   ASSERT_TRUE(snap.open(file.path));
 
   core::CascadeEngine direct(g, 5);
-  core::CascadeEngine from_snap(snap, 5);
+  core::CascadeEngine from_snap(DynamicGraph::load(snap), snap, 5);
 
   // Drive both engines with the same valid churn continuation; every op
   // must produce identical adjustment counts and identical membership.
@@ -148,7 +147,7 @@ TEST(Snapshot, EngineStateEquivalenceUnderContinuedChurn) {
   from_snap.verify();
 }
 
-TEST(Snapshot, ShardedAndDistributedEnginesFromSnapshot) {
+TEST(Snapshot, DistributedEnginesFromSnapshot) {
   const DynamicGraph g = churned_graph(300, 41);
   TempFile file("snap_engines.snap");
   ASSERT_TRUE(g.save(file.path));
@@ -156,15 +155,11 @@ TEST(Snapshot, ShardedAndDistributedEnginesFromSnapshot) {
   ASSERT_TRUE(snap.open(file.path));
 
   const core::CascadeEngine oracle(g, 9);
-  core::ShardedCascadeEngine sharded(snap, 9, /*shard_count=*/4);
-  sharded.verify();
-  EXPECT_TRUE(oracle.mis_set() == sharded.mis_set());
-
-  core::DistMis dist(snap, 9);
+  core::DistMis dist(DynamicGraph::load(snap), snap, 9);
   dist.verify();
   EXPECT_TRUE(oracle.mis_set() == dist.mis_set());
 
-  core::AsyncMis async(snap, 9, /*scheduler_seed=*/13);
+  core::AsyncMis async(DynamicGraph::load(snap), snap, 9, /*scheduler_seed=*/13);
   async.verify();
   EXPECT_TRUE(oracle.mis_set() == async.mis_set());
 }
@@ -308,8 +303,9 @@ TEST(SnapshotV2, WarmStartEqualsColdRecomputeUnderContinuedChurn) {
   // stay identical (against each other AND the original engine) under
   // further mixed churn — including fresh priority draws, which all three
   // take from the same seed and an unconsumed RNG.
-  core::CascadeEngine warm(snap, 7, graph::SnapshotLoad::kWarm);
-  core::CascadeEngine cold(snap, 7, graph::SnapshotLoad::kColdKeys);
+  core::CascadeEngine warm(DynamicGraph::load(snap), snap, 7, graph::SnapshotLoad::kWarm);
+  core::CascadeEngine cold(DynamicGraph::load(snap), snap, 7,
+                           graph::SnapshotLoad::kColdKeys);
   EXPECT_EQ(warm.mis_size(), cold.mis_size());
   EXPECT_TRUE(warm.membership() == cold.membership());
   EXPECT_TRUE(warm.membership() == source.membership());
@@ -344,7 +340,7 @@ TEST(SnapshotV2, WarmStartEqualsColdRecomputeUnderContinuedChurn) {
   cold.verify();
 }
 
-TEST(SnapshotV2, AllFourEnginesWarmStartAndTrackAColdTwin) {
+TEST(SnapshotV2, EveryEngineWarmStartsAndTracksAColdTwin) {
   std::unique_ptr<workload::ChurnGenerator> gen;
   core::CascadeEngine source = churned_engine(250, 61, /*priority_seed=*/11,
                                               /*extra_ops=*/600, gen);
@@ -354,19 +350,20 @@ TEST(SnapshotV2, AllFourEnginesWarmStartAndTrackAColdTwin) {
   Snapshot snap;
   ASSERT_TRUE(snap.open(file.path, &error)) << error;
 
-  // kAuto on a v2 snapshot warm-starts every engine flavor.
-  core::CascadeEngine warm_cascade(snap, 11);
-  core::ShardedCascadeEngine warm_sharded(snap, 11, /*shard_count=*/4,
-                                          /*frontier_capacity=*/64);
-  core::DistMis warm_dist(snap, 11);
-  core::AsyncMis warm_async(snap, 11, /*scheduler_seed=*/13);
-  core::CascadeEngine cold(snap, 11, graph::SnapshotLoad::kColdKeys);
+  // kAuto on a v2 snapshot warm-starts every engine flavor; the second
+  // cascade is fed batch-of-one apply_batch, the path MisService runs.
+  core::CascadeEngine warm_cascade(DynamicGraph::load(snap), snap, 11);
+  core::CascadeEngine warm_batched(DynamicGraph::load(snap), snap, 11);
+  core::DistMis warm_dist(DynamicGraph::load(snap), snap, 11);
+  core::AsyncMis warm_async(DynamicGraph::load(snap), snap, 11, /*scheduler_seed=*/13);
+  core::CascadeEngine cold(DynamicGraph::load(snap), snap, 11,
+                           graph::SnapshotLoad::kColdKeys);
 
   const auto expect_all_equal_cold = [&](int step) {
     cold.graph().for_each_node([&](NodeId v) {
       const bool want = cold.in_mis(v);
       ASSERT_EQ(warm_cascade.in_mis(v), want) << "cascade, step " << step;
-      ASSERT_EQ(warm_sharded.in_mis(v), want) << "sharded, step " << step;
+      ASSERT_EQ(warm_batched.in_mis(v), want) << "batched, step " << step;
       ASSERT_EQ(warm_dist.in_mis(v), want) << "dist, step " << step;
       ASSERT_EQ(warm_async.in_mis(v), want) << "async, step " << step;
     });
@@ -382,7 +379,7 @@ TEST(SnapshotV2, AllFourEnginesWarmStartAndTrackAColdTwin) {
     workload::apply(warm_cascade, op);
     batch.clear();
     workload::append_op(batch, op);
-    const core::BatchResult br = warm_sharded.apply_batch(batch);
+    const core::BatchResult br = core::apply_batch(warm_batched, batch);
     const workload::CostSample ds = workload::apply_with_cost(warm_dist, op);
     const workload::CostSample as = workload::apply_with_cost(warm_async, op);
     const std::uint64_t want = cold.last_report().adjustments;
@@ -394,7 +391,7 @@ TEST(SnapshotV2, AllFourEnginesWarmStartAndTrackAColdTwin) {
   expect_all_equal_cold(250);
   warm_dist.verify();
   warm_async.verify();
-  warm_sharded.verify();
+  warm_batched.verify();
 }
 
 TEST(SnapshotV2, CrossEngineSaveAndWarmStartInterchange) {
@@ -403,7 +400,6 @@ TEST(SnapshotV2, CrossEngineSaveAndWarmStartInterchange) {
   const DynamicGraph g = churned_graph(220, 71);
   core::DistMis dist(g, 17);
   core::AsyncMis async(g, 17, /*scheduler_seed=*/3);
-  core::ShardedCascadeEngine sharded(g, 17, /*shard_count=*/2);
   const core::CascadeEngine oracle(g, 17);
 
   for (const auto& [tag, save] :
@@ -414,8 +410,8 @@ TEST(SnapshotV2, CrossEngineSaveAndWarmStartInterchange) {
         {"async", [&](const std::string& p, std::string* e) {
            return core::save_snapshot(async, p, e);
          }},
-        {"sharded", [&](const std::string& p, std::string* e) {
-           return core::save_snapshot(sharded, p, e);
+        {"cascade", [&](const std::string& p, std::string* e) {
+           return core::save_snapshot(oracle, p, e);
          }}}) {
     TempFile file(std::string("v2_cross_") + tag + ".snap");
     std::string error;
@@ -423,7 +419,8 @@ TEST(SnapshotV2, CrossEngineSaveAndWarmStartInterchange) {
     Snapshot snap;
     ASSERT_TRUE(snap.open(file.path, &error)) << tag << ": " << error;
     ASSERT_TRUE(snap.verify(&error)) << tag << ": " << error;
-    const core::CascadeEngine warm(snap, 17, graph::SnapshotLoad::kWarm);
+    const core::CascadeEngine warm(DynamicGraph::load(snap), snap, 17,
+                                   graph::SnapshotLoad::kWarm);
     EXPECT_EQ(warm.mis_size(), oracle.mis_size()) << tag;
     EXPECT_TRUE(warm.mis_set() == oracle.mis_set()) << tag;
     warm.verify();
@@ -438,12 +435,13 @@ TEST(SnapshotV2, V1FilesStillColdStartUnderAuto) {
   ASSERT_TRUE(snap.open(file.path));
   EXPECT_FALSE(snap.has_engine_state());
   // kAuto on a v1 file is exactly the historical cold path.
-  const core::CascadeEngine from_snap(snap, 23);
+  const core::CascadeEngine from_snap(DynamicGraph::load(snap), snap, 23);
   const core::CascadeEngine direct(g, 23);
   EXPECT_TRUE(from_snap.mis_set() == direct.mis_set());
   // An explicit warm request on a graph-only file is a caller bug and must
   // fail loudly, not silently cold-start.
-  EXPECT_DEATH(core::CascadeEngine(snap, 23, graph::SnapshotLoad::kWarm),
+  EXPECT_DEATH(core::CascadeEngine(DynamicGraph::load(snap), snap, 23,
+                                   graph::SnapshotLoad::kWarm),
                "graph-only");
 }
 

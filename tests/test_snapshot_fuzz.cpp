@@ -1,6 +1,8 @@
 // Snapshot corruption fuzz: byte/bit flips, truncations and section swaps
 // over version-1 (graph-only), version-2 (engine-state) and version-3
-// (shard-partitioned) snapshot files.
+// (shard-partitioned) snapshot files. No writer emits v3 any more, so the v3
+// corpus is the committed fixture tests/data/v3_shards4.snap; readers must
+// keep accepting and validating it.
 //
 // The contract under test is the format's safety ladder (docs/FORMATS.md):
 // whatever the bytes, Snapshot::open either rejects the file or yields a
@@ -40,6 +42,13 @@ using graph::Snapshot;
 
 std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / ("dmis_fuzz_" + name)).string();
+}
+
+/// The committed v3 fixture: a churned CascadeEngine snapshot (seed 4242)
+/// written by the retired v3 writer with shard_count 4 — 84 live nodes over
+/// 122 ids, one spilled 18-neighbor record, edge-table tombstones.
+std::string v3_fixture_path() {
+  return std::string(DMIS_TEST_DATA_DIR) + "/v3_shards4.snap";
 }
 
 struct TempFile {
@@ -128,12 +137,18 @@ void exercise(const std::string& path, std::uint64_t engine_seed) {
     }
     // A churn touch (COW a record, route the key through the deltas) must
     // net to zero. Endpoints must be live toggleable nodes under BOTH
-    // views before mutation is legal at all.
+    // views before mutation is legal at all, and the edge must sit in both
+    // adjacency records too: on a mutant the edge table and the CSR can
+    // disagree, and removing an edge one of them lacks is a caller bug.
     NodeId u = 0, w = 0;
     util::Rng sample_rng(engine_seed);
+    const auto lists = [&](NodeId a, NodeId b) {
+      const auto nbrs = borrowed.neighbors(a);
+      return std::find(nbrs.begin(), nbrs.end(), b) != nbrs.end();
+    };
     if (borrowed.sample_edge(sample_rng, u, w) && u != w &&
         borrowed.has_node(u) && borrowed.has_node(w) &&
-        borrowed.has_edge(u, w) && g.has_edge(u, w)) {
+        borrowed.has_edge(u, w) && g.has_edge(u, w) && lists(u, w) && lists(w, u)) {
       EXPECT_TRUE(borrowed.remove_edge(u, w));
       EXPECT_FALSE(borrowed.has_edge(u, w));
       EXPECT_TRUE(borrowed.add_edge(u, w));
@@ -145,19 +160,13 @@ void exercise(const std::string& path, std::uint64_t engine_seed) {
     // Warm construction must be safe on any open-accepted file (open
     // validated the membership bytes and mis_size agreement); the MIS
     // invariant is only promised when verify() vouched for the fixpoint.
-    const core::CascadeEngine warm(snap, engine_seed, graph::SnapshotLoad::kWarm);
+    const core::CascadeEngine warm(DynamicGraph::load(snap), snap, engine_seed,
+                                   graph::SnapshotLoad::kWarm);
     EXPECT_EQ(warm.mis_size(), static_cast<std::size_t>(snap.mis_size()));
     if (verified) warm.verify();
-    // The lock-free engine's warm start consumes the same sections through
-    // the shard table (validated at open, so its ranges are in bounds on
-    // any accepted file) with parallel loaders — it must digest whatever
-    // the cascade digested and land on the identical membership.
-    const core::LockFreeEngine parallel(snap, engine_seed,
-                                        graph::SnapshotLoad::kWarm, /*workers=*/2);
-    EXPECT_EQ(parallel.membership(), warm.membership());
-    if (verified) parallel.verify();
   } else if (verified) {
-    const core::CascadeEngine cold(snap, engine_seed, graph::SnapshotLoad::kCold);
+    const core::CascadeEngine cold(DynamicGraph::load(snap), snap, engine_seed,
+                                   graph::SnapshotLoad::kCold);
     cold.verify();
   }
 }
@@ -168,18 +177,20 @@ struct Corpus {
   std::vector<std::uint8_t> pristine;
 };
 
-/// Build the three seed files: a v1 graph snapshot, a v2 engine snapshot
-/// and a v3 shard-partitioned snapshot of the same engine state, all from a
-/// churned graph (dead ids, spilled records, tombstones).
+/// Build the three seed files: a v1 graph snapshot and a v2 engine snapshot
+/// of a churned graph (dead ids, spilled records, tombstones), plus a
+/// scratch copy of the v3 fixture (mutations never touch the committed
+/// file).
 void build_corpus(Corpus& v1, Corpus& v2, Corpus& v3, NodeId n, std::uint64_t seed) {
   const DynamicGraph g = churned_graph(n, seed);
   ASSERT_TRUE(g.save(v1.file.path));
   const core::CascadeEngine engine(g, seed * 3 + 1);
   ASSERT_TRUE(core::save_snapshot(engine, v2.file.path));
-  ASSERT_TRUE(core::save_snapshot_sharded(engine, v3.file.path, /*shard_count=*/4));
   v1.pristine = read_bytes(v1.file.path);
   v2.pristine = read_bytes(v2.file.path);
-  v3.pristine = read_bytes(v3.file.path);
+  v3.pristine = read_bytes(v3_fixture_path());
+  ASSERT_FALSE(v3.pristine.empty()) << "missing fixture " << v3_fixture_path();
+  write_bytes(v3.file.path, v3.pristine);
 }
 
 void fuzz_bit_flips(Corpus& c, std::uint64_t seed, int iterations) {
@@ -359,10 +370,72 @@ TEST_F(SnapshotFuzz, V3VersionNegotiation) {
   write_bytes(v3_->file.path, v3_->pristine);
   ASSERT_TRUE(snap.open(v2_->file.path, &error)) << error;
   EXPECT_EQ(snap.shard_count(), 1U);
-  const core::CascadeEngine warm(snap, snap.priority_seed(), graph::SnapshotLoad::kWarm);
+  const core::CascadeEngine warm(DynamicGraph::load(snap), snap, snap.priority_seed(),
+                                 graph::SnapshotLoad::kWarm);
   warm.verify();
   ASSERT_TRUE(snap.open(v3_->file.path, &error)) << error;
   EXPECT_EQ(snap.shard_count(), 4U);
+}
+
+TEST(SnapshotV3Fixture, OpensVerifiesAndRoundTripsThroughV2) {
+  // The fixture pins the v3 reader: it must open, deep-verify and
+  // warm-start, and re-saving that engine (as v2, the only engine format
+  // still written) must reproduce the same graph, keys, membership and RNG
+  // state — the shard table is the only thing a v3 file adds.
+  Snapshot v3;
+  std::string error;
+  ASSERT_TRUE(v3.open(v3_fixture_path(), &error)) << error;
+  ASSERT_TRUE(v3.verify(&error)) << error;
+  EXPECT_EQ(v3.header().version, graph::kSnapshotVersionSharded);
+  EXPECT_EQ(v3.shard_count(), 4U);
+  // The shapes the fixture exists to cover: dead ids, edge-table
+  // tombstones and a record spilled past the inline slots.
+  EXPECT_LT(v3.node_count(), v3.id_bound());
+  EXPECT_GT(v3.edge_occupied(), v3.edge_count());
+  bool spilled = false;
+  for (NodeId v = 0; v < v3.id_bound(); ++v)
+    spilled |= v3.alive(v) && v3.degree(v) > DynamicGraph::kInlineNeighbors;
+  EXPECT_TRUE(spilled);
+
+  const core::CascadeEngine warm(DynamicGraph::load(v3), v3, v3.priority_seed(),
+                                 graph::SnapshotLoad::kWarm);
+  warm.verify();
+  TempFile file("fixture_v2.snap");
+  ASSERT_TRUE(core::save_snapshot(warm, file.path, &error)) << error;
+  Snapshot v2;
+  ASSERT_TRUE(v2.open(file.path, &error)) << error;
+  ASSERT_TRUE(v2.verify(&error)) << error;
+  EXPECT_EQ(v2.header().version, graph::kSnapshotVersionEngine);
+
+  EXPECT_TRUE(DynamicGraph::load(v2) == DynamicGraph::load(v3));
+  const auto same = [](auto a, auto b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  EXPECT_TRUE(same(v2.priority_keys(), v3.priority_keys()));
+  EXPECT_TRUE(same(v2.membership_bytes(), v3.membership_bytes()));
+  EXPECT_EQ(v2.mis_size(), v3.mis_size());
+  EXPECT_EQ(v2.priority_seed(), v3.priority_seed());
+  EXPECT_TRUE(std::equal(std::begin(v2.engine_ext().rng_state),
+                         std::end(v2.engine_ext().rng_state),
+                         std::begin(v3.engine_ext().rng_state)));
+  // Section contents are byte-identical across the two versions.
+  EXPECT_TRUE(same(v2.alive_bytes(), v3.alive_bytes()));
+  EXPECT_TRUE(same(v2.csr_offsets(), v3.csr_offsets()));
+  EXPECT_TRUE(same(v2.csr_neighbors(), v3.csr_neighbors()));
+  EXPECT_TRUE(same(v2.edge_ctrl(), v3.edge_ctrl()));
+  EXPECT_TRUE(same(v2.edge_keys(), v3.edge_keys()));
+
+  // The reopened v2 file restarts the same engine, future draws included.
+  core::CascadeEngine again(DynamicGraph::load(v2), v2, v2.priority_seed(),
+                            graph::SnapshotLoad::kWarm);
+  core::CascadeEngine twin(DynamicGraph::load(v3), v3, v3.priority_seed(),
+                           graph::SnapshotLoad::kWarm);
+  EXPECT_EQ(again.membership(), warm.membership());
+  EXPECT_TRUE(again.priorities().rng_state() == warm.priorities().rng_state());
+  const NodeId fresh = again.add_node();
+  EXPECT_EQ(twin.add_node(), fresh);
+  EXPECT_EQ(again.priorities().key(fresh), twin.priorities().key(fresh));
+  EXPECT_EQ(again.membership(), twin.membership());
 }
 
 TEST_F(SnapshotFuzz, ShardTableBitFlipsRejected) {
@@ -372,8 +445,8 @@ TEST_F(SnapshotFuzz, ShardTableBitFlipsRejected) {
   // range, non-monotone boundary, dormant slot non-zero), and the flips
   // that slide past it — a boundary nudged but still monotone — MUST fail
   // verify() via the checksum, while every open-accepted mutant still rides
-  // the full consumer gauntlet (including the 2-loader parallel warm start,
-  // whose shard ranges came from the flipped table) memory-safely.
+  // the full consumer gauntlet memory-safely. Nothing reads the table any
+  // more, but the rules v3 files were written under still hold.
   // 1024 single-bit mutants, exhaustively.
   const std::size_t shard_off =
       sizeof(graph::SnapshotHeader) + sizeof(graph::SnapshotEngineExt);

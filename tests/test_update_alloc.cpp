@@ -112,7 +112,7 @@ TEST(UpdateAlloc, BorrowedEngineChurnIsAllocationFreeAfterOverlayWarmUp) {
 
   auto snap = std::make_shared<graph::Snapshot>();
   ASSERT_TRUE(snap->open(path));
-  core::CascadeEngine engine(snap, 7);
+  core::CascadeEngine engine(graph::DynamicGraph::borrow(snap), *snap, 7);
   ASSERT_TRUE(engine.graph().borrowed());
 
   util::Rng rng(11);

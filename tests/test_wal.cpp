@@ -502,7 +502,9 @@ TEST(Wal, RefreshHealsTornTailOnceBytesArrive) {
     std::uint64_t ops_after = ops_before;
     bool first = true;
     while ((state = reader.next(&view)) == WalSegmentReader::Next::kRecord) {
-      if (first) EXPECT_EQ(view.lsn, resume_lsn) << "resumed past or before the tear";
+      if (first) {
+        EXPECT_EQ(view.lsn, resume_lsn) << "resumed past or before the tear";
+      }
       first = false;
       ops_after += view.ops.size();
     }

@@ -72,7 +72,6 @@
 #include "service/wal.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/batched.hpp"
 #include "workload/churn.hpp"
 #include "workload/trace.hpp"
@@ -424,10 +423,11 @@ int cmd_serve(util::Cli& cli) {
     return static_cast<unsigned>((u * 2654435761ULL + v * 40503ULL) % producers);
   };
 
-  std::atomic<bool> producers_done{false};
-  util::ThreadPool pool(producers);
-  std::thread driver([&] {
-    pool.run_indexed(producers, [&](unsigned p) {
+  std::atomic<unsigned> producers_running{producers};
+  std::vector<std::thread> lanes;
+  lanes.reserve(producers);
+  for (unsigned p = 0; p < producers; ++p) {
+    lanes.emplace_back([&, p] {
       util::Rng rng(seed * 9176 + p);
       // Local view of the producer's own edges; nobody else touches them,
       // so validity (add absent / remove present) holds under any
@@ -446,25 +446,38 @@ int cmd_serve(util::Cli& cli) {
         queue.submit(p, had ? service::ClientOp::remove_edge(u, v)
                             : service::ClientOp::add_edge(u, v));
       }
+      producers_running.fetch_sub(1, std::memory_order_release);
     });
-    producers_done.store(true, std::memory_order_release);
-  });
+  }
 
   const std::uint64_t expected = nodes + per_producer * producers;
   const auto t0 = Clock::now();
   core::Batch batch;
+  const auto producers_done = [&] {
+    return producers_running.load(std::memory_order_acquire) == 0;
+  };
+  // Drain (and on an error path, discard) until every producer has
+  // submitted its last op, then join: a producer blocked on a full lane
+  // would never finish, and destroying an unjoined std::thread aborts.
+  const auto join_lanes = [&] {
+    while (!producers_done())
+      if (queue.drain(batch) == 0) std::this_thread::yield();
+    for (std::thread& lane : lanes) lane.join();
+  };
   bool crashed_requested = false;
   while (svc->lsn() < expected) {
-    const std::size_t drained = queue.drain(batch);
-    if (drained == 0) {
-      if (producers_done.load(std::memory_order_acquire) && queue.drain(batch) == 0)
-        break;
+    // Read the flag before draining: once every producer has finished, an
+    // empty drain means the stream is over, and no drained op is dropped.
+    const bool done = producers_done();
+    if (queue.drain(batch) == 0) {
+      if (done) break;
       std::this_thread::yield();
       continue;
     }
     if (!svc->apply(batch, &error)) {
       std::fprintf(stderr, "error: apply at lsn %llu: %s\n",
                    static_cast<unsigned long long>(svc->lsn()), error.c_str());
+      join_lanes();
       return 1;
     }
     queue.ack();
@@ -486,7 +499,7 @@ int cmd_serve(util::Cli& cli) {
     std::abort();
 #endif
   }
-  driver.join();
+  join_lanes();
   const double run_s = seconds_since(t0);
 
   std::uint64_t waits = 0;

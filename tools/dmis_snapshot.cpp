@@ -1,9 +1,9 @@
 // dmis_snapshot — the operator CLI for the binary snapshot + trace formats.
 //
 //   dmis_snapshot save    --out g.snap [--n N --deg D --seed S | --trace t]
-//                         [--engine [--priority-seed P] [--shards S]]
+//                         [--engine [--priority-seed P]]
 //   dmis_snapshot load    --in g.snap [--warm]   time mmap-open + bulk load
-//                         [--borrow] [--loaders L]  (+ warm engine start on
+//                         [--borrow]             (+ warm engine start on
 //                                                v2/v3); --borrow opens
 //                                                zero-copy
 //   dmis_snapshot verify  --in g.snap            checksum + deep consistency
@@ -17,13 +17,13 @@
 // With `--engine` it additionally runs a CascadeEngine over the graph and
 // writes a version-2 snapshot carrying the engine state (priority keys +
 // membership), which `load --warm` restarts without recomputing the greedy
-// MIS; `--shards S` upgrades that to a version-3 snapshot whose shard table
-// lets S loaders adopt disjoint id ranges in parallel. Warm loads print a
-// membership fingerprint (FNV-1a over the id-indexed membership bytes) so a
-// v2 and a v3 restart of the same state can be diffed in one line. `record` emits a self-contained binary churn trace: the grow history
-// of the warm start graph followed by `--ops` random churn ops, so replaying
-// the whole file from an empty engine reproduces the workload exactly (that
-// replay is bench_snapshot's rebuild comparator).
+// MIS. Version-3 files (written by older builds) still load; their shard
+// table is ignored. Warm loads print a membership fingerprint (FNV-1a over
+// the id-indexed membership bytes) so two restarts of the same state can be
+// diffed in one line. `record` emits a self-contained binary churn trace:
+// the grow history of the warm start graph followed by `--ops` random churn
+// ops, so replaying the whole file from an empty engine reproduces the
+// workload exactly (that replay is bench_snapshot's rebuild comparator).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -35,7 +35,6 @@
 
 #include "core/cascade_engine.hpp"
 #include "core/engine_snapshot.hpp"
-#include "core/lockfree_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_stats.hpp"
 #include "graph/snapshot.hpp"
@@ -61,9 +60,8 @@ bool ends_with(const std::string& s, const std::string& suffix) {
 }
 
 /// FNV-1a 64 over the id-indexed membership bytes: equal fingerprints ⇔
-/// equal warm-started MIS, whatever the snapshot version or engine.
-template <typename Engine>
-std::uint64_t membership_fingerprint(const Engine& e) {
+/// equal warm-started MIS, whatever the snapshot version.
+std::uint64_t membership_fingerprint(const core::CascadeEngine& e) {
   std::uint64_t h = 1469598103934665603ULL;
   for (NodeId v = 0; v < e.graph().id_bound(); ++v) {
     h ^= e.in_mis(v) ? 1u : 0u;
@@ -113,26 +111,21 @@ int cmd_save(util::Cli& cli) {
       cli.flag_bool("engine", false, "persist engine state too (version-2 snapshot)");
   const auto priority_seed = static_cast<std::uint64_t>(
       cli.flag_int("priority-seed", 42, "priority seed for --engine"));
-  const auto shards = static_cast<std::uint32_t>(cli.flag_int(
-      "shards", 0, "write a version-3 snapshot partitioned for this many "
-                   "parallel loaders (implies --engine)"));
   cli.finish();
 
   graph::DynamicGraph g;
   if (!build_graph(trace_path, n, deg, seed, g)) return 1;
   const auto t0 = Clock::now();
   std::string error;
-  if (engine || shards > 0) {
+  if (engine) {
     const core::CascadeEngine e(std::move(g), priority_seed);
-    const bool ok = shards > 0 ? core::save_snapshot_sharded(e, out, shards, &error)
-                               : core::save_snapshot(e, out, &error);
-    if (!ok) {
+    if (!core::save_snapshot(e, out, &error)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
-    std::printf("saved %s (v%d): %u nodes, %zu edges, |MIS| %zu in %.3fs\n",
-                out.c_str(), shards > 0 ? 3 : 2, e.graph().node_count(),
-                e.graph().edge_count(), e.mis_size(), seconds_since(t0));
+    std::printf("saved %s (v2): %u nodes, %zu edges, |MIS| %zu in %.3fs\n",
+                out.c_str(), e.graph().node_count(), e.graph().edge_count(),
+                e.mis_size(), seconds_since(t0));
     return 0;
   }
   if (!g.save(out, &error)) {
@@ -154,8 +147,6 @@ int cmd_load(util::Cli& cli) {
       "borrow", false,
       "borrow the graph in place (shallow open, zero-copy) instead of "
       "materializing heap copies");
-  const auto loaders = static_cast<unsigned>(cli.flag_int(
-      "loaders", 1, "parallel bulk-load workers (v3 snapshots; 1 = serial)"));
   cli.finish();
 
   if (borrow) {
@@ -167,8 +158,6 @@ int cmd_load(util::Cli& cli) {
       return 1;
     }
     const double open_s = seconds_since(t0);
-    const std::uint64_t priority_seed = snap->priority_seed();
-    const bool has_state = snap->has_engine_state();
     const auto t1 = Clock::now();
     const graph::DynamicGraph g = graph::DynamicGraph::borrow(snap);
     // First query, answered off the mapping — what an operator actually
@@ -187,23 +176,20 @@ int cmd_load(util::Cli& cli) {
                 static_cast<unsigned long long>(snap->resident_bytes()),
                 static_cast<unsigned long long>(snap->header().file_size));
     if (warm) {
-      if (!has_state) {
+      if (!snap->has_engine_state()) {
         std::fprintf(stderr, "error: %s: --warm needs engine state "
                              "(save with --engine)\n",
                      in.c_str());
         return 1;
       }
-      // The borrowed warm start goes through the lock-free engine so the
-      // shard table (v3) actually fans the bulk copies out.
       const auto t2 = Clock::now();
-      const core::LockFreeEngine e(std::move(snap), priority_seed,
-                                   graph::SnapshotLoad::kWarm, loaders);
+      const core::CascadeEngine e(graph::DynamicGraph::borrow(snap), *snap,
+                                  snap->priority_seed(), graph::SnapshotLoad::kWarm);
       const double warm_s = seconds_since(t2);
       std::printf("warm engine-ready %.6fs  (|MIS| %zu, fingerprint %016llx, "
-                  "%u loaders, borrowed graph)\n",
+                  "borrowed graph)\n",
                   warm_s, e.mis_size(),
-                  static_cast<unsigned long long>(membership_fingerprint(e)),
-                  e.worker_count());
+                  static_cast<unsigned long long>(membership_fingerprint(e)));
     }
     return 0;
   }
@@ -217,15 +203,13 @@ int cmd_load(util::Cli& cli) {
   }
   const double open_s = seconds_since(t0);
   const auto t1 = Clock::now();
-  const graph::DynamicGraph g = graph::DynamicGraph::load(snap, loaders);
+  const graph::DynamicGraph g = graph::DynamicGraph::load(snap);
   const double load_s = seconds_since(t1);
   std::printf("%s: %u nodes, %llu edges (%s)\n", in.c_str(), snap.node_count(),
               static_cast<unsigned long long>(snap.edge_count()),
               snap.is_mapped() ? "mmap" : "read fallback");
-  std::printf("open %.6fs  bulk-load %.6fs  (graph: %u live nodes, %zu edges, "
-              "%u shards, %u loaders)\n",
-              open_s, load_s, g.node_count(), g.edge_count(), snap.shard_count(),
-              loaders);
+  std::printf("open %.6fs  bulk-load %.6fs  (graph: %u live nodes, %zu edges)\n",
+              open_s, load_s, g.node_count(), g.edge_count());
   if (warm) {
     if (!snap.has_engine_state()) {
       std::fprintf(stderr, "error: %s: --warm needs a version-2+ snapshot "
@@ -234,7 +218,8 @@ int cmd_load(util::Cli& cli) {
       return 1;
     }
     const auto t2 = Clock::now();
-    const core::CascadeEngine e(snap, snap.priority_seed(), graph::SnapshotLoad::kWarm);
+    const core::CascadeEngine e(graph::DynamicGraph::load(snap), snap, snap.priority_seed(),
+                                graph::SnapshotLoad::kWarm);
     const double warm_s = seconds_since(t2);
     std::printf("warm engine-ready %.6fs  (|MIS| %zu, priority seed %llu, "
                 "fingerprint %016llx, zero greedy recompute)\n",
@@ -323,13 +308,9 @@ int cmd_stats(util::Cli& cli) {
                 static_cast<unsigned long long>(ext.mis_size),
                 static_cast<unsigned long long>(ext.priority_seed));
   }
-  if (snap.shard_count() > 1) {
-    std::printf("  shard table      %u shards (v3 parallel warm load)\n",
+  if (h.version >= graph::kSnapshotVersionSharded)
+    std::printf("  shard table      %u shards (v3, validated and ignored)\n",
                 snap.shard_count());
-    for (std::uint32_t s = 0; s < snap.shard_count(); ++s)
-      std::printf("    shard %-2u       ids [%u, %u)\n", s, snap.shard_begin(s),
-                  snap.shard_end(s));
-  }
 
   std::vector<std::size_t> degrees;
   degrees.reserve(snap.node_count());
