@@ -247,31 +247,6 @@ bool write_json(const std::string& path, const std::vector<Result>& results,
   return true;
 }
 
-bool validate(const std::vector<Result>& results) {
-  // Self-check behind --validate: the same distributed_cost rules
-  // scripts/validate_bench.py applies to the emitted JSON, enforced on the
-  // in-memory rows before writing.
-  if (results.empty()) {
-    std::fprintf(stderr, "validate: no results\n");
-    return false;
-  }
-  for (const Result& r : results) {
-    bool ok = r.ops > 0 && r.graceful.count > 0;
-    for (const MetricSummary* m :
-         {&r.rounds, &r.broadcasts, &r.messages, &r.bits, &r.adjustments})
-      ok = ok && m->mean >= 0 && m->p50 <= m->p95 && m->p95 <= m->p99 &&
-           m->p99 <= m->max;
-    for (const BucketSummary* b : {&r.graceful, &r.node_insert, &r.abrupt_node_delete})
-      ok = ok && b->rounds >= 0 && b->broadcasts >= 0 && b->adjustments >= 0;
-    if (!ok) {
-      std::fprintf(stderr, "validate: malformed row (%s, n=%u)\n",
-                   r.workload.c_str(), r.n);
-      return false;
-    }
-  }
-  return true;
-}
-
 std::vector<std::string> split_list(const std::string& list) {
   std::vector<std::string> out;
   std::size_t start = 0;
@@ -302,8 +277,6 @@ int main(int argc, char** argv) {
       cli.flag_bool("verify", true, "check each cell against the greedy oracle");
   const auto out = cli.flag_string("out", "BENCH_distributed_cost.json",
                                    "machine-readable output path");
-  const bool validate_flag = cli.flag_bool(
-      "validate", false, "self-check result rows (validate_bench.py rules)");
   cli.finish();
 
   std::vector<NodeId> sizes;
@@ -333,6 +306,5 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
     }
   }
-  if (validate_flag && !validate(results)) return 1;
   return write_json(out, results, deg, seed) ? 0 : 1;
 }

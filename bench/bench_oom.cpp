@@ -21,8 +21,8 @@
 //   4. borrowed attempt: shallow open + borrow + --query-ops random
 //      adjacency probes (pages the mapping in on demand) + --churn-ops
 //      edge toggles (copy-on-write overlay growth), still under the cap;
-//   5. lift the cap, write JSON (committed as BENCH_oom.json, gated by
-//      scripts/check_bench.py and shape-checked by validate_bench.py).
+//   5. lift the cap, write JSON (committed as BENCH_oom.json, shape-checked
+//      and gated by scripts/check_bench.py).
 #include <sys/resource.h>
 
 #include <chrono>

@@ -219,34 +219,6 @@ Result run_cell(const std::vector<core::Batch>& stream, std::uint64_t interval,
   return r;
 }
 
-bool validate(const std::vector<Result>& results, std::size_t ops_per_batch) {
-  // Self-check behind --validate: the rules scripts/validate_bench.py
-  // applies to the JSON, plus the intrinsic tail bound the gate enforces.
-  if (results.empty()) {
-    std::fprintf(stderr, "validate: no results\n");
-    return false;
-  }
-  for (const Result& r : results) {
-    const bool ok = r.n >= 2 && r.ops > 0 && r.ingest_s > 0 &&
-                    r.ingest_ops_per_sec > 0 && r.wal_bytes > 0 &&
-                    r.payload_bytes > 0 && r.wal_amplification > 0 && r.rto_s > 0 &&
-                    r.open_s >= 0 && r.load_s >= 0 && r.warm_s >= 0 && r.replay_s >= 0;
-    if (!ok) {
-      std::fprintf(stderr, "validate: malformed row at interval=%llu\n",
-                   static_cast<unsigned long long>(r.interval));
-      return false;
-    }
-    if (r.interval > 0 && r.tail_ops >= r.interval + ops_per_batch) {
-      std::fprintf(stderr,
-                   "validate: tail_ops %llu breaks the interval %llu + batch bound\n",
-                   static_cast<unsigned long long>(r.tail_ops),
-                   static_cast<unsigned long long>(r.interval));
-      return false;
-    }
-  }
-  return true;
-}
-
 bool write_json(const std::string& path, const std::vector<Result>& results, NodeId n,
                 double deg, std::uint64_t seed, std::uint64_t ops,
                 std::size_t ops_per_batch, int reps, bool borrow) {
@@ -302,7 +274,6 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> intervals = {0, 50'000, 10'000, 2'000};
   std::string out = "BENCH_recovery.json";
   std::string dir = std::filesystem::temp_directory_path().string();
-  bool validate_flag = false;
   bool borrow = true;
 
   for (int i = 1; i < argc; ++i) {
@@ -316,7 +287,6 @@ int main(int argc, char** argv) {
     else if (arg == "--reps") reps = static_cast<int>(std::strtol(next(), nullptr, 10));
     else if (arg == "--out") out = next();
     else if (arg == "--dir") dir = next();
-    else if (arg == "--validate") validate_flag = true;
     else if (arg == "--no-borrow") borrow = false;
     else if (arg == "--intervals") {
       intervals.clear();
@@ -337,7 +307,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--intervals a,b,c] [--n N] [--deg D] [--ops K] "
                    "[--batch B] [--seed S] [--reps R] [--dir TMP] [--out F] "
-                   "[--validate] [--no-borrow]\n",
+                   "[--no-borrow]\n",
                    argv[0]);
       return 2;
     }
@@ -364,6 +334,5 @@ int main(int argc, char** argv) {
                 r.replay_s);
     std::fflush(stdout);
   }
-  if (validate_flag && !validate(results, batch)) return 1;
   return write_json(out, results, n, deg, seed, ops, batch, reps, borrow) ? 0 : 1;
 }

@@ -236,33 +236,6 @@ Result run_cell(const std::vector<core::Batch>& stream, const std::string& polic
   return best;
 }
 
-bool validate(const std::vector<Result>& results) {
-  if (results.empty()) {
-    std::fprintf(stderr, "validate: no results\n");
-    return false;
-  }
-  for (const Result& r : results) {
-    const bool ok = r.n >= 2 && r.ops > 0 && r.ingest_s > 0 &&
-                    r.ingest_ops_per_sec > 0 && r.wal_bytes > 0 &&
-                    r.shipped_bytes >= r.wal_bytes && r.shipments > 0 &&
-                    r.applied_ops == r.ops && r.promoted_lsn == r.ops &&
-                    r.mean_lag_ops >= 0 && r.catchup_s >= 0 && r.failover_rto_s > 0;
-    if (!ok) {
-      std::fprintf(stderr, "validate: malformed row for policy=%s\n",
-                   r.policy.c_str());
-      return false;
-    }
-    // Synchronous policies must show zero lag; that is the durable cursor's
-    // contract, not a tuning outcome.
-    if ((r.policy == "everyop" || r.policy == "everybatch") && r.max_lag_ops != 0) {
-      std::fprintf(stderr, "validate: policy %s leaked lag %llu\n", r.policy.c_str(),
-                   static_cast<unsigned long long>(r.max_lag_ops));
-      return false;
-    }
-  }
-  return true;
-}
-
 bool write_json(const std::string& path, const std::vector<Result>& results, NodeId n,
                 double deg, std::uint64_t seed, std::uint64_t ops,
                 std::size_t ops_per_batch, int reps) {
@@ -316,7 +289,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> policies = {"everyop", "everybatch", "interval"};
   std::string out = "BENCH_replication.json";
   std::string dir = std::filesystem::temp_directory_path().string();
-  bool validate_flag = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -329,7 +301,6 @@ int main(int argc, char** argv) {
     else if (arg == "--reps") reps = static_cast<int>(std::strtol(next(), nullptr, 10));
     else if (arg == "--out") out = next();
     else if (arg == "--dir") dir = next();
-    else if (arg == "--validate") validate_flag = true;
     else if (arg == "--policies") {
       policies.clear();
       std::string s = next();
@@ -343,8 +314,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--policies a,b,c] [--n N] [--deg D] [--ops K] "
-                   "[--batch B] [--seed S] [--reps R] [--dir TMP] [--out F] "
-                   "[--validate]\n",
+                   "[--batch B] [--seed S] [--reps R] [--dir TMP] [--out F]\n",
                    argv[0]);
       return 2;
     }
@@ -372,6 +342,5 @@ int main(int argc, char** argv) {
                 r.failover_rto_s);
     std::fflush(stdout);
   }
-  if (validate_flag && !validate(results)) return 1;
   return write_json(out, results, n, deg, seed, ops, batch, reps) ? 0 : 1;
 }

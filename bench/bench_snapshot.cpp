@@ -328,30 +328,6 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
   return r;
 }
 
-bool validate(const std::vector<Result>& results) {
-  // Self-check behind --validate: the same rules scripts/validate_bench.py
-  // applies to the emitted JSON (non-empty, positive sizes and timings,
-  // positive speedup), enforced on the in-memory rows before writing.
-  if (results.empty()) {
-    std::fprintf(stderr, "validate: no results\n");
-    return false;
-  }
-  for (const Result& r : results) {
-    const bool ok = r.n >= 2 && r.edges > 0 && r.snapshot_bytes > 0 &&
-                    r.trace_bytes > 0 && r.rebuild_s > 0 && r.rebuild_tuned_s > 0 &&
-                    r.save_s > 0 && r.open_s >= 0 && r.load_s > 0 &&
-                    r.speedup_vs_rebuild > 0 && r.engine_cold_s > 0 &&
-                    r.engine_warm_s > 0 && r.warm_speedup > 0 &&
-                    r.borrow_open_s > 0 && r.borrow_first_op_s > 0 &&
-                    r.borrow_speedup > 0;
-    if (!ok) {
-      std::fprintf(stderr, "validate: malformed row at n=%u\n", r.n);
-      return false;
-    }
-  }
-  return true;
-}
-
 bool write_json(const std::string& path, const std::vector<Result>& results,
                 double deg, std::uint64_t seed, int reps) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -396,7 +372,6 @@ int main(int argc, char** argv) {
   std::vector<NodeId> sizes = {10'000, 100'000, 1'000'000};
   std::string out = "BENCH_snapshot.json";
   std::string dir = std::filesystem::temp_directory_path().string();
-  bool validate_flag = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -406,7 +381,6 @@ int main(int argc, char** argv) {
     else if (arg == "--reps") reps = static_cast<int>(std::strtol(next(), nullptr, 10));
     else if (arg == "--out") out = next();
     else if (arg == "--dir") dir = next();
-    else if (arg == "--validate") validate_flag = true;
     else if (arg == "--sizes") {
       sizes.clear();
       const char* s = next();
@@ -423,7 +397,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--sizes a,b,c] [--deg D] [--seed S] [--reps R] "
-                   "[--dir TMP] [--out F] [--validate]\n",
+                   "[--dir TMP] [--out F]\n",
                    argv[0]);
       return 2;
     }
@@ -445,6 +419,5 @@ int main(int argc, char** argv) {
                 r.borrow_open_s, r.borrow_first_op_s, r.borrow_speedup);
     std::fflush(stdout);
   }
-  if (validate_flag && !validate(results)) return 1;
   return write_json(out, results, deg, seed, reps) ? 0 : 1;
 }

@@ -129,28 +129,6 @@ Result run_churn(NodeId n, double deg, std::uint64_t ops, std::uint64_t seed) {
   return summarize("churn", n, deg, ns.size(), adjustments, ns);
 }
 
-bool validate(const std::vector<Result>& results) {
-  // Self-check behind --validate: the same update_latency rules
-  // scripts/validate_bench.py applies to the emitted JSON, enforced on the
-  // in-memory rows before writing.
-  if (results.empty()) {
-    std::fprintf(stderr, "validate: no results\n");
-    return false;
-  }
-  for (const Result& r : results) {
-    const bool ok = r.n >= 2 && r.ops > 0 && r.seconds >= 0 &&
-                    r.updates_per_sec > 0 && r.ns_p50 >= 0 &&
-                    r.ns_p50 <= r.ns_p95 && r.ns_p95 <= r.ns_p99 &&
-                    r.ns_p99 <= r.ns_max && r.adjustments_per_update >= 0;
-    if (!ok) {
-      std::fprintf(stderr, "validate: malformed row (%s, n=%u)\n",
-                   r.workload.c_str(), r.n);
-      return false;
-    }
-  }
-  return true;
-}
-
 bool write_json(const std::string& path, const std::vector<Result>& results,
                 std::uint64_t ops, std::uint64_t seed) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -188,7 +166,6 @@ int main(int argc, char** argv) {
   double deg = 8.0;
   std::vector<NodeId> sizes = {10'000, 100'000, 1'000'000};
   std::string out = "BENCH_update_latency.json";
-  bool validate_flag = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -199,7 +176,6 @@ int main(int argc, char** argv) {
     else if (arg == "--seed") seed = std::strtoull(next(), nullptr, 10);
     else if (arg == "--deg") deg = std::strtod(next(), nullptr);
     else if (arg == "--out") out = next();
-    else if (arg == "--validate") validate_flag = true;
     else if (arg == "--sizes") {
       sizes.clear();
       const char* s = next();
@@ -215,7 +191,7 @@ int main(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--ops N] [--seed S] [--deg D] [--sizes a,b,c] [--out F] [--validate]\n",
+                   "usage: %s [--ops N] [--seed S] [--deg D] [--sizes a,b,c] [--out F]\n",
                    argv[0]);
       return 2;
     }
@@ -234,6 +210,5 @@ int main(int argc, char** argv) {
                   r.adjustments_per_update);
     }
   }
-  if (validate_flag && !validate(results)) return 1;
   return write_json(out, results, ops, seed) ? 0 : 1;
 }

@@ -1,735 +1,559 @@
 #!/usr/bin/env python3
-"""Bench-regression gate: compare a fresh bench run against a committed
-BENCH_*.json reference and fail on regression.
+"""Bench gate: shape-check BENCH_*.json files, then compare a fresh run
+against a committed reference and fail on regression.
 
-Tolerances (CI's contract — change them here, not in the workflow):
+Every bench kind is one entry in SPECS; generic loops validate, fold,
+compare and inject. An entry declares (all keys but `key` optional):
 
-* update_latency — a (workload, n) cell FAILS if its updates_per_sec drops
-  more than THROUGHPUT_TOLERANCE (default 30%) below the reference cell.
-  Throughput here is the sum of individually-timed op latencies, which
-  scheduler interference only ever *inflates* — so pass several candidate
-  files (CI smoke-runs the bench three times) and the gate takes the
-  per-cell best before comparing; best-of-N converges on the machine's
-  quiet-state speed while a genuine hot-path regression (the 2x injection
-  the CI self-test simulates) still blows straight through the band.
-  adjustments_per_update is machine-independent (same seed ⇒ same trace ⇒
-  same greedy fixpoint), so it gets the much tighter
-  DETERMINISTIC_TOLERANCE (default 5%) — drift there is a correctness
-  smell, not noise — and must be bit-identical across the candidate runs.
+* key — the fields that name a cell. Candidate cells without a reference
+  cell are skipped (a smoke run may sweep a subset); a candidate with *no*
+  matching cell fails, since the gate would otherwise check nothing.
+* fields / rules — the shape of every row: `fields` maps a (dotted) path to
+  a bound (a number is a lower bound on a finite number, ">0" is strictly
+  positive, a tuple is an enum, "bool"/"true" a flag, "any" presence only)
+  and `rules` are named predicates. doc_fields / doc_rules do the same for
+  the whole document. Key and deterministic fields must be present. Every
+  candidate and the reference are shape-checked before anything is gated.
+* exact — fields that must be bit-identical across candidate runs (same
+  seed, same trace, same counts: a difference is nondeterminism).
+* fold — best-of-N over candidate runs, per wall-clock field: max for a
+  throughput, min for a time (scheduler noise only ever slows a run down),
+  so best-of-N converges on the machine's quiet-state speed while a real
+  2x regression still blows through the band. `carry` copies fields from
+  the winning run; `ratios` are recomputed from the folded fields. A kind
+  without a fold gates its first run only (CI runs those benches once).
+* deterministic — machine-independent counts, gated at
+  DETERMINISTIC_TOLERANCE plus an absolute `slack` for near-zero means.
+  Drift there is a correctness smell, not noise. A field inside a bucket is
+  compared only when both sides saw ops in that bucket (pure-adversarial
+  skew policies legitimately leave the graceful bucket empty).
+* wall — (field, better, slack) wall-clock bands at WALL_TOLERANCE,
+  skipped under --deterministic-only; `wall_when` limits them to some rows.
+* bands — ratios of interleaved reps inside ONE process, robust to machine
+  class, so they are gated at WALL_TOLERANCE even under --deterministic-only.
+* intrinsic — (what, predicate(row, doc)) claims that need no reference,
+  checked on every candidate row; `run_check` is a whole-run one.
+* envelope — Lemma 13 (O(min{log n, d}) broadcasts per abrupt delete):
+  mean broadcasts <= ENVELOPE_SLACK x mean min{log2 n, d(v*)} on every cell
+  with at least this many abrupt deletes. The bound is on an expectation and
+  the skewed per-delete cost is bimodal (a collapsing hub changes nothing or
+  wakes its whole neighborhood), so skew cells need 100 samples; thinner
+  cells (flash-crowd: ~12 a cell) are reference-gated only and listed in one
+  note per run. Committed cells sit at 0.2-0.5x, so 1.5x means the bound
+  broke. Oracle violations never reach this script: the distributed benches
+  abort before writing JSON if a cell disagrees with the greedy oracle.
+* inject / inject_det — the --self-test targets (inject_det under
+  --deterministic-only; defaults to inject).
 
-* distributed_cost — costs are round/broadcast/adjustment *counts*, fully
-  deterministic given the seed, so graceful-bucket means are gated at
-  DETERMINISTIC_TOLERANCE against the reference. Additionally every cell
-  must respect the paper's Lemma 13 envelope: abrupt-delete mean broadcasts
-  <= ENVELOPE_SLACK x mean min{log2 n, d(v*)} (the committed baselines sit
-  at 0.3-0.5x, so 1.5x means the O(min{log n, d}) bound has genuinely
-  broken). Oracle violations cannot reach this script: bench_distributed_cost
-  aborts before writing JSON if any cell disagrees with the sequential
-  greedy oracle — a cell that exists has been oracle-verified.
-
-* skew — the heavy-tailed / adversarial-churn sweep (bench_skew), cells
-  keyed (graph distribution, churn policy, n). Same regime as
-  distributed_cost: every cost is a deterministic count, so bucket means
-  gate at DETERMINISTIC_TOLERANCE against the reference, and the Lemma 13
-  envelope (abrupt-delete mean broadcasts <= ENVELOPE_SLACK x mean
-  min{log2 n, d(v*)}) is checked intrinsically on every cell with at least
-  MIN_ENVELOPE_SAMPLES abrupt deletes. Hub-targeting policies put every
-  abrupt delete on a max-degree node, so this is the envelope check in the
-  regime where min{log n, d} genuinely binds — the committed hub-kill and
-  burst-mute cells (hundreds to thousands of samples) sit at 0.2-0.4x.
-  Flash-crowd cells collapse a hub only once per ~65-op storm (~12 samples
-  a cell) and the per-collapse cost is bimodal — ~0 when the hub was
-  dominated, ~d(v*) when its freshly-inserted leaves must join — so their
-  cell means are not expectation estimates and are gated against the
-  reference only (the star-collapse cliff those cells quantify is
-  documented in docs/BENCHMARKS.md). Pure-adversarial policies may
-  legitimately emit zero graceful ops; empty buckets are skipped, never
-  compared.
-
-* snapshot — the warm-start cells. engine_warm_s (engine-ready time from a
-  version-2 snapshot, persisted keys + membership, zero greedy recompute)
-  is a wall-clock timing, so it gets the same best-of-N fold and
-  THROUGHPUT_TOLERANCE band as update_latency: a candidate cell FAILS if
-  its folded warm time exceeds the reference by more than the tolerance.
-  warm_speedup (engine_cold_s / engine_warm_s) is measured from strictly
-  interleaved cold/warm reps inside ONE process, so the ratio is robust to
-  machine-class differences and is gated against the reference even under
-  --deterministic-only (where the absolute warm-time band is skipped, like
-  every other wall-clock check).
-
-  The borrowed columns (borrow_open_s / borrow_speedup, PRs since the
-  zero-copy graphs landed) gate the same way: the speedup is a same-process
-  interleaved ratio (checked even under --deterministic-only, against the
-  reference AND against the intrinsic >= 10x floor at n >= 1e6), the
-  absolute open time is wall clock (best-of-N fold, throughput band).
-
-* oom — the beyond-RAM cells (bench_oom: one materialized, one borrowed,
-  both under a heap cap smaller than the snapshot). The claim is intrinsic
-  and needs no reference: materialized load must FAIL under the cap,
-  borrowed open + query + churn must SUCCEED, and the borrowed heap
-  high-water must stay under the cap. Borrowed throughput under the cap is
-  wall clock and gets the usual reference band.
-
-* recovery — the crash-recovery cells (bench_recovery: one per checkpoint
-  interval). Bytes and op counts are deterministic given the seed
-  (wal_bytes, checkpoint_bytes, checkpoints, payload_bytes, tail_ops), so
-  they must be bit-identical across candidate runs and get
-  DETERMINISTIC_TOLERANCE against the reference. rto_s and
-  ingest_ops_per_sec are wall clock: best-of-N fold, THROUGHPUT_TOLERANCE
-  band. Two intrinsic checks need no reference: tail_ops must respect the
-  interval + batch bound (a checkpoint fires at the first batch boundary at
-  or past the interval, so a bigger tail means the cadence logic broke),
-  and across cells the replay term of the RTO must grow with tail_ops
-  (compared at >= 10x tail separation so wall-clock noise cannot flip it) —
-  that is the "checkpoints bound recovery time" claim itself.
-
-* replication — the leader/follower cells (bench_replication: one per
-  fsync policy). The wire and lag fields are deterministic given the seed
-  and the loss-free in-process transport (wal_bytes, shipped_bytes,
-  shipments, applied_ops, mean_lag_ops, max_lag_ops — the bench itself
-  aborts if they drift between reps), so they must be bit-identical across
-  candidate runs and get DETERMINISTIC_TOLERANCE against the reference.
-  ingest_ops_per_sec (max fold) and failover_rto_s / catchup_s (min fold)
-  are wall clock: THROUGHPUT_TOLERANCE band. One intrinsic check needs no
-  reference: the synchronous policies (everyop, everybatch) must report
-  zero lag — the durable-cursor contract, not a tuning outcome. A cell
-  that exists has already survived the bench's own failover differential
-  check (promoted follower == never-crashed reference).
-
-Cells present in the candidate but absent from the reference are skipped
-(so a smoke run may sweep a subset); a candidate with *no* matching cell is
-an error, since the gate would otherwise silently gate nothing.
-
-The throughput band assumes the machine running the candidate is in the
-reference's speed class (the committed baselines come from the single-core
-dev container; GitHub's ubuntu runners are). Where that assumption is
-structurally false — CI's scalar-flatset leg is deliberately built without
-the SIMD probes the baseline was recorded with — pass --deterministic-only
-to keep the machine-independent checks (adjustment counts, distributed
-costs, envelope) and skip throughput.
+--deterministic-only is for a candidate machine outside the reference's
+speed class, e.g. CI's scalar-flatset leg, built without the SIMD probes
+the baselines were recorded with: it keeps counts, ratio bands and
+intrinsics, and skips the absolute wall-clock bands and recovery's
+wall-clock replay-growth check.
 
 Usage:
-  check_bench.py --ref REFERENCE CANDIDATE [CANDIDATE...]
-                 [--tolerance T] [--deterministic-only] [--self-test]
+  check_bench.py CANDIDATE [CANDIDATE...] --ref REFERENCE
+                 [--deterministic-only] [--self-test]
 
---self-test injects a synthetic 2x regression into a copy of the merged
-candidate and asserts the gate catches it **using the candidate itself as
-the reference** — that exercises the exact comparison machinery on
-same-machine numbers, so it passes or fails identically on any hardware
-(against the committed reference, a fast machine's halved candidate could
-still clear the absolute band). CI runs it after the real gate so a
-silently broken gate fails loudly instead of waving regressions through.
+--self-test injects a synthetic 2x regression into a copy of the folded
+candidate and requires the gate to catch it **using the candidate itself as
+the reference**: same-machine numbers, so it passes or fails identically on
+any hardware. A silently broken gate then fails loudly instead of waving
+regressions through.
 """
 
 import argparse
 import copy
 import json
+import math
 import sys
 
-THROUGHPUT_TOLERANCE = 0.30
 DETERMINISTIC_TOLERANCE = 0.05
+WALL_TOLERANCE = 0.30
 ENVELOPE_SLACK = 1.5
-# Lemma 13 bounds an *expectation*; on skewed cells the per-delete cost is
-# bimodal (a collapsing hub either changes nothing or wakes its whole
-# neighborhood), so a cell mean only estimates the expectation once it has
-# enough samples. Below this bar the envelope column is reference-gated only.
-MIN_ENVELOPE_SAMPLES = 100
 BORROW_SPEEDUP_FLOOR = 10.0
 
-
-def close(candidate, reference, tolerance, absolute=1e-3):
-    """|candidate - reference| within tolerance x reference (+ small absolute
-    slack so near-zero deterministic means don't trip on formatting)."""
-    return abs(candidate - reference) <= tolerance * reference + absolute
+SUMMARY = ("p50", "p95", "p99", "max")
+METRICS = ("rounds", "broadcasts", "messages", "bits", "adjustments")
+BUCKETS = ("graceful", "node_insert", "abrupt_node_delete")
 
 
-def merge_best(candidates):
-    """Fold N candidate runs into one: per-cell max throughput / min warm
-    time (noise only ever slows a cell down), asserting the deterministic
-    fields agree exactly."""
-    merged = copy.deepcopy(candidates[0])
-    kind = merged.get("bench")
-    if kind == "snapshot":
-        cells = {r["n"]: r for r in merged["results"]}
-        for other in candidates[1:]:
-            for row in other["results"]:
-                cell = cells.get(row["n"])
-                if cell is None:
-                    continue
-                for field in ("edges", "snapshot_bytes", "trace_bytes"):
-                    if row[field] != cell[field]:
-                        raise SystemExit(
-                            f"FAIL: {field} differs between candidate runs at "
-                            f"n={row['n']} — nondeterministic snapshot writer")
-                for field in ("engine_warm_s", "engine_cold_s", "load_s",
-                              "borrow_open_s", "borrow_first_op_s"):
-                    if field in row and field in cell:
-                        cell[field] = min(cell[field], row[field])
-        for cell in cells.values():
-            if cell["engine_warm_s"] > 0:
-                cell["warm_speedup"] = cell["engine_cold_s"] / cell["engine_warm_s"]
-            if cell.get("borrow_open_s", 0) > 0:
-                cell["borrow_speedup"] = cell["load_s"] / cell["borrow_open_s"]
-        return merged
-    if kind == "recovery":
-        # Cells are (interval, ops): the byte/op fields are deterministic
-        # only for a fixed workload length, so a smoke run must sweep a
-        # subset of the reference's intervals at the reference's --ops.
-        cells = {(r["interval"], r["ops"]): r for r in merged["results"]}
-        for other in candidates[1:]:
-            for row in other["results"]:
-                cell = cells.get((row["interval"], row["ops"]))
-                if cell is None:
-                    continue
-                for field in ("wal_bytes", "checkpoint_bytes", "checkpoints",
-                              "payload_bytes", "tail_ops"):
-                    if row[field] != cell[field]:
-                        raise SystemExit(
-                            f"FAIL: {field} differs between candidate runs at "
-                            f"interval={row['interval']} — nondeterministic "
-                            f"WAL/checkpoint writer")
-                if row["rto_s"] < cell["rto_s"]:
-                    for field in ("rto_s", "open_s", "load_s", "warm_s",
-                                  "replay_s"):
-                        if field in row and field in cell:
-                            cell[field] = row[field]
-                cell["ingest_ops_per_sec"] = max(cell["ingest_ops_per_sec"],
-                                                 row["ingest_ops_per_sec"])
-        return merged
-    if kind == "replication":
-        # Cells are (policy, ops): the wire/lag fields are deterministic
-        # only for a fixed workload length, so a smoke run must sweep a
-        # subset of the reference's policies at the reference's --ops.
-        cells = {(r["policy"], r["ops"]): r for r in merged["results"]}
-        for other in candidates[1:]:
-            for row in other["results"]:
-                cell = cells.get((row["policy"], row["ops"]))
-                if cell is None:
-                    continue
-                for field in ("wal_bytes", "shipped_bytes", "shipments",
-                              "applied_ops", "promoted_lsn",
-                              "mean_lag_ops", "max_lag_ops"):
-                    if row[field] != cell[field]:
-                        raise SystemExit(
-                            f"FAIL: {field} differs between candidate runs at "
-                            f"policy={row['policy']} — nondeterministic "
-                            f"shipping pipeline")
-                if row["ingest_ops_per_sec"] > cell["ingest_ops_per_sec"]:
-                    cell["ingest_ops_per_sec"] = row["ingest_ops_per_sec"]
-                    cell["ingest_s"] = row["ingest_s"]
-                cell["catchup_s"] = min(cell["catchup_s"], row["catchup_s"])
-                cell["failover_rto_s"] = min(cell["failover_rto_s"],
-                                             row["failover_rto_s"])
-        return merged
-    if kind != "update_latency":
-        # Other kinds gate deterministic counts only — one run carries all
-        # the signal, and wall-clock fields legitimately differ between
-        # runs, so there is nothing to fold.
-        if len(candidates) > 1:
-            print(f"note: using first of {len(candidates)} candidate runs "
-                  f"(bench kind gates deterministic counts)")
-        return merged
-    cells = {(r["workload"], r["n"]): r for r in merged["results"]}
-    for other in candidates[1:]:
-        for row in other["results"]:
-            cell = cells.get((row["workload"], row["n"]))
-            if cell is None:
-                continue
-            if row["adjustments_per_update"] != cell["adjustments_per_update"]:
-                raise SystemExit(
-                    "FAIL: adjustments_per_update differs between candidate "
-                    f"runs at {(row['workload'], row['n'])} — nondeterminism")
-            if row["updates_per_sec"] > cell["updates_per_sec"]:
-                cell.update(row)
-    return merged
+def get(obj, path):
+    for part in path.split("."):
+        obj = obj[part]
+    return obj
 
 
-def check_update_latency(candidate, reference, tolerance, deterministic_only):
-    failures = []
-    ref = {(r["workload"], r["n"]): r for r in reference["results"]}
-    matched = 0
-    for row in candidate["results"]:
-        key = (row["workload"], row["n"])
-        base = ref.get(key)
-        if base is None:
-            print(f"SKIP {key}: no reference cell")
-            continue
-        matched += 1
-        cell_failures = []
-        got, want = row["updates_per_sec"], base["updates_per_sec"]
-        if not deterministic_only and got < want * (1.0 - tolerance):
-            cell_failures.append(
-                f"{key}: throughput regression {got:.0f} upd/s vs reference "
-                f"{want:.0f} (> {tolerance:.0%} drop)")
-        got, want = row["adjustments_per_update"], base["adjustments_per_update"]
-        if not close(got, want, DETERMINISTIC_TOLERANCE):
-            cell_failures.append(
-                f"{key}: adjustments_per_update {got:.4f} vs reference {want:.4f} "
-                f"— deterministic quantity moved (> {DETERMINISTIC_TOLERANCE:.0%})")
-        if not cell_failures:
-            print(f"OK   {key}: {row['updates_per_sec']:.0f} upd/s "
-                  f"(reference {base['updates_per_sec']:.0f})")
-        failures.extend(cell_failures)
-    return failures, matched
+def number(x):
+    return isinstance(x, (int, float)) and math.isfinite(x)
 
 
-def check_distributed_cost(candidate, reference, _tolerance, _deterministic_only):
-    failures = []
-    ref = {(r["workload"], r["n"]): r for r in reference["results"]}
-    matched = 0
-    for row in candidate["results"]:
-        key = (row["workload"], row["n"])
-        cell_failures = []
-        # Envelope check is intrinsic to the cell — gate it even without a
-        # reference (Lemma 13: O(min{log n, d}) broadcasts per abrupt delete).
-        abrupt = row.get("abrupt_node_delete", {})
-        if abrupt.get("count", 0) > 0:
-            got = abrupt["mean_broadcasts"]
-            envelope = abrupt["mean_envelope"]
-            if got > ENVELOPE_SLACK * envelope:
-                cell_failures.append(
-                    f"{key}: abrupt-delete broadcasts {got:.2f} exceed "
-                    f"{ENVELOPE_SLACK}x the min{{log n, d}} envelope {envelope:.2f}")
-        base = ref.get(key)
-        if base is None:
-            print(f"SKIP {key}: no reference cell (envelope checked)")
-            failures.extend(cell_failures)
-            continue
-        matched += 1
-        for field in ("mean_broadcasts", "mean_adjustments", "mean_rounds"):
-            got, want = row["graceful"][field], base["graceful"][field]
-            if not close(got, want, DETERMINISTIC_TOLERANCE, absolute=0.02):
-                cell_failures.append(
-                    f"{key}: graceful {field} {got:.3f} vs reference {want:.3f} "
-                    f"— deterministic cost moved (> {DETERMINISTIC_TOLERANCE:.0%})")
-        if not cell_failures:
-            print(f"OK   {key}: graceful bcast {row['graceful']['mean_broadcasts']:.2f} "
-                  f"(reference {base['graceful']['mean_broadcasts']:.2f})")
-        failures.extend(cell_failures)
-    return failures, matched
+def double(x):
+    return 2 * x
 
 
-def skew_thin_cell_note(thin_cells):
-    """The one-per-RUN summary for skew cells below the envelope sample bar.
-
-    Printed once after the cell loop, never per cell: a flash-crowd sweep
-    has a dozen thin cells per run, and a note per cell buried the real
-    OK/FAIL lines under repeated boilerplate (each cell's situation is the
-    same — reference-gated, not intrinsically checked). Returns None when
-    no cell was thin; unit-asserted by --self-test."""
-    if not thin_cells:
-        return None
-    cells = ", ".join(f"{key} ({count})" for key, count in thin_cells)
-    return (f"note {len(thin_cells)} cell(s) under {MIN_ENVELOPE_SAMPLES} abrupt "
-            f"samples — envelope reference-gated, not intrinsically checked: "
-            f"{cells}")
+def halve(x):
+    return x / 2
 
 
-def check_skew(candidate, reference, _tolerance, _deterministic_only):
-    """Skewed-graph sweep (bench_skew): like distributed_cost, every cost is
-    a deterministic count, so bucket means gate at DETERMINISTIC_TOLERANCE
-    against the reference, and the Lemma 13 envelope check is intrinsic —
-    on heavy-tailed graphs under hub-targeting churn it is the regime where
-    min{log n, d} actually binds, so a break here is the paper's bound
-    failing exactly where it matters. Cells are keyed (graph, policy, n,
-    ops) — the counts are deterministic only for a fixed trace length, so a
-    smoke run must sweep a subset of the reference's cells at the
-    reference's --ops. Pure-adversarial policies legitimately have empty
-    graceful buckets, so each bucket is only compared when both sides saw
-    ops in it."""
-    failures = []
-    ref = {(r["graph"], r["policy"], r["n"], r["ops"]): r
-           for r in reference["results"]}
-    matched = 0
-    thin_cells = []
-    for row in candidate["results"]:
-        key = (row["graph"], row["policy"], row["n"], row["ops"])
-        cell_failures = []
-        abrupt = row.get("abrupt_node_delete", {})
-        if abrupt.get("count", 0) >= MIN_ENVELOPE_SAMPLES:
-            got = abrupt["mean_broadcasts"]
-            envelope = abrupt["mean_envelope"]
-            if got > ENVELOPE_SLACK * envelope:
-                cell_failures.append(
-                    f"{key}: abrupt-delete broadcasts {got:.2f} exceed "
-                    f"{ENVELOPE_SLACK}x the min{{log n, d}} envelope {envelope:.2f}")
-        elif abrupt.get("count", 0) > 0:
-            thin_cells.append((key, abrupt["count"]))
-        base = ref.get(key)
-        if base is None:
-            print(f"SKIP {key}: no reference cell (envelope checked)")
-            failures.extend(cell_failures)
-            continue
-        matched += 1
-        for bucket, fields in (
-                ("graceful", ("mean_broadcasts", "mean_adjustments", "mean_rounds")),
-                ("node_insert", ("mean_broadcasts", "mean_adjustments")),
-                ("abrupt_node_delete",
-                 ("mean_broadcasts", "mean_envelope", "mean_adjustments"))):
-            if row[bucket]["count"] == 0 or base[bucket]["count"] == 0:
-                continue
-            for field in fields:
-                got, want = row[bucket][field], base[bucket][field]
-                if not close(got, want, DETERMINISTIC_TOLERANCE, absolute=0.02):
-                    cell_failures.append(
-                        f"{key}: {bucket} {field} {got:.3f} vs reference {want:.3f} "
-                        f"— deterministic cost moved (> {DETERMINISTIC_TOLERANCE:.0%})")
-        if not cell_failures:
-            abr = row["abrupt_node_delete"]
-            print(f"OK   {key}: abrupt bcast {abr['mean_broadcasts']:.2f} "
-                  f"vs envelope {abr['mean_envelope']:.2f}")
-        failures.extend(cell_failures)
-    note = skew_thin_cell_note(thin_cells)
-    if note is not None:
-        print(note)
-    return failures, matched
+def ordered(*paths):
+    return (" <= ".join(paths),
+            lambda r: all(get(r, a) <= get(r, b) for a, b in zip(paths, paths[1:])))
 
 
-def check_snapshot(candidate, reference, tolerance, deterministic_only):
-    failures = []
-    ref = {r["n"]: r for r in reference["results"]}
-    matched = 0
-    for row in candidate["results"]:
-        key = row["n"]
-        base = ref.get(key)
-        if base is None:
-            print(f"SKIP n={key}: no reference cell")
-            continue
-        matched += 1
-        cell_failures = []
-        got, want = row["engine_warm_s"], base["engine_warm_s"]
-        if not deterministic_only and got > want * (1.0 + tolerance):
-            cell_failures.append(
-                f"n={key}: warm engine-ready time regression {got:.6f}s vs "
-                f"reference {want:.6f}s (> {tolerance:.0%} slower)")
-        got, want = row["warm_speedup"], base["warm_speedup"]
-        if got < want * (1.0 - tolerance):
-            cell_failures.append(
-                f"n={key}: warm-vs-cold speedup collapsed to {got:.2f}x vs "
-                f"reference {want:.2f}x (> {tolerance:.0%} drop; the ratio is "
-                f"same-process interleaved, so this is not machine drift)")
-        # Borrowed columns: the open-to-first-query ratio is same-process
-        # interleaved with the materialized load, so like warm_speedup it is
-        # gated even under --deterministic-only. The >= 10x floor at n >= 1e6
-        # is the acceptance bar for the zero-copy path — intrinsic, no
-        # reference needed.
-        if "borrow_speedup" in row:
-            got = row["borrow_speedup"]
-            if key >= 1_000_000 and got < BORROW_SPEEDUP_FLOOR:
-                cell_failures.append(
-                    f"n={key}: borrowed open-to-first-query is only {got:.1f}x "
-                    f"faster than the materialized load (floor: "
-                    f"{BORROW_SPEEDUP_FLOOR}x) — the zero-copy open degraded "
-                    f"to a copy")
-            want = base.get("borrow_speedup")
-            if want is not None and got < want * (1.0 - tolerance):
-                cell_failures.append(
-                    f"n={key}: borrow speedup collapsed to {got:.1f}x vs "
-                    f"reference {want:.1f}x (> {tolerance:.0%} drop; "
-                    f"same-process interleaved ratio)")
-            if not deterministic_only and "borrow_open_s" in base:
-                got, want = row["borrow_open_s"], base["borrow_open_s"]
-                if got > want * (1.0 + tolerance) + 1e-4:
-                    cell_failures.append(
-                        f"n={key}: borrowed open regression {got:.6f}s vs "
-                        f"reference {want:.6f}s (> {tolerance:.0%} slower)")
-        if not cell_failures:
-            print(f"OK   n={key}: warm {row['engine_warm_s']:.6f}s, "
-                  f"{row['warm_speedup']:.2f}x vs cold "
-                  f"(reference {base['engine_warm_s']:.6f}s, "
-                  f"{base['warm_speedup']:.2f}x)")
-        failures.extend(cell_failures)
-    return failures, matched
+# The per-op cost summaries and change-type buckets of the distributed
+# benches (bench_distributed_cost, bench_skew).
+COST_FIELDS = {f"{m}.{s}": 0 for m in METRICS for s in ("mean",) + SUMMARY}
+COST_RULES = tuple(ordered(*(f"{m}.{s}" for s in SUMMARY)) for m in METRICS) + (
+    ("bucket fields finite and >= 0",
+     lambda r: all(number(v) and v >= 0 for b in BUCKETS for v in r[b].values())),)
+BORROWED_FIELDS = {"query_ops_per_sec": 0, "churn_ops_per_sec": 0,
+                   "resident_bytes": 0, "mapped_bytes": 1, "vm_data_bytes": 0}
+REPLICATION_COUNTS = ("wal_bytes", "shipped_bytes", "shipments", "applied_ops",
+                      "promoted_lsn", "mean_lag_ops", "max_lag_ops")
 
 
-def check_recovery(candidate, reference, tolerance, deterministic_only):
-    failures = []
-    ref = {(r["interval"], r["ops"]): r for r in reference["results"]}
-    batch = candidate.get("config", {}).get("batch", 1)
-    matched = 0
-    rows = candidate["results"]
-    # Intrinsic: a checkpoint fires at the first batch boundary at or past
-    # the interval, so the replay tail can never reach interval + batch.
-    for row in rows:
-        if row["interval"] > 0 and row["tail_ops"] >= row["interval"] + batch:
-            failures.append(
-                f"interval={row['interval']}: tail_ops {row['tail_ops']} breaks "
-                f"the interval + batch ({batch}) bound — checkpoint cadence broke")
-    # Intrinsic: more tail must cost more replay — the reason checkpoints
-    # exist. Compared at >= 10x tail separation so wall clock cannot flip it.
-    if not deterministic_only and len(rows) >= 2:
-        lo = min(rows, key=lambda r: r["tail_ops"])
-        hi = max(rows, key=lambda r: r["tail_ops"])
-        if hi["tail_ops"] >= 10 * max(lo["tail_ops"], 1) and \
-                hi["replay_s"] <= lo["replay_s"]:
-            failures.append(
-                f"replay_s did not grow with the tail: {hi['tail_ops']} ops "
-                f"replayed in {hi['replay_s']:.6f}s vs {lo['tail_ops']} ops in "
-                f"{lo['replay_s']:.6f}s — checkpoints no longer bound recovery")
-    for row in rows:
-        key = (row["interval"], row["ops"])
-        base = ref.get(key)
-        if base is None:
-            print(f"SKIP interval={row['interval']}: no reference cell at "
-                  f"ops={row['ops']} (intrinsics checked)")
-            continue
-        matched += 1
-        cell_failures = []
-        for field in ("wal_bytes", "checkpoint_bytes", "checkpoints",
-                      "payload_bytes", "tail_ops", "wal_amplification"):
-            got, want = row[field], base[field]
-            if not close(got, want, DETERMINISTIC_TOLERANCE):
-                cell_failures.append(
-                    f"interval={row['interval']}: {field} {got} vs reference {want} — "
-                    f"deterministic quantity moved (> {DETERMINISTIC_TOLERANCE:.0%})")
-        if not deterministic_only:
-            got, want = row["rto_s"], base["rto_s"]
-            if got > want * (1.0 + tolerance) + 1e-3:
-                cell_failures.append(
-                    f"interval={row['interval']}: RTO regression {got:.6f}s vs reference "
-                    f"{want:.6f}s (> {tolerance:.0%} slower)")
-            got, want = row["ingest_ops_per_sec"], base["ingest_ops_per_sec"]
-            if got < want * (1.0 - tolerance):
-                cell_failures.append(
-                    f"interval={row['interval']}: ingest regression {got:.0f} ops/s vs "
-                    f"reference {want:.0f} (> {tolerance:.0%} drop)")
-        if not cell_failures:
-            print(f"OK   interval={row['interval']}: tail {row['tail_ops']} ops, "
-                  f"rto {row['rto_s']:.6f}s "
-                  f"(reference {base['rto_s']:.6f}s)")
-        failures.extend(cell_failures)
-    return failures, matched
+def replay_grows(rows, deterministic_only):
+    """More tail must cost more replay: the reason checkpoints exist.
+    Compared at >= 10x tail separation so wall clock cannot flip it."""
+    if deterministic_only or len(rows) < 2:
+        return []
+    lo = min(rows, key=lambda r: r["tail_ops"])
+    hi = max(rows, key=lambda r: r["tail_ops"])
+    if hi["tail_ops"] >= 10 * max(lo["tail_ops"], 1) and hi["replay_s"] <= lo["replay_s"]:
+        return [f"replay_s did not grow with the tail: {hi['tail_ops']} ops replayed in "
+                f"{hi['replay_s']:.6f}s vs {lo['tail_ops']} ops in {lo['replay_s']:.6f}s "
+                f"— checkpoints no longer bound recovery"]
+    return []
 
 
-def check_replication(candidate, reference, tolerance, deterministic_only):
-    failures = []
-    ref = {(r["policy"], r["ops"]): r for r in reference["results"]}
-    matched = 0
-    # Intrinsic: synchronous policies ship through the durable cursor, which
-    # covers every applied op the moment the batch's fsync lands — lag is a
-    # contract there, not a tuning outcome. No reference needed.
-    for row in candidate["results"]:
-        if row["policy"] in ("everyop", "everybatch") and row["max_lag_ops"] != 0:
-            failures.append(
-                f"policy={row['policy']}: max_lag_ops {row['max_lag_ops']} != 0 "
-                f"— the durable-cursor contract broke for a synchronous policy")
-    for row in candidate["results"]:
-        key = (row["policy"], row["ops"])
-        base = ref.get(key)
-        if base is None:
-            print(f"SKIP policy={row['policy']}: no reference cell at "
-                  f"ops={row['ops']} (intrinsics checked)")
-            continue
-        matched += 1
-        cell_failures = []
-        for field in ("wal_bytes", "shipped_bytes", "shipments", "applied_ops",
-                      "promoted_lsn", "mean_lag_ops", "max_lag_ops"):
-            got, want = row[field], base[field]
-            if not close(got, want, DETERMINISTIC_TOLERANCE):
-                cell_failures.append(
-                    f"policy={row['policy']}: {field} {got} vs reference {want} — "
-                    f"deterministic quantity moved (> {DETERMINISTIC_TOLERANCE:.0%})")
-        if not deterministic_only:
-            got, want = row["failover_rto_s"], base["failover_rto_s"]
-            if got > want * (1.0 + tolerance) + 1e-3:
-                cell_failures.append(
-                    f"policy={row['policy']}: failover RTO regression {got:.6f}s "
-                    f"vs reference {want:.6f}s (> {tolerance:.0%} slower)")
-            got, want = row["catchup_s"], base["catchup_s"]
-            if got > want * (1.0 + tolerance) + 1e-3:
-                cell_failures.append(
-                    f"policy={row['policy']}: catch-up regression {got:.6f}s vs "
-                    f"reference {want:.6f}s (> {tolerance:.0%} slower)")
-            got, want = row["ingest_ops_per_sec"], base["ingest_ops_per_sec"]
-            if got < want * (1.0 - tolerance):
-                cell_failures.append(
-                    f"policy={row['policy']}: ingest regression {got:.0f} ops/s "
-                    f"vs reference {want:.0f} (> {tolerance:.0%} drop)")
-        if not cell_failures:
-            print(f"OK   policy={row['policy']}: lag mean {row['mean_lag_ops']:.1f} "
-                  f"max {row['max_lag_ops']}, rto {row['failover_rto_s']:.6f}s "
-                  f"(reference {base['failover_rto_s']:.6f}s)")
-        failures.extend(cell_failures)
-    return failures, matched
-
-
-def check_oom(candidate, reference, tolerance, deterministic_only):
-    failures = []
-    ref = {r["mode"]: r for r in reference["results"]}
-    config = candidate.get("config", {})
-    matched = 0
-    # Intrinsics — the beyond-RAM claim itself, no reference needed: under a
-    # heap cap smaller than the graph, the materialized load must fail and
-    # the borrowed path must serve.
-    if config.get("slack_bytes", 0) >= config.get("snapshot_bytes", 1):
-        failures.append(
-            f"oom: heap slack {config.get('slack_bytes')} is not below the "
-            f"snapshot {config.get('snapshot_bytes')} — the cap proves nothing")
-    for row in candidate["results"]:
-        if row["mode"] == "materialized" and row["loaded"]:
-            failures.append(
-                "oom: the materialized load SUCCEEDED under the heap cap — "
-                "either the cap did not bind or load() stopped copying "
-                "(which would make this bench vacuous)")
-        if row["mode"] == "borrowed":
-            if not row["loaded"]:
-                failures.append(
-                    "oom: the borrowed path failed under the heap cap — "
-                    "beyond-RAM operation is broken")
-            if row.get("vm_data_bytes", 0) > config.get("cap_bytes", float("inf")):
-                failures.append(
-                    f"oom: borrowed heap {row['vm_data_bytes']} exceeds the cap "
-                    f"{config['cap_bytes']} — the overlay is not O(touched set)")
-        base = ref.get(row["mode"])
-        if base is None:
-            print(f"SKIP mode={row['mode']}: no reference cell (intrinsics checked)")
-            continue
-        matched += 1
-        if row["mode"] == "borrowed" and not deterministic_only:
-            for field, slower in (("churn_ops_per_sec", False),
-                                  ("query_ops_per_sec", False),
-                                  ("open_s", True)):
-                got, want = row[field], base[field]
-                bad = got > want * (1.0 + tolerance) + 1e-4 if slower \
-                    else got < want * (1.0 - tolerance)
-                if bad:
-                    failures.append(
-                        f"oom: borrowed {field} {got:.6g} vs reference "
-                        f"{want:.6g} (> {tolerance:.0%} worse under the cap)")
-    if not failures:
-        for row in candidate["results"]:
-            print(f"OK   mode={row['mode']}: loaded={row['loaded']}")
-    return failures, matched
-
-
-CHECKERS = {
-    "update_latency": check_update_latency,
-    "distributed_cost": check_distributed_cost,
-    "skew": check_skew,
-    "snapshot": check_snapshot,
-    "recovery": check_recovery,
-    "replication": check_replication,
-    "oom": check_oom,
+SPECS = {
+    # Throughput is the sum of individually timed op latencies.
+    "update_latency": dict(
+        key=("workload", "n"),
+        fields={"workload": ("insert", "delete", "churn"), "n": 2, "ops": 1,
+                "seconds": 0, "updates_per_sec": 1, "ns_p50": 0, "ns_p95": 0,
+                "ns_p99": 0, "ns_max": 0, "adjustments_per_update": 0},
+        rules=(ordered("ns_p50", "ns_p95", "ns_p99", "ns_max"),),
+        exact=("adjustments_per_update",),
+        fold={"updates_per_sec": max},
+        deterministic=("adjustments_per_update",),
+        wall=(("updates_per_sec", max, 0),),
+        inject={"updates_per_sec": halve},
+        inject_det={"adjustments_per_update": double},
+    ),
+    "distributed_cost": dict(
+        key=("workload", "n"),
+        fields={"ops": 1, **COST_FIELDS},
+        rules=COST_RULES + (("graceful.count > 0", lambda r: r["graceful"]["count"] > 0),),
+        deterministic=("graceful.mean_broadcasts", "graceful.mean_adjustments",
+                       "graceful.mean_rounds"),
+        slack=0.02,
+        envelope=1,
+        inject={"graceful.mean_broadcasts": double},
+    ),
+    # Heavy-tailed graphs under hub-targeting churn: the regime where
+    # min{log n, d} binds. Counts are deterministic only for a fixed trace,
+    # so the cell key includes ops.
+    "skew": dict(
+        key=("graph", "policy", "n", "ops"),
+        fields={"graph": ("ba", "chung-lu", "planted", "uniform"),
+                "policy": ("hub-kill", "burst-mute", "flash-crowd", "churn"),
+                "n": 2, "ops": 1, "verified": "true", **COST_FIELDS,
+                **{f"degree_tail.{k}": 0 for k in
+                   ("p50", "p90", "p99", "max", "spilled_fraction", "tail_exponent")}},
+        rules=COST_RULES + (
+            ("bucket counts sum to ops",
+             lambda r: sum(r[b]["count"] for b in BUCKETS) == r["ops"]),
+            ordered("degree_tail.p50", "degree_tail.p90", "degree_tail.p99",
+                    "degree_tail.max"),
+            ("spilled_fraction <= 1", lambda r: r["degree_tail"]["spilled_fraction"] <= 1)),
+        deterministic=("graceful.mean_broadcasts", "graceful.mean_adjustments",
+                       "graceful.mean_rounds", "node_insert.mean_broadcasts",
+                       "node_insert.mean_adjustments", "abrupt_node_delete.mean_broadcasts",
+                       "abrupt_node_delete.mean_envelope",
+                       "abrupt_node_delete.mean_adjustments"),
+        slack=0.02,
+        envelope=100,
+        inject={"abrupt_node_delete.mean_broadcasts": lambda x: 2 * x + 1},
+    ),
+    # Warm start (persisted keys + membership, zero recompute) and borrowed
+    # open (zero-copy mapping) against the materialized paths.
+    "snapshot": dict(
+        key=("n",),
+        fields={"n": 2, "edges": 1, "snapshot_bytes": 1, "trace_bytes": 1, "open_s": 0,
+                **dict.fromkeys(("rebuild_s", "rebuild_tuned_s", "save_s", "load_s",
+                                 "speedup_vs_rebuild", "engine_cold_s", "engine_warm_s",
+                                 "warm_speedup", "borrow_open_s", "borrow_first_op_s",
+                                 "borrow_speedup"), ">0")},
+        rules=(("borrow_open_s < load_s (the zero-copy path lost to the copy)",
+                lambda r: r["borrow_open_s"] < r["load_s"]),),
+        exact=("edges", "snapshot_bytes", "trace_bytes"),
+        fold={"engine_cold_s": min, "engine_warm_s": min, "load_s": min,
+              "borrow_open_s": min},
+        ratios={"warm_speedup": ("engine_cold_s", "engine_warm_s"),
+                "borrow_speedup": ("load_s", "borrow_open_s")},
+        wall=(("engine_warm_s", min, 0), ("borrow_open_s", min, 1e-4)),
+        bands=("warm_speedup", "borrow_speedup"),
+        intrinsic=((f"borrowed open-to-first-query under {BORROW_SPEEDUP_FLOOR}x the "
+                    f"materialized load at n >= 1e6 — the zero-copy open degraded to a copy",
+                    lambda r, doc: r["n"] < 1_000_000
+                    or r["borrow_speedup"] >= BORROW_SPEEDUP_FLOOR),),
+        inject={"engine_warm_s": double, "warm_speedup": halve,
+                "borrow_open_s": double, "borrow_speedup": halve},
+    ),
+    # One cell per checkpoint interval. Bytes and op counts are deterministic
+    # only for a fixed workload length, so the cell key includes ops.
+    "recovery": dict(
+        key=("interval", "ops"),
+        fields={"interval": 0, "n": 2, "ops": 1, "ingest_s": ">0", "ingest_ops_per_sec": 1,
+                "wal_bytes": 1, "checkpoint_bytes": 0, "checkpoints": 0,
+                "payload_bytes": 1, "wal_amplification": 1, "tail_ops": 0, "rto_s": ">0",
+                "open_s": 0, "load_s": 0, "warm_s": 0, "replay_s": 0, "borrowed": "bool"},
+        rules=(("tail_ops <= ops", lambda r: r["tail_ops"] <= r["ops"]),
+               ("open_s + load_s + warm_s + replay_s <= rto_s",
+                lambda r: r["open_s"] + r["load_s"] + r["warm_s"] + r["replay_s"]
+                <= r["rto_s"])),
+        exact=("wal_bytes", "checkpoint_bytes", "checkpoints", "payload_bytes", "tail_ops"),
+        fold={"rto_s": min, "ingest_ops_per_sec": max},
+        carry={"rto_s": ("open_s", "load_s", "warm_s", "replay_s")},
+        deterministic=("wal_bytes", "checkpoint_bytes", "checkpoints", "payload_bytes",
+                       "tail_ops", "wal_amplification"),
+        wall=(("rto_s", min, 1e-3), ("ingest_ops_per_sec", max, 0)),
+        # A checkpoint fires at the first batch boundary at or past the
+        # interval, so the replay tail never reaches interval + batch.
+        intrinsic=(("tail_ops breaks the interval + batch bound — checkpoint cadence broke",
+                    lambda r, doc: r["interval"] <= 0 or r["tail_ops"]
+                    < r["interval"] + doc.get("config", {}).get("batch", 1)),),
+        run_check=replay_grows,
+        inject={"rto_s": double},
+        inject_det={"wal_amplification": double},
+    ),
+    # One cell per fsync policy. Wire and lag fields are deterministic over
+    # the loss-free in-process transport; a cell that exists has passed the
+    # bench's own failover differential (promoted follower == reference).
+    "replication": dict(
+        key=("policy", "ops"),
+        fields={"policy": ("everyop", "everybatch", "interval"), "n": 2, "ops": 1,
+                "ingest_s": ">0", "ingest_ops_per_sec": 1, "wal_bytes": 1,
+                "shipped_bytes": 1, "shipments": 1, "applied_ops": 1, "mean_lag_ops": 0,
+                "max_lag_ops": 0, "catchup_s": 0, "failover_rto_s": ">0"},
+        rules=(("shipped_bytes >= wal_bytes", lambda r: r["shipped_bytes"] >= r["wal_bytes"]),
+               ("applied_ops == ops", lambda r: r["applied_ops"] == r["ops"]),
+               ("promoted_lsn == ops", lambda r: r["promoted_lsn"] == r["ops"]),
+               ("mean_lag_ops <= max_lag_ops",
+                lambda r: r["mean_lag_ops"] <= r["max_lag_ops"])),
+        exact=REPLICATION_COUNTS,
+        fold={"ingest_ops_per_sec": max, "catchup_s": min, "failover_rto_s": min},
+        deterministic=REPLICATION_COUNTS,
+        wall=(("failover_rto_s", min, 1e-3), ("catchup_s", min, 1e-3),
+              ("ingest_ops_per_sec", max, 0)),
+        intrinsic=(("nonzero lag under a synchronous policy — the durable-cursor "
+                    "contract broke",
+                    lambda r, doc: r["policy"] not in ("everyop", "everybatch")
+                    or r["max_lag_ops"] == 0),),
+        inject={"failover_rto_s": double},
+        inject_det={"shipped_bytes": double},
+    ),
+    # Beyond-RAM serving: under a heap cap smaller than the snapshot the
+    # materialized load must fail and the borrowed path must serve.
+    "oom": dict(
+        key=("mode",),
+        fields={"loaded": "bool", "open_s": 0},
+        rules=(("borrowed row fields", lambda r: r["mode"] != "borrowed"
+                or field_error(r, BORROWED_FIELDS) is None),
+               ("resident_bytes <= mapped_bytes", lambda r: r["mode"] != "borrowed"
+                or r["resident_bytes"] <= r["mapped_bytes"])),
+        doc_fields={f"config.{k}": 1 for k in
+                    ("slack_bytes", "cap_bytes", "snapshot_bytes", "edges")},
+        doc_rules=(("heap slack below the snapshot (else the cap proves nothing)",
+                    lambda d: d["config"]["slack_bytes"] < d["config"]["snapshot_bytes"]),
+                   ("one materialized and one borrowed row",
+                    lambda d: {r["mode"] for r in d["results"]}
+                    == {"materialized", "borrowed"})),
+        wall=(("churn_ops_per_sec", max, 0), ("query_ops_per_sec", max, 0),
+              ("open_s", min, 1e-4)),
+        wall_when=lambda r: r["mode"] == "borrowed",
+        intrinsic=(("the materialized load SUCCEEDED under the heap cap — the cap did "
+                    "not bind or load() stopped copying",
+                    lambda r, doc: r["mode"] != "materialized" or not r["loaded"]),
+                   ("the borrowed path failed under the heap cap",
+                    lambda r, doc: r["mode"] != "borrowed" or r["loaded"]),
+                   ("borrowed heap exceeds the cap — the overlay is not O(touched set)",
+                    lambda r, doc: r["mode"] != "borrowed"
+                    or r["vm_data_bytes"] <= doc["config"]["cap_bytes"])),
+        # Flips the materialized row; a gated borrowed row is already loaded.
+        inject={"loaded": lambda x: True},
+    ),
+    # Theorem 7: per-change costs of the distributed protocol.
+    "theorem7": dict(
+        key=("table", "change", "n", "d", "trials"),
+        fields={"table": ("per_change_type", "abrupt_delete_vs_degree", "insert_vs_degree"),
+                "n": 2, "d": 0, "trials": 1, "adjustments": 0, "rounds": 0,
+                "broadcasts": 0, "bits": 0},
+        deterministic=("adjustments", "rounds", "broadcasts", "bits"),
+        inject={"broadcasts": double},
+    ),
+    # Corollary 6: rounds and adjustments per change, sync vs async.
+    "corollary6": dict(
+        key=("model", "n", "trials"),
+        fields={"model": ("sync", "async"), "n": 2, "trials": 1, "rounds": 0,
+                "adjustments": 0},
+        deterministic=("rounds", "adjustments"),
+        inject={"rounds": double},
+    ),
 }
 
 
-def run_gate(candidate, reference, tolerance, deterministic_only=False):
-    kind = candidate.get("bench")
-    if kind != reference.get("bench"):
-        print(f"FAIL: candidate is '{kind}' but reference is "
-              f"'{reference.get('bench')}'")
-        return 1
-    checker = CHECKERS.get(kind)
-    if checker is None:
-        print(f"FAIL: no regression checker for bench kind '{kind}' "
-              f"(known: {sorted(CHECKERS)})")
-        return 1
-    failures, matched = checker(candidate, reference, tolerance, deterministic_only)
+def field_error(obj, fields):
+    """The first field of `obj` that breaks its bound, or None."""
+    for path, want in fields.items():
+        try:
+            value = get(obj, path)
+        except (KeyError, TypeError):
+            return f"missing field '{path}'"
+        if want == "any":
+            continue
+        if want == "bool":
+            bad = not isinstance(value, bool)
+        elif want == "true":
+            bad = value is not True
+        elif isinstance(want, tuple):
+            bad = value not in want
+        else:
+            bad = not number(value) or (value <= 0 if want == ">0" else value < want)
+        if bad:
+            return f"bad '{path}': {value!r}"
+    return None
+
+
+def rule_error(obj, rules):
+    for what, ok in rules:
+        try:
+            if not ok(obj):
+                return f"violates {what}"
+        except (AttributeError, KeyError, TypeError):
+            return f"cannot check {what}"
+    return None
+
+
+def shape_error(spec, doc):
+    """Why `doc` is not a well-formed bench document of this kind, or None."""
+    rows = doc.get("results")
+    if not isinstance(rows, list) or not rows:
+        return "no result rows"
+    error = field_error(doc, spec.get("doc_fields", {})) or \
+        rule_error(doc, spec.get("doc_rules", ()))
+    if error:
+        return error
+    fields = {**dict.fromkeys(spec["key"] + spec.get("deterministic", ()), "any"),
+              **spec.get("fields", {})}
+    for i, row in enumerate(rows):
+        error = "not an object" if not isinstance(row, dict) else \
+            field_error(row, fields) or rule_error(row, spec.get("rules", ()))
+        if error:
+            return f"row {i}: {error}"
+    return None
+
+
+def cell_key(spec, row):
+    return tuple(get(row, k) for k in spec["key"])
+
+
+def describe(spec, key):
+    return " ".join(f"{k}={v}" for k, v in zip(spec["key"], key))
+
+
+def fold(spec, runs):
+    """Fold candidate runs into one document; returns (merged, failures)."""
+    merged = copy.deepcopy(runs[0])
+    if "fold" not in spec:
+        if len(runs) > 1:
+            print(f"note: using first of {len(runs)} candidate runs "
+                  f"(this kind has no best-of-N fold)")
+        return merged, []
+    cells = {cell_key(spec, r): r for r in merged["results"]}
+    failures = []
+    for run in runs[1:]:
+        for row in run["results"]:
+            key = cell_key(spec, row)
+            cell = cells.get(key)
+            if cell is None:
+                continue
+            failures += [f"{describe(spec, key)}: {f} differs between candidate runs "
+                         f"({row[f]} vs {cell[f]}) — nondeterminism"
+                         for f in spec.get("exact", ()) if row[f] != cell[f]]
+            for f, best in spec["fold"].items():
+                if best(row[f], cell[f]) != cell[f]:
+                    for g in (f,) + spec.get("carry", {}).get(f, ()):
+                        cell[g] = row[g]
+    for row in merged["results"]:
+        for ratio, (num, den) in spec.get("ratios", {}).items():
+            row[ratio] = row[num] / row[den]
+    return merged, failures
+
+
+def thin_note(thin, bar):
+    """The one summary line per run for cells under the envelope sample bar,
+    or None: a flash-crowd sweep has a dozen thin cells, all in the same
+    situation, and a note per cell buried the OK/FAIL lines."""
+    if not thin:
+        return None
+    return (f"note {len(thin)} cell(s) under {bar} abrupt samples — envelope "
+            f"reference-gated, not intrinsically checked: {', '.join(thin)}")
+
+
+def worse(got, want, best, slack):
+    """True when `got` is worse than `want` by more than the wall band."""
+    if best is max:
+        return got < want * (1.0 - WALL_TOLERANCE)
+    return got > want * (1.0 + WALL_TOLERANCE) + slack
+
+
+def gate(spec, candidate, reference, deterministic_only):
+    """Failure lines for `candidate` against `reference` (prints OK/SKIP)."""
+    ref_cells = {cell_key(spec, r): r for r in reference["results"]}
+    failures, thin, matched = [], [], 0
+    for row in candidate["results"]:
+        key = cell_key(spec, row)
+        name = describe(spec, key)
+        found = [f"{name}: {what}" for what, ok in spec.get("intrinsic", ())
+                 if not ok(row, candidate)]
+        if "envelope" in spec:
+            abrupt = row["abrupt_node_delete"]
+            if abrupt["count"] >= spec["envelope"]:
+                if abrupt["mean_broadcasts"] > ENVELOPE_SLACK * abrupt["mean_envelope"]:
+                    found.append(f"{name}: abrupt-delete broadcasts "
+                                 f"{abrupt['mean_broadcasts']:.2f} exceed {ENVELOPE_SLACK}x "
+                                 f"the min{{log n, d}} envelope {abrupt['mean_envelope']:.2f}")
+            elif abrupt["count"] > 0:
+                thin.append(f"{name} ({abrupt['count']})")
+        base = ref_cells.get(key)
+        if base is None:
+            print(f"SKIP {name}: no reference cell (intrinsics checked)")
+            failures += found
+            continue
+        matched += 1
+        compared = []
+        wall = () if deterministic_only or not spec.get("wall_when", lambda r: True)(row) \
+            else spec.get("wall", ())
+        bands = [(f, max, 0) for f in spec.get("bands", ())]
+        for f, best, slack in list(wall) + bands:
+            got, want = row[f], base[f]
+            compared.append((f, got, want))
+            if worse(got, want, best, slack):
+                found.append(f"{name}: {f} {got:.6g} vs reference {want:.6g} "
+                             f"(> {WALL_TOLERANCE:.0%} worse)")
+        for f in spec.get("deterministic", ()):
+            bucket = f.rpartition(".")[0]
+            if bucket and not (get(row, bucket)["count"] and get(base, bucket)["count"]):
+                continue
+            got, want = get(row, f), get(base, f)
+            compared.append((f, got, want))
+            if not abs(got - want) <= DETERMINISTIC_TOLERANCE * want + spec.get("slack", 1e-3):
+                found.append(f"{name}: {f} {got:.6g} vs reference {want:.6g} — "
+                             f"deterministic quantity moved "
+                             f"(> {DETERMINISTIC_TOLERANCE:.0%})")
+        if not found:
+            detail = "".join(f": {f} {got:.6g} (reference {want:.6g})"
+                             for f, got, want in compared[:1])
+            print(f"OK   {name}{detail}")
+        failures += found
+    if thin:
+        print(thin_note(thin, spec["envelope"]))
+    if "run_check" in spec:
+        failures += spec["run_check"](candidate["results"], deterministic_only)
     if matched == 0:
-        print("FAIL: no candidate cell matched the reference — gate checked nothing")
-        return 1
-    for failure in failures:
-        print(f"FAIL {failure}")
-    return 1 if failures else 0
+        failures.append("no candidate cell matched the reference — gate checked nothing")
+    return failures
 
 
-def inject_regression(candidate, deterministic_only):
-    """A synthetic 2x regression in whatever this kind gates hardest on."""
-    regressed = copy.deepcopy(candidate)
-    kind = regressed.get("bench")
+def inject(spec, doc, deterministic_only):
+    """A copy of `doc` with a synthetic 2x regression in the spec's targets."""
+    regressed = copy.deepcopy(doc)
+    targets = spec.get("inject_det", spec["inject"]) if deterministic_only \
+        else spec["inject"]
     for row in regressed["results"]:
-        if kind == "update_latency" and deterministic_only:
-            row["adjustments_per_update"] *= 2.0
-        elif kind == "update_latency":
-            row["updates_per_sec"] /= 2.0
-        elif kind == "distributed_cost":
-            row["graceful"]["mean_broadcasts"] *= 2.0
-        elif kind == "skew":
-            # Doubling the abrupt-delete broadcasts trips both the envelope
-            # intrinsic and the deterministic reference band (hub-targeting
-            # cells sit near the envelope already).
-            row["abrupt_node_delete"]["mean_broadcasts"] = \
-                row["abrupt_node_delete"]["mean_broadcasts"] * 2.0 + 1.0
-        elif kind == "snapshot":
-            # A 2x-slower warm start halves the interleaved speedup too, so
-            # the injection trips the ratio band even under
-            # --deterministic-only. The borrowed ratio is injected the same
-            # way so the zero-copy gate is exercised alongside.
-            row["engine_warm_s"] *= 2.0
-            row["warm_speedup"] /= 2.0
-            if "borrow_speedup" in row:
-                row["borrow_open_s"] *= 2.0
-                row["borrow_speedup"] /= 2.0
-        elif kind == "oom":
-            # The gate's core claim is the loaded/failed split — flip it.
-            if row["mode"] == "materialized":
-                row["loaded"] = True
-        elif kind == "recovery" and deterministic_only:
-            row["wal_amplification"] *= 2.0
-        elif kind == "recovery":
-            row["rto_s"] *= 2.0
-        elif kind == "replication" and deterministic_only:
-            row["shipped_bytes"] *= 2
-        elif kind == "replication":
-            row["failover_rto_s"] *= 2.0
+        for path, change in targets.items():
+            parent, _, leaf = path.rpartition(".")
+            obj = get(row, parent) if parent else row
+            obj[leaf] = change(obj[leaf])
     return regressed
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("candidates", nargs="+",
-                        help="fresh bench JSON(s); several runs of the same "
-                             "bench are folded per-cell (best throughput)")
-    parser.add_argument("--ref", required=True,
-                        help="committed BENCH_*.json baseline")
-    parser.add_argument("--tolerance", type=float, default=THROUGHPUT_TOLERANCE,
-                        help="allowed fractional throughput drop (default %(default)s)")
-    parser.add_argument("--deterministic-only", action="store_true",
-                        help="skip the absolute-throughput band (for runs on a "
-                             "machine class the reference does not represent, "
-                             "e.g. the scalar-FlatSet CI leg)")
-    parser.add_argument("--self-test", action="store_true",
-                        help="also verify the gate catches an injected 2x regression")
-    args = parser.parse_args()
-
-    loaded = []
-    for path in args.candidates:
-        with open(path) as f:
-            loaded.append(json.load(f))
-    candidate = merge_best(loaded)
-    with open(args.ref) as f:
-        reference = json.load(f)
-
-    status = run_gate(candidate, reference, args.tolerance,
-                      args.deterministic_only)
-    if status != 0:
-        return status
-
-    if args.self_test:
-        # The skew thin-cell note must be one line per RUN, not one per
-        # cell — assert the seam directly so a regression back to per-cell
-        # printing (or a silent swallow) fails the self-test.
-        print("--- self-test: skew thin-cell note prints once per run ---")
-        if skew_thin_cell_note([]) is not None:
-            print("FAIL: thin-cell note emitted for an empty run")
+def run(args):
+    docs = []
+    for path in args.candidates + [args.ref]:
+        try:
+            with open(path) as f:
+                docs.append(json.load(f))
+        except (OSError, ValueError) as e:
+            print(f"FAIL {path}: {e}")
             return 1
-        note = skew_thin_cell_note([(("ba", "hub_kill", 1000, 5000), 12),
-                                    (("ba", "flash", 1000, 5000), 3)])
-        if note is None or note.count("note") != 1 or "2 cell(s)" not in note:
-            print(f"FAIL: thin-cell note is not a single summary line: {note!r}")
+    kinds = [doc.get("bench") if isinstance(doc, dict) else None for doc in docs]
+    spec = SPECS.get(kinds[-1])
+    if spec is None:
+        print(f"FAIL {args.ref}: no gate for bench kind {kinds[-1]!r} (known: {sorted(SPECS)})")
+        return 1
+    for path, doc, kind in zip(args.candidates + [args.ref], docs, kinds):
+        error = f"bench kind {kind!r}, reference is {kinds[-1]!r}" if kind != kinds[-1] \
+            else shape_error(spec, doc)
+        if error:
+            print(f"FAIL {path}: {error}")
             return 1
-        print(f"self-test OK: {note}")
-        # Gate the injected copy against the *candidate*, not the committed
-        # reference: same-machine numbers, so a 2x injection trips the band
-        # by construction on any hardware.
-        print("--- self-test: injecting a synthetic 2x regression ---")
-        regressed = inject_regression(candidate, args.deterministic_only)
-        if run_gate(regressed, candidate, args.tolerance,
-                    args.deterministic_only) == 0:
-            print("FAIL: gate did not catch the injected 2x regression")
-            return 1
-        print("self-test OK: injected regression was caught")
+        print(f"OK   {path}: {len(doc['results'])} {kind} rows well-formed")
+
+    candidate, failures = fold(spec, docs[:-1])
+    failures = failures or gate(spec, candidate, docs[-1], args.deterministic_only)
+    for failure in failures:
+        print(f"FAIL {failure}")
+    if failures or not args.self_test:
+        return 1 if failures else 0
+
+    # A regression back to a note per cell, or a swallowed note, fails here.
+    print("--- self-test: thin-cell note prints once per run ---")
+    if thin_note([], 100) is not None:
+        print("FAIL: thin-cell note emitted for an empty run")
+        return 1
+    note = thin_note(["a (12)", "b (3)"], 100)
+    if note is None or note.count("note") != 1 or "2 cell(s)" not in note:
+        print(f"FAIL: thin-cell note is not a single summary line: {note!r}")
+        return 1
+    print(f"self-test OK: {note}")
+
+    # Gate the injected copy against the candidate, not the committed
+    # reference: same-machine numbers, so a 2x injection trips the band by
+    # construction on any hardware.
+    print("--- self-test: injecting a synthetic 2x regression ---")
+    caught = gate(spec, inject(spec, candidate, args.deterministic_only), candidate,
+                  args.deterministic_only)
+    for failure in caught:
+        print(f"caught {failure}")
+    if not caught:
+        print("FAIL: gate did not catch the injected 2x regression")
+        return 1
+    print("self-test OK: injected regression was caught")
     return 0
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("candidates", nargs="+",
+                        help="fresh bench JSON(s); several runs of one bench are "
+                             "folded per cell (best wall-clock fields)")
+    parser.add_argument("--ref", required=True, help="committed BENCH_*.json baseline")
+    parser.add_argument("--deterministic-only", action="store_true",
+                        help="skip the absolute wall-clock bands (for a machine class "
+                             "the reference does not represent)")
+    parser.add_argument("--self-test", action="store_true",
+                        help="also require the gate to catch an injected 2x regression")
+    args = parser.parse_args()
+    try:
+        return run(args)
+    except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as e:
+        print(f"FAIL malformed bench data: {type(e).__name__}: {e}")
+        return 1
 
 
 if __name__ == "__main__":

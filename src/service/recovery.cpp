@@ -56,7 +56,7 @@ std::optional<core::CascadeEngine> RecoveryManager::recover(RecoveryReport* repo
   RecoveryReport& r = report != nullptr ? *report : local;
   r = RecoveryReport{};
 
-  // Phase 1 — newest checkpoint that opens and (optionally) verifies.
+  // Phase 1 — newest checkpoint that opens and verifies.
   const auto t_open = Clock::now();
   graph::Snapshot snapshot;
   {
@@ -64,11 +64,10 @@ std::optional<core::CascadeEngine> RecoveryManager::recover(RecoveryReport* repo
     for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
       std::string cp_error;
       graph::Snapshot candidate;
-      bool good = candidate.open(it->path, &cp_error, options_.force_read);
+      bool good = candidate.open(it->path, &cp_error);
       good = good && (candidate.has_engine_state() ||
                       (set_error(&cp_error, it->path + ": no engine state (v1)"), false));
-      good = good &&
-             (!options_.verify_checkpoint_checksum || candidate.verify(&cp_error));
+      good = good && candidate.verify(&cp_error);
       if (!good) {
         ++r.checkpoints_rejected;
         r.detail += "rejected checkpoint: " + cp_error + "\n";
@@ -140,7 +139,7 @@ std::optional<core::CascadeEngine> RecoveryManager::recover(RecoveryReport* repo
 
     WalSegmentReader reader;
     std::string seg_error;
-    if (!reader.open(seg.path, &seg_error, options_.force_read)) {
+    if (!reader.open(seg.path, &seg_error)) {
       // The header parsed during listing but the segment cannot be read
       // now — treat like a torn tail: keep the prefix, drop the rest.
       r.detail += "unreadable segment: " + seg_error + "\n";

@@ -61,10 +61,6 @@ struct RecoveryOptions {
   /// persisted seed + RNG state win — that is what makes future draws
   /// match the pre-crash process.
   std::uint64_t priority_seed = 42;
-  /// Verify the chosen checkpoint's payload checksum before trusting it.
-  bool verify_checkpoint_checksum = true;
-  /// Take MmapFile's owned-buffer path (tests exercise both).
-  bool force_read = false;
   /// Borrow the checkpoint graph in place (DynamicGraph::borrow over the
   /// mapped snapshot) instead of materializing heap copies. Borrowed
   /// recovery is O(header + keys/membership) before replay starts and is

@@ -220,9 +220,9 @@ bool FollowerService::try_rewarm(std::string* error) {
     if (engine_.has_value() && it->lsn <= applied_lsn_) break;
     graph::Snapshot snapshot;
     std::string cp_error;
-    bool good = snapshot.open(it->path, &cp_error, options_.force_read);
+    bool good = snapshot.open(it->path, &cp_error);
     good = good && snapshot.has_engine_state();
-    good = good && (!options_.verify_checkpoint_checksum || snapshot.verify(&cp_error));
+    good = good && snapshot.verify(&cp_error);
     if (!good) continue;  // like recovery: try the next-newest
     engine_.emplace(graph::DynamicGraph::load(snapshot), snapshot,
                     snapshot.priority_seed(), graph::SnapshotLoad::kWarm);
@@ -251,7 +251,7 @@ bool FollowerService::open_reader_at_applied(std::string* error) {
   WalSegmentReader reader;
   std::string open_error;
   // A partially shipped header fails open; that is "wait", not an error.
-  if (!reader.open(best->path, &open_error, options_.force_read)) return false;
+  if (!reader.open(best->path, &open_error)) return false;
   reader_ = std::move(reader);
   reader_open_ = true;
   reader_seq_ = best->seq;
@@ -310,7 +310,7 @@ bool FollowerService::poll(std::string* error) {
       if (successor != nullptr) {
         WalSegmentReader next_reader;
         std::string open_error;
-        if (!next_reader.open(successor->path, &open_error, options_.force_read))
+        if (!next_reader.open(successor->path, &open_error))
           return true;  // header not fully shipped yet — wait
         reader_ = std::move(next_reader);
         reader_seq_ = successor->seq;

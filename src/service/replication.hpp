@@ -134,8 +134,6 @@ struct FollowerOptions {
   /// checkpoint); a shipped checkpoint's persisted seed wins, as in
   /// recovery.
   std::uint64_t priority_seed = 42;
-  bool verify_checkpoint_checksum = true;
-  bool force_read = false;
   /// How shipment bytes are persisted; empty = util::open_appendable
   /// (append mode — a restarted follower extends partial files, never
   /// truncates them). Tests wrap this in util::FaultFile.

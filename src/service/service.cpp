@@ -12,8 +12,6 @@ std::optional<MisService> MisService::open(ServiceConfig config, std::string* er
 
   RecoveryOptions recovery_options;
   recovery_options.priority_seed = config.priority_seed;
-  recovery_options.verify_checkpoint_checksum = config.verify_checkpoint_checksum;
-  recovery_options.force_read = config.force_read;
   recovery_options.borrow = config.borrow;
   RecoveryManager manager(config.dir, recovery_options);
   RecoveryReport report;

@@ -47,8 +47,6 @@ struct ServiceConfig {
   std::uint64_t segment_bytes = 64ULL << 20;
   /// Checkpoint every this many ops; 0 = only explicit checkpoint() calls.
   std::uint64_t checkpoint_interval_ops = 0;
-  bool verify_checkpoint_checksum = true;
-  bool force_read = false;
   /// Open the recovery checkpoint borrowed (graph reads the mapping in
   /// place — O(header + keys) restart, resident set stays small); false
   /// forces the classic materialized load. See RecoveryOptions::borrow.

@@ -241,11 +241,10 @@ bool WalWriter::close(std::string* error) {
 
 // --- WalSegmentReader ------------------------------------------------------
 
-bool WalSegmentReader::open(const std::string& path, std::string* error,
-                            bool force_read) {
+bool WalSegmentReader::open(const std::string& path, std::string* error) {
   done_ = false;
   tail_detail_.clear();
-  if (!file_.open(path, error, force_read)) return false;
+  if (!file_.open(path, error)) return false;
   path_ = path;
   const auto fail = [&](const std::string& message) {
     set_error(error, path + ": " + message);
@@ -262,7 +261,6 @@ bool WalSegmentReader::open(const std::string& path, std::string* error,
   if (header_.segment_seq == 0) return fail("segment seq 0 (seqs are 1-based)");
   pos_ = sizeof(WalSegmentHeader);
   expected_lsn_ = header_.base_lsn;
-  force_read_ = force_read;
   return true;
 }
 
@@ -279,7 +277,7 @@ bool WalSegmentReader::refresh(std::string* error) {
   // Map the grown file fresh; pos_/expected_lsn_ carry over, so the next
   // next() revalidates exactly the bytes the previous scan stopped on.
   util::MmapFile grown;
-  if (!grown.open(path_, error, force_read_)) return false;
+  if (!grown.open(path_, error)) return false;
   file_ = std::move(grown);
   done_ = false;
   done_state_ = Next::kEnd;

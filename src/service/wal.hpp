@@ -214,7 +214,7 @@ struct WalRecordView {
 class WalSegmentReader {
  public:
   /// Map the segment and validate its header.
-  bool open(const std::string& path, std::string* error, bool force_read = false);
+  bool open(const std::string& path, std::string* error);
 
   [[nodiscard]] const WalSegmentHeader& header() const noexcept { return header_; }
 
@@ -256,7 +256,6 @@ class WalSegmentReader {
   std::uint64_t pos_ = 0;
   std::uint64_t expected_lsn_ = 0;
   bool done_ = false;
-  bool force_read_ = false;
   Next done_state_ = Next::kEnd;
   std::string tail_detail_;
 };
