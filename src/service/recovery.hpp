@@ -1,45 +1,40 @@
-// RecoveryManager — rebuild a CascadeEngine from a service directory after
-// a crash: newest valid checkpoint, warm start, WAL tail replay.
+// LogReplayer — the one replay path. Recovery (RecoveryManager, below)
+// and the log-shipping follower (service/replication.hpp) both rebuild a
+// CascadeEngine from a directory the same way, and the result is
+// *differentially identical* to the leader's engine at the same lsn: same
+// graph, membership and priority keys, and — because the v2 snapshot
+// persists the priority RNG state and warm start draws nothing — the same
+// draw stream for every future add-node. A recovered replica or promoted
+// follower behaves bit-for-bit like a process that never crashed
+// (tests/test_kill9_recovery.cpp, tests/test_replication.cpp).
 //
-// The recovered engine is *differentially identical* to the pre-crash one
-// at the recovered lsn: same graph, same membership, same priority keys,
-// and — because the v2 snapshot persists the priority RNG state and warm
-// start does not consume draws — the same draw stream for every future
-// add-node. A recovered replica therefore behaves bit-for-bit like a
-// process that never crashed, which is what lets it re-enter a protocol
-// round without resynchronization (tests/test_kill9_recovery.cpp proves
-// this against a never-crashed reference).
+// Checkpoint ladder (warm): checkpoints past the applied lsn, newest
+// first; the first that opens, has engine state (v2+) and passes the
+// payload checksum wins, each reject is logged. It is borrowed (graph
+// reads the mapping in place) or loaded, then adopted with
+// SnapshotLoad::kWarm — zero recompute. No checkpoint: cold, lsn 0.
 //
-// Selection ladder:
-//   1. checkpoints newest-first; each must open structurally and (by
-//      default) pass the payload checksum. A corrupt newest checkpoint is
-//      logged and the next one tried — a half-written file can only exist
-//      as a .tmp (the save is atomic), but defense costs one checksum
-//      pass.
-//   2. warm-start from the chosen checkpoint (SnapshotLoad::kWarm — bulk
-//      adoption, zero recompute); no checkpoint ⇒ fresh empty engine and
-//      replay from lsn 0.
-//   3. replay WAL records with lsn ≥ the checkpoint's, in segment order.
-//      Replay applies through the same core::apply_batch path the live
-//      service uses, so live and recovered engines make identical RNG
-//      draws.
-//
-// Tail rules (where a crash can interrupt the log):
-//   * a torn or unsealed end of segment k at lsn L continues into segment
-//     k+1 iff k+1's base_lsn == L — that exact shape is what a previous
-//     crash + recovery leaves behind (the old active segment keeps its
-//     dead tail; the post-recovery writer opened a fresh segment at L);
-//   * otherwise the log ends at L: later segments are unreachable and are
-//     reported, the valid prefix is kept, torn_tail is set;
-//   * a *gap* (a record or segment starting beyond the lsn replay needs
-//     next) is a hard error — ops are missing and the recovered state
-//     would be silently wrong. This cannot arise from crashes, only from
-//     deleted files.
+// WAL chain (catch_up): open the segment holding the applied lsn (highest
+// base_lsn ≤ lsn, ties to the higher seq) and apply every later record
+// through replay_wal_record, the apply_batch path the live service uses,
+// so replayed and live engines make identical RNG draws. At a segment's
+// end, refresh() picks up growth (a follower tails live files); otherwise
+// the one chain rule applies: a segment ending at lsn L — sealed, unsealed
+// or torn — continues into the next segment by seq iff that segment's
+// base_lsn == L, the shape a crash + reopen leaves (dead tail in the old
+// segment, fresh segment at L). catch_up reports why it stopped:
+//   * kNoSegment: nothing holds the applied lsn. With segments present
+//     recovery calls it a *gap* (only deleted files cause one) and fails;
+//   * kChainEnd: the newest segment is consumed;
+//   * kUnreachable: the next segment does not continue the chain. The log
+//     ends at L with its valid prefix kept (torn_tail); MisService::adopt
+//     moves such segments aside when it starts writing at L.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/batch.hpp"
 #include "core/cascade_engine.hpp"
@@ -49,9 +44,9 @@ namespace dmis::service {
 
 /// Apply ops [from, end) of one WAL record through the same batch path the
 /// live service uses (service/service.cpp). Identical code path ⇒
-/// identical RNG draw order, so a recovered (or follower — replication.hpp)
-/// engine's future add-node priorities match the live process draw for
-/// draw. `batch`/`result` are caller-owned scratch, reused across records.
+/// identical RNG draw order, so a replayed engine's future add-node
+/// priorities match the live process draw for draw. `batch`/`result` are
+/// caller-owned scratch, reused across records.
 void replay_wal_record(core::CascadeEngine& engine, const WalRecordView& view,
                        std::size_t from, core::Batch& batch,
                        core::BatchResult& result);
@@ -97,15 +92,69 @@ struct RecoveryReport {
   bool borrowed = false;
 };
 
+/// The shared replay state (header comment): an engine, the lsn it has
+/// applied up to, and the open WAL segment it is reading. Recovery drives
+/// it once; a follower keeps one alive and calls catch_up per poll.
+class LogReplayer {
+ public:
+  enum class Stop {
+    kNoSegment,    ///< no segment holds applied_lsn()
+    kChainEnd,     ///< the newest segment of the chain is consumed
+    kUnreachable,  ///< the next segment by seq does not continue the chain
+  };
+
+  explicit LogReplayer(std::string dir) : dir_(std::move(dir)) {}
+
+  /// Warm-start from the newest checkpoint past applied_lsn() (any, with no
+  /// engine yet) that opens, has engine state and verifies; `borrow` maps
+  /// its graph in place instead of loading it. Fills the checkpoint and
+  /// open/load/warm fields of `report`. False if no checkpoint qualifies.
+  bool warm(bool borrow, RecoveryReport& report);
+  /// A fresh engine at lsn 0.
+  void cold(std::uint64_t priority_seed);
+  /// Apply the WAL chain from applied_lsn() as far as it goes. Counts and
+  /// the tail diagnosis go to `report` (torn_tail if the log ends in a torn
+  /// record). Needs an engine.
+  Stop catch_up(RecoveryReport& report);
+
+  [[nodiscard]] bool has_engine() const noexcept { return engine_.has_value(); }
+  [[nodiscard]] const core::CascadeEngine& engine() const { return *engine_; }
+  /// Hand the engine over (the replayer is then empty).
+  core::CascadeEngine take_engine();
+  /// Every op below this lsn is in the engine.
+  [[nodiscard]] std::uint64_t applied_lsn() const noexcept { return applied_lsn_; }
+  /// Lsn of the checkpoint last warmed from (0 = cold).
+  [[nodiscard]] std::uint64_t checkpoint_lsn() const noexcept { return checkpoint_lsn_; }
+
+  /// The segment of `segments` (ascending by seq) holding `lsn`: the
+  /// highest base_lsn ≤ lsn, ties to the higher seq. nullptr if none.
+  static const SegmentInfo* segment_holding(const std::vector<SegmentInfo>& segments,
+                                            std::uint64_t lsn);
+
+ private:
+  void reset(std::uint64_t lsn);
+  bool open_segment(const SegmentInfo& segment, RecoveryReport& report);
+
+  std::string dir_;
+  std::optional<core::CascadeEngine> engine_;
+  std::uint64_t applied_lsn_ = 0;
+  std::uint64_t checkpoint_lsn_ = 0;
+  WalSegmentReader reader_;
+  std::uint64_t reader_seq_ = 0;  // 0 = no segment open
+  core::Batch batch_;             // replay scratch, reused across records
+  core::BatchResult result_;      // replay scratch, reused across records
+};
+
 class RecoveryManager {
  public:
   explicit RecoveryManager(std::string dir, RecoveryOptions options = {})
       : dir_(std::move(dir)), options_(options) {}
 
-  /// Recover an engine from the directory. Returns nullopt (with *error)
-  /// only on hard failures — unreadable directory, every checkpoint
-  /// corrupt AND the WAL not replayable from lsn 0, or a gap; torn tails
-  /// are tolerated and reported through `report`.
+  /// Recover an engine from the directory: LogReplayer warm (else cold),
+  /// then one catch_up. Returns nullopt (with *error) only on a gap:
+  /// segments exist but none holds the lsn replay starts at. Torn tails and
+  /// unreachable segments are tolerated, kept prefix and all, and reported
+  /// through `report`. Reads the directory, never writes it.
   std::optional<core::CascadeEngine> recover(RecoveryReport* report,
                                              std::string* error);
 

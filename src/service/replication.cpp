@@ -6,9 +6,7 @@
 #include <system_error>
 #include <utility>
 
-#include "graph/snapshot.hpp"
 #include "service/checkpoint.hpp"
-#include "service/recovery.hpp"  // replay_wal_record
 #include "util/assert.hpp"
 #include "util/binary_io.hpp"  // set_error
 #include "util/fs.hpp"
@@ -213,115 +211,26 @@ ShipAck FollowerService::receive(const Shipment& shipment) {
   return {sink_have_};
 }
 
-bool FollowerService::try_rewarm(std::string* error) {
-  (void)error;
-  const std::vector<CheckpointInfo> checkpoints = list_checkpoints(dir_);
-  for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
-    if (engine_.has_value() && it->lsn <= applied_lsn_) break;
-    graph::Snapshot snapshot;
-    std::string cp_error;
-    bool good = snapshot.open(it->path, &cp_error);
-    good = good && snapshot.has_engine_state();
-    good = good && snapshot.verify(&cp_error);
-    if (!good) continue;  // like recovery: try the next-newest
-    engine_.emplace(graph::DynamicGraph::load(snapshot), snapshot,
-                    snapshot.priority_seed(), graph::SnapshotLoad::kWarm);
-    applied_lsn_ = it->lsn;
-    checkpoint_lsn_ = it->lsn;
-    ++stats_.rewarms;
-    reader_ = WalSegmentReader{};
-    reader_open_ = false;
-    reader_seq_ = 0;
-    return true;
-  }
-  return false;
-}
-
-bool FollowerService::open_reader_at_applied(std::string* error) {
-  (void)error;
-  const std::vector<SegmentInfo> segments = list_segments(dir_);
-  const SegmentInfo* best = nullptr;
-  for (const SegmentInfo& seg : segments) {
-    if (seg.base_lsn > applied_lsn_) continue;
-    if (best == nullptr || seg.base_lsn > best->base_lsn ||
-        (seg.base_lsn == best->base_lsn && seg.seq > best->seq))
-      best = &seg;
-  }
-  if (best == nullptr) return false;  // not shipped yet — wait
-  WalSegmentReader reader;
-  std::string open_error;
-  // A partially shipped header fails open; that is "wait", not an error.
-  if (!reader.open(best->path, &open_error)) return false;
-  reader_ = std::move(reader);
-  reader_open_ = true;
-  reader_seq_ = best->seq;
-  return true;
-}
-
 bool FollowerService::poll(std::string* error) {
-  for (;;) {
-    if (!engine_.has_value()) {
-      if (!try_rewarm(error)) {
-        // No checkpoint yet: a cold start is only sound if the log reaches
-        // back to lsn 0.
-        bool has_base0 = false;
-        for (const SegmentInfo& seg : list_segments(dir_))
-          if (seg.base_lsn == 0) has_base0 = true;
-        if (!has_base0) return true;  // wait for more shipments
-        engine_.emplace(options_.priority_seed);
-        applied_lsn_ = 0;
-      }
-    }
-    if (!reader_open_ && !open_reader_at_applied(error)) {
-      // No local segment covers applied_lsn_. Either the chain has not
-      // shipped this far yet (wait) or it was truncated behind a newer
-      // checkpoint (jump via that checkpoint when it lands).
-      return true;
-    }
-
-    WalRecordView view;
-    for (;;) {
-      const WalSegmentReader::Next state = reader_.next(&view);
-      if (state == WalSegmentReader::Next::kRecord) {
-        const std::uint64_t record_end = view.lsn + view.ops.size();
-        if (record_end <= applied_lsn_) continue;  // behind the warm start
-        const auto from = static_cast<std::size_t>(applied_lsn_ - view.lsn);
-        replay_wal_record(*engine_, view, from, batch_, result_);
-        ++stats_.records_applied;
-        stats_.ops_applied += view.ops.size() - from;
-        applied_lsn_ = record_end;
-        continue;
-      }
-      if (state != WalSegmentReader::Next::kSealed) {
-        // kEnd / kTorn: the segment may simply not have shipped further
-        // yet. refresh() re-maps on growth and rescans prefix-safely.
-        if (reader_.refresh(nullptr)) continue;
-      }
-      // No growth (or a seal). Advance iff a later local segment chains at
-      // exactly the reader's lsn — the leader rotated (or re-based at
-      // failover) and the rest of this segment, if any, is a dead tail.
-      const std::uint64_t chain_lsn = reader_.next_lsn();
-      const std::vector<SegmentInfo> segments = list_segments(dir_);
-      const SegmentInfo* successor = nullptr;
-      for (const SegmentInfo& seg : segments) {
-        if (seg.seq <= reader_seq_ || seg.base_lsn != chain_lsn) continue;
-        if (successor == nullptr || seg.seq < successor->seq) successor = &seg;
-      }
-      if (successor != nullptr) {
-        WalSegmentReader next_reader;
-        std::string open_error;
-        if (!next_reader.open(successor->path, &open_error))
-          return true;  // header not fully shipped yet — wait
-        reader_ = std::move(next_reader);
-        reader_seq_ = successor->seq;
-        break;  // scan the successor
-      }
-      // Stuck at this lsn. If a newer checkpoint landed (the leader
-      // truncated the chain before we caught up), jump through it.
-      if (try_rewarm(error)) break;
-      return true;  // wait for more shipments
-    }
-  }
+  (void)error;
+  RecoveryReport report;  // per call: only its counts are kept
+  const auto warm = [&] {
+    if (!replay_.warm(/*borrow=*/false, report)) return false;
+    ++stats_.rewarms;
+    return true;
+  };
+  // The directory changes only through receive(), so within one call a
+  // failed warm stays failed, and a warm that succeeded took the newest
+  // checkpoint there is: one attempt per call suffices.
+  const bool fresh = !replay_.has_engine();
+  if (fresh && !warm()) replay_.cold(options_.priority_seed);
+  (void)replay_.catch_up(report);
+  // Stalled: the chain has not shipped further yet, or the leader truncated
+  // it before we caught up — then a newer checkpoint jumps past the hole.
+  if (!fresh && warm()) (void)replay_.catch_up(report);
+  stats_.records_applied += report.records_replayed;
+  stats_.ops_applied += report.replayed_ops;
+  return true;
 }
 
 std::optional<MisService> FollowerService::promote(ServiceConfig config,
@@ -329,19 +238,14 @@ std::optional<MisService> FollowerService::promote(ServiceConfig config,
   DMIS_ASSERT_MSG(config.dir.empty() || config.dir == dir_,
                   "promote serves the follower's own directory");
   config.dir = dir_;
-  if (!poll(error)) return std::nullopt;
+  if (!poll(error)) return std::nullopt;  // leaves an engine: warm or cold
   drop_sink();
-  reader_ = WalSegmentReader{};
-  reader_open_ = false;
-  if (!engine_.has_value()) {
-    // Nothing ever shipped: promote to an empty leader at lsn 0.
-    engine_.emplace(options_.priority_seed);
-    applied_lsn_ = 0;
-  }
-  std::optional<MisService> service = MisService::adopt(
-      std::move(config), std::move(*engine_), applied_lsn_, checkpoint_lsn_, error);
-  engine_.reset();
-  return service;
+  RecoveryReport report;
+  report.recovered_lsn = replay_.applied_lsn();
+  report.checkpoint_lsn = replay_.checkpoint_lsn();
+  report.detail = "adopted (follower promotion)\n";
+  return MisService::adopt(std::move(config), replay_.take_engine(), std::move(report),
+                           error);
 }
 
 // --- LogShipper ------------------------------------------------------------
@@ -401,13 +305,7 @@ LogShipper::Pump LogShipper::pump(std::string* error) {
     } else {
       anchor = cp_shipped_lsn_;
     }
-    const SegmentInfo* start = nullptr;
-    for (const SegmentInfo& seg : segments) {
-      if (seg.base_lsn > anchor) continue;
-      if (start == nullptr || seg.base_lsn > start->base_lsn ||
-          (seg.base_lsn == start->base_lsn && seg.seq > start->seq))
-        start = &seg;
-    }
+    const SegmentInfo* start = LogReplayer::segment_holding(segments, anchor);
     if (start == nullptr && !segments.empty()) start = &segments.front();
     if (start != nullptr) {
       seg_seq_ = start->seq;

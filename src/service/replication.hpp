@@ -1,17 +1,16 @@
 // Leader–follower replication by log shipping — the multi-process half of
-// the serving story (ROADMAP): a follower warm-starts from a shipped v2
-// checkpoint, tails the leader's WAL segments through WalSegmentReader,
-// and continuously applies, so losing the whole leader costs promoting a
-// caught-up follower (MisService::adopt), not replaying history.
+// the serving story (ROADMAP): the leader's checkpoint and WAL files are
+// copied byte for byte into the follower's directory, and the follower
+// applies them through the same LogReplayer recovery uses
+// (service/recovery.hpp: checkpoint ladder, WAL chain rule, differential
+// identity with the leader). Losing the whole leader then costs promoting
+// a caught-up follower (MisService::adopt), not replaying history.
 //
 // Why shipping raw WAL bytes is the right transport here: the WAL already
 // *is* the replication stream. Its records carry exactly the serialized op
 // order the leader's engine applied, its CRCs make any prefix
-// self-validating, and the segment reader is already a standalone consumer
-// with tail-follow (wal.hpp refresh()). A follower that replays the
-// shipped bytes through the same core::apply_batch path is differentially
-// identical to the leader — graph, membership, priority keys, RNG state —
-// which is the PR 5/6 oracle this layer is tested against.
+// self-validating, and the segment reader tail-follows a growing file
+// (wal.hpp refresh()).
 //
 // The resume protocol is one rule, applied per file: every ShipAck carries
 // `have`, the follower's durable byte count for that file. The shipper
@@ -43,8 +42,8 @@
 #include <string>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/cascade_engine.hpp"
+#include "service/recovery.hpp"
 #include "service/service.hpp"
 #include "service/wal.hpp"
 #include "util/fault_file.hpp"
@@ -169,18 +168,19 @@ class FollowerService {
   /// forcing a clean re-ship).
   ShipAck receive(const Shipment& shipment);
 
-  /// Make progress applying local bytes: initialize the engine if possible
-  /// (newest published checkpoint, else a base-0 segment), then tail the
-  /// segment chain — refresh() on growth, advance on seal/rotation, jump
-  /// forward via a newer published checkpoint when the chain was truncated
-  /// under us. Returns false only on hard local errors (unreadable local
-  /// state); "nothing new yet" is true.
+  /// Make progress applying local bytes through the shared LogReplayer
+  /// (service/recovery.hpp): on the first call warm from the newest
+  /// published checkpoint (materialized, not borrowed), else start cold at
+  /// lsn 0; then catch up along the local segment chain, and once stalled
+  /// jump forward via a newer published checkpoint if the leader truncated
+  /// the chain before we caught up. "Nothing new yet" is not an error;
+  /// always returns true (the signature leaves room for local I/O errors).
   bool poll(std::string* error);
 
-  [[nodiscard]] bool has_engine() const noexcept { return engine_.has_value(); }
+  [[nodiscard]] bool has_engine() const noexcept { return replay_.has_engine(); }
   /// Engine state == a never-crashed leader's at exactly applied_lsn().
-  [[nodiscard]] const core::CascadeEngine& engine() const { return *engine_; }
-  [[nodiscard]] std::uint64_t applied_lsn() const noexcept { return applied_lsn_; }
+  [[nodiscard]] const core::CascadeEngine& engine() const { return replay_.engine(); }
+  [[nodiscard]] std::uint64_t applied_lsn() const noexcept { return replay_.applied_lsn(); }
   [[nodiscard]] const FollowerStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
@@ -193,35 +193,21 @@ class FollowerService {
 
  private:
   FollowerService(std::string dir, FollowerOptions options)
-      : dir_(std::move(dir)), options_(std::move(options)) {}
+      : dir_(std::move(dir)), options_(std::move(options)), replay_(dir_) {}
 
   [[nodiscard]] std::string target_path(const Shipment& shipment) const;
   bool ensure_sink(const std::string& path, std::uint64_t* have);
   void drop_sink();
-  /// Warm-start (or jump) from the newest published checkpoint with
-  /// lsn > applied_lsn_, if any. True if the engine moved.
-  bool try_rewarm(std::string* error);
-  /// Open reader_ on the local segment that contains applied_lsn_.
-  bool open_reader_at_applied(std::string* error);
 
   std::string dir_;
   FollowerOptions options_;
-  std::optional<core::CascadeEngine> engine_;
-  std::uint64_t applied_lsn_ = 0;
-  std::uint64_t checkpoint_lsn_ = 0;  // newest checkpoint adopted
+  LogReplayer replay_;  // engine + applied lsn + open segment
   FollowerStats stats_;
 
   // Shipment persistence: one open append sink (the hot file).
   std::unique_ptr<util::WritableFile> sink_;
   std::string sink_path_;
   std::uint64_t sink_have_ = 0;
-
-  // Tail-apply state.
-  WalSegmentReader reader_;
-  bool reader_open_ = false;
-  std::uint64_t reader_seq_ = 0;
-  core::Batch batch_;         // replay scratch, reused
-  core::BatchResult result_;  // replay scratch, reused
 };
 
 struct LogShipperOptions {

@@ -1,6 +1,7 @@
 #include "service/service.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/fs.hpp"
@@ -8,51 +9,21 @@
 namespace dmis::service {
 
 std::optional<MisService> MisService::open(ServiceConfig config, std::string* error) {
-  if (!util::ensure_dir(config.dir, error)) return std::nullopt;
-
-  RecoveryOptions recovery_options;
-  recovery_options.priority_seed = config.priority_seed;
-  recovery_options.borrow = config.borrow;
-  RecoveryManager manager(config.dir, recovery_options);
   RecoveryReport report;
-  std::optional<core::CascadeEngine> engine = manager.recover(&report, error);
+  std::optional<core::CascadeEngine> engine =
+      RecoveryManager(config.dir, {.priority_seed = config.priority_seed,
+                                   .borrow = config.borrow})
+          .recover(&report, error);
   if (!engine.has_value()) return std::nullopt;
-
-  // The writer always starts a fresh segment after the highest existing
-  // seq, based at the recovered lsn. A dead tail in the old active segment
-  // (beyond the recovered lsn) stays where it is; recovery ignores it
-  // because the new segment's base_lsn continues from the recovered lsn.
-  std::uint64_t max_seq = 0;
-  for (const SegmentInfo& seg : list_segments(config.dir)) max_seq = seg.seq;
-
-  WalWriterOptions wal_options;
-  wal_options.fsync = config.fsync;
-  wal_options.fsync_interval_records = config.fsync_interval_records;
-  wal_options.segment_bytes = config.segment_bytes;
-  wal_options.file_factory = config.file_factory;
-  WalWriter wal;
-  if (!wal.open(config.dir, max_seq + 1, report.recovered_lsn,
-                std::move(wal_options), error))
-    return std::nullopt;
-
-  MisService service(std::move(config), std::move(*engine), std::move(wal),
-                     std::move(report));
-  return service;
+  return adopt(std::move(config), std::move(*engine), std::move(report), error);
 }
 
 std::optional<MisService> MisService::adopt(ServiceConfig config,
                                             core::CascadeEngine engine,
-                                            std::uint64_t lsn,
-                                            std::uint64_t checkpoint_lsn,
-                                            std::string* error) {
+                                            RecoveryReport report, std::string* error) {
   if (!util::ensure_dir(config.dir, error)) return std::nullopt;
-
-  // Same fresh-segment rule as open(): the promoted leader's first record
-  // lands in segment max_seq + 1 based at the adopted lsn, which is what
-  // orphans any shipped-but-unapplied dead tail (recovery's continuity
-  // rule skips a tail whose successor segment starts at the same lsn).
-  std::uint64_t max_seq = 0;
-  for (const SegmentInfo& seg : list_segments(config.dir)) max_seq = seg.seq;
+  const std::uint64_t lsn = report.recovered_lsn;
+  const std::vector<SegmentInfo> segments = list_segments(config.dir);
 
   WalWriterOptions wal_options;
   wal_options.fsync = config.fsync;
@@ -60,13 +31,18 @@ std::optional<MisService> MisService::adopt(ServiceConfig config,
   wal_options.segment_bytes = config.segment_bytes;
   wal_options.file_factory = config.file_factory;
   WalWriter wal;
-  if (!wal.open(config.dir, max_seq + 1, lsn, std::move(wal_options), error))
+  if (!wal.open(config.dir, segments.empty() ? 1 : segments.back().seq + 1, lsn,
+                std::move(wal_options), error))
     return std::nullopt;
-
-  RecoveryReport report;
-  report.recovered_lsn = lsn;
-  report.checkpoint_lsn = checkpoint_lsn;
-  report.detail = "adopted (follower promotion)";
+  // Only now move superseded segments aside: the fresh segment already
+  // holds the highest seq, so no seq is ever reused, even if a crash lands
+  // between the two steps (the next open then moves them).
+  for (const SegmentInfo& seg : segments) {
+    if (seg.base_lsn <= lsn) continue;
+    const std::string aside = seg.path + ".unreachable";
+    if (!util::atomic_publish(seg.path, aside, error)) return std::nullopt;
+    report.detail += "moved aside: " + aside + "\n";
+  }
   MisService service(std::move(config), std::move(engine), std::move(wal),
                      std::move(report));
   return service;

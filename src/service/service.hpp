@@ -62,23 +62,25 @@ struct ServiceConfig {
 
 class MisService {
  public:
-  /// Open (= recover) a service directory, creating it if absent. The
+  /// Open (= recover) a service directory, creating it if absent:
+  /// RecoveryManager::recover, then adopt() of the recovered engine. The
   /// recovery report of this open is kept (recovery()).
   static std::optional<MisService> open(ServiceConfig config, std::string* error);
 
-  /// Failover promotion: wrap an engine that is *already* at `lsn` (a
-  /// caught-up follower — service/replication.hpp) in a serving MisService
-  /// without re-running recovery. Opens a fresh WAL segment after the
-  /// highest existing seq in config.dir, based at `lsn` — the "seal,
-  /// re-base, keep serving" shape: any dead tail past `lsn` in shipped
-  /// segments is orphaned by the new segment's base_lsn, exactly like a
-  /// post-crash reopen. `checkpoint_lsn` is the lsn of the newest local
-  /// checkpoint (0 if none); it only seeds last_checkpoint_lsn().
+  /// Serve an engine that is *already* at report.recovered_lsn — recovered
+  /// by open(), or a caught-up follower at failover
+  /// (service/replication.hpp) — without replaying anything. Opens a fresh
+  /// WAL segment after the highest existing seq in config.dir, based at
+  /// that lsn: the "seal, re-base, keep serving" shape. A dead tail past the
+  /// lsn in the old last segment is orphaned by the new segment's base_lsn;
+  /// whole segments that start past it hold a history the new segment
+  /// supersedes and are renamed to `wal-<seq>.seg.unreachable`, which
+  /// list_segments skips, so the directory keeps one chain.
+  /// report.checkpoint_lsn seeds last_checkpoint_lsn(); the report, plus a
+  /// line per moved segment, becomes recovery().
   static std::optional<MisService> adopt(ServiceConfig config,
                                          core::CascadeEngine engine,
-                                         std::uint64_t lsn,
-                                         std::uint64_t checkpoint_lsn,
-                                         std::string* error);
+                                         RecoveryReport report, std::string* error);
 
   MisService(MisService&&) = default;
   MisService& operator=(MisService&&) = default;

@@ -238,6 +238,78 @@ TEST(Replication, CheckpointShipsAndWarmStartsFollower) {
               "recovery of follower dir");
 }
 
+TEST(Replication, LaggingFollowerJumpsThroughNewerCheckpoint) {
+  TempDir leader_dir("lag_leader");
+  TempDir follower_dir("lag_follower");
+  std::string error;
+
+  ServiceConfig config = leader_config(leader_dir.path);
+  config.segment_bytes = 2048;
+  config.checkpoint_interval_ops = 500;
+  auto leader = MisService::open(config, &error);
+  ASSERT_TRUE(leader.has_value()) << error;
+  auto follower = FollowerService::open(follower_dir.path, follower_options(), &error);
+  ASSERT_TRUE(follower.has_value()) << error;
+  DirectTransport transport(&*follower);
+  LogShipper shipper(leader_dir.path, &transport);
+  shipper.attach_durable_cursor(&*leader);
+
+  const auto batches = make_stream(507, 3000, 8);
+  std::size_t next = 0;
+  while (leader->lsn() < 1000) ASSERT_TRUE(leader->apply(batches[next++], &error));
+  settle(shipper, *follower);
+  ASSERT_EQ(follower->applied_lsn(), 1000U);
+  const std::uint64_t rewarms = follower->stats().rewarms;
+
+  // Neither end runs while the leader checkpoints its way to lsn 3000,
+  // truncating the segments the follower would need next. The follower
+  // stalls at the end of its local chain and must warm through a newer
+  // shipped checkpoint rather than wait forever.
+  for (; next < batches.size(); ++next) ASSERT_TRUE(leader->apply(batches[next], &error));
+  settle(shipper, *follower);
+
+  EXPECT_GT(follower->stats().rewarms, rewarms);
+  EXPECT_EQ(follower->applied_lsn(), leader->lsn());
+  expect_same(follower->engine(), reference(batches, batches.size(), 7),
+              "lagging follower after the jump");
+}
+
+TEST(Replication, FollowerWarmedPastItsSegmentsJumpsAgain) {
+  TempDir leader_dir("ahead_leader");
+  TempDir follower_dir("ahead_follower");
+  std::string error;
+
+  ServiceConfig config = leader_config(leader_dir.path);
+  config.segment_bytes = 2048;
+  config.checkpoint_interval_ops = 500;
+  auto leader = MisService::open(config, &error);
+  ASSERT_TRUE(leader.has_value()) << error;
+  const auto batches = make_stream(508, 3000, 8);
+  std::size_t next = 0;
+  while (leader->lsn() < 1000) ASSERT_TRUE(leader->apply(batches[next++], &error));
+
+  auto follower = FollowerService::open(follower_dir.path, follower_options(), &error);
+  ASSERT_TRUE(follower.has_value()) << error;
+  DirectTransport transport(&*follower);
+  LogShipper shipper(leader_dir.path, &transport);
+  shipper.attach_durable_cursor(&*leader);
+  // Ship the checkpoint but no segment yet, and warm from it: no local
+  // segment holds the follower's lsn.
+  while (follower->stats().checkpoints_published == 0) (void)shipper.pump(&error);
+  ASSERT_TRUE(follower->poll(&error)) << error;
+  ASSERT_EQ(follower->stats().rewarms, 1U);
+
+  // The leader truncates past that lsn before its segment ships, so the
+  // shipper re-plans from a newer checkpoint whose first segment starts
+  // beyond it. Only another warm gets the follower going again.
+  for (; next < batches.size(); ++next) ASSERT_TRUE(leader->apply(batches[next], &error));
+  settle(shipper, *follower);
+
+  EXPECT_EQ(follower->applied_lsn(), leader->lsn());
+  expect_same(follower->engine(), reference(batches, batches.size(), 7),
+              "follower re-warmed past a missing segment");
+}
+
 TEST(Replication, BothEndsRestartAndResumeFromHave) {
   TempDir leader_dir("resume_leader");
   TempDir follower_dir("resume_follower");

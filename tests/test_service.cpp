@@ -6,6 +6,7 @@
 // op (recovery.hpp's "differentially identical" contract).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -105,6 +106,17 @@ ServiceConfig config_for(const std::string& dir) {
   config.dir = dir;
   config.priority_seed = 7;
   return config;
+}
+
+void flip_byte(const std::string& path, std::int64_t offset) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.is_open()) << path;
+  char byte = 0;
+  f.seekg(offset, std::ios::beg);
+  f.read(&byte, 1);
+  byte = static_cast<char>(byte ^ 0x40);
+  f.seekp(offset, std::ios::beg);
+  f.write(&byte, 1);
 }
 
 TEST(Service, ColdOpenAppliesAndAcksDurable) {
@@ -315,19 +327,7 @@ TEST(Service, CorruptCheckpointFallsBackToFullReplay) {
   // Flip one byte deep in the checkpoint: verify() (or open()) must reject
   // it and recovery must rebuild from lsn 0 instead of trusting it.
   const std::string cp = service::checkpoint_path(dir.path, checkpoint_lsn);
-  {
-    std::fstream f(cp, std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(f.is_open());
-    f.seekg(0, std::ios::end);
-    const auto size = static_cast<std::int64_t>(f.tellg());
-    f.seekp(size - 9, std::ios::beg);
-    char byte = 0;
-    f.seekg(size - 9, std::ios::beg);
-    f.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x40);
-    f.seekp(size - 9, std::ios::beg);
-    f.write(&byte, 1);
-  }
+  flip_byte(cp, static_cast<std::int64_t>(std::filesystem::file_size(cp)) - 9);
   auto service = MisService::open(config_for(dir.path), &error);
   ASSERT_TRUE(service.has_value()) << error;
   EXPECT_EQ(service->recovery().checkpoints_rejected, 1U);
@@ -363,6 +363,104 @@ TEST(Service, MissingCheckpointAfterTruncationIsAHardError) {
   auto service = MisService::open(config_for(dir.path), &error);
   EXPECT_FALSE(service.has_value());
   EXPECT_NE(error.find("gap"), std::string::npos) << error;
+}
+
+// --- Unreachable segments -------------------------------------------------
+//
+// A bit flip in a sealed segment ends the log early: recovery keeps the
+// valid prefix and every later segment becomes unreachable. Reopening for
+// writing must move those segments aside, or the next recovery would stop
+// at the same place (dropping every batch acked since) or, warm-starting
+// past it, replay the abandoned history.
+
+ServiceConfig small_segments(const std::string& dir) {
+  ServiceConfig config = config_for(dir);
+  config.segment_bytes = 1024;
+  return config;
+}
+
+/// Log `batches` in 1 KiB segments, then flip one byte 300 bytes into
+/// segment 1's records. Its first record (8 edgeless add_nodes, 192 bytes)
+/// survives, so recovery reaches lsn 8. Returns the segments as written.
+std::vector<service::SegmentInfo> log_then_corrupt_segment1(
+    const std::string& dir, const std::vector<core::Batch>& batches) {
+  std::string error;
+  {
+    auto service = MisService::open(small_segments(dir), &error);
+    EXPECT_TRUE(service.has_value()) << error;
+    for (const auto& batch : batches) EXPECT_TRUE(service->apply(batch, &error)) << error;
+    EXPECT_TRUE(service->close(&error)) << error;
+  }
+  std::vector<service::SegmentInfo> segments = service::list_segments(dir);
+  flip_byte(segments.front().path, sizeof(service::WalSegmentHeader) + 300);
+  return segments;
+}
+
+TEST(Service, UnreachableSegmentsAreMovedAsideAndLaterAcksSurvive) {
+  TempDir dir("aside");
+  const auto batches = make_stream(1001, 1200, 8);
+  const auto written = log_then_corrupt_segment1(dir.path, batches);
+  ASSERT_GT(written.size(), 2U);
+  std::string error;
+  {
+    auto service = MisService::open(small_segments(dir.path), &error);
+    ASSERT_TRUE(service.has_value()) << error;
+    ASSERT_EQ(service->lsn(), 8U);
+    EXPECT_TRUE(service->recovery().torn_tail) << service->recovery().detail;
+    // The bytes stay on disk under a name list_segments skips, and the
+    // fresh segment took a seq none of them had.
+    std::size_t moved = 0;
+    for (std::size_t i = 1; i < written.size(); ++i)
+      moved += std::filesystem::exists(written[i].path + ".unreachable") ? 1 : 0;
+    EXPECT_EQ(moved, written.size() - 1);
+    EXPECT_GT(service->wal_segment_seq(), written.back().seq);
+    for (std::size_t i = 1; i < batches.size(); ++i)
+      ASSERT_TRUE(service->apply(batches[i], &error)) << error;
+    // No close: crash with every batch acked under every-batch fsync.
+  }
+  auto service = MisService::open(small_segments(dir.path), &error);
+  ASSERT_TRUE(service.has_value()) << error;
+  EXPECT_EQ(service->lsn(), total_ops(batches)) << service->recovery().detail;
+  expect_same(service->engine(), reference(batches, batches.size(), 7),
+              "batches acked after a move-aside");
+}
+
+TEST(Service, CheckpointAmongMovedAsideBasesRecoversTheNewHistory) {
+  TempDir dir("aside_ckpt");
+  // Every stream opens with 120 edgeless add_nodes, so the new history's
+  // batches apply on top of the old history's first 8 ops.
+  const auto old_history = make_stream(1002, 1200, 8);
+  const auto new_history = make_stream(2002, 1200, 8);
+  const auto written = log_then_corrupt_segment1(dir.path, old_history);
+  // Checkpoint strictly between two consecutive abandoned base_lsns, so a
+  // recovery that still saw them would start replay in the old history.
+  constexpr std::uint64_t kCheckpointLsn = 568;
+  ASSERT_NE(std::adjacent_find(written.begin(), written.end(),
+                               [](const service::SegmentInfo& a,
+                                  const service::SegmentInfo& b) {
+                                 return a.base_lsn < kCheckpointLsn &&
+                                        kCheckpointLsn < b.base_lsn;
+                               }),
+            written.end());
+  std::string error;
+  std::size_t applied = 1;  // batch 0 == the 8 ops recovery keeps
+  {
+    auto service = MisService::open(small_segments(dir.path), &error);
+    ASSERT_TRUE(service.has_value()) << error;
+    ASSERT_EQ(service->lsn(), 8U);
+    while (service->lsn() < kCheckpointLsn)
+      ASSERT_TRUE(service->apply(new_history[applied++], &error)) << error;
+    ASSERT_EQ(service->lsn(), kCheckpointLsn);
+    ASSERT_TRUE(service->checkpoint(&error)) << error;
+    for (; applied < new_history.size() / 2; ++applied)
+      ASSERT_TRUE(service->apply(new_history[applied], &error)) << error;
+  }
+  auto service = MisService::open(small_segments(dir.path), &error);
+  ASSERT_TRUE(service.has_value()) << error;
+  EXPECT_EQ(service->recovery().checkpoint_lsn, kCheckpointLsn);
+  EXPECT_EQ(service->lsn(), total_ops(new_history, applied));
+  expect_same(service->engine(), reference(new_history, applied, 7),
+              "new history over moved-aside bases");
 }
 
 TEST(Service, EveryOpPolicyRecoversIdentically) {
