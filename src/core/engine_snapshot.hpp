@@ -25,8 +25,8 @@ namespace dmis::core {
 /// false (with *error) on I/O failure.
 bool save_snapshot(const CascadeEngine& engine, const std::string& path,
                    std::string* error = nullptr);
-/// With a non-empty `factory`, all file bytes route through it (the
-/// Checkpointer's fault-injection seam — graph/snapshot.hpp).
+/// With the staging file opened through `factory` (the Checkpointer's
+/// fault-injection seam — graph/snapshot.hpp; empty = real files).
 bool save_snapshot(const CascadeEngine& engine, const std::string& path,
                    const util::FileFactory& factory, std::string* error = nullptr);
 bool save_snapshot(const DistMis& engine, const std::string& path,

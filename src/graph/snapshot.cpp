@@ -1,12 +1,8 @@
 #include "graph/snapshot.hpp"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "util/binary_io.hpp"
-#include "util/fault_file.hpp"
-#include "util/fs.hpp"
 
 namespace dmis::graph {
 
@@ -297,12 +293,19 @@ void layout_snapshot(const DynamicGraph& g, const util::FlatSet& edges,
   header->file_size = off;
 }
 
+/// The graph's per-node sections, read once per save: a borrowed graph
+/// answers each per-node query through its overlay index, and both passes
+/// of util::save_staged walk every node. 17 bytes per id, freed when the
+/// save returns.
+struct NodeSections {
+  std::vector<std::uint8_t> alive;
+  std::vector<std::span<const NodeId>> neighbors;  // empty for dead ids
+};
+
 /// Stream the checksummed payload (everything after SnapshotHeader) through
-/// `w` — any sink with PayloadWriter's write/align8/position interface:
-/// the stdio writer, the pre-pass hasher, or an append-only WritableFile.
-/// One template so the byte stream cannot drift between the paths.
+/// `w` — either pass of util::save_staged.
 template <class Sink>
-bool stream_snapshot_payload(const DynamicGraph& g, const util::FlatSet& edges,
+bool stream_snapshot_payload(const NodeSections& nodes, const util::FlatSet& edges,
                              const SnapshotHeader& header,
                              const SnapshotEngineExt* ext,
                              const EngineStateView* state, Sink& w) {
@@ -310,22 +313,15 @@ bool stream_snapshot_payload(const DynamicGraph& g, const util::FlatSet& edges,
   // The extension header is part of the checksummed payload, so it streams
   // through the writer like any section (never patched afterwards).
   if (state != nullptr) ok = w.write(ext, sizeof(*ext));
-  for (NodeId v = 0; ok && v < header.id_bound; ++v) {
-    const std::uint8_t alive = g.has_node(v) ? 1 : 0;
-    ok = w.write(&alive, 1);
-  }
-  ok = ok && w.align8();
+  ok = ok && w.write(nodes.alive.data(), nodes.alive.size()) && w.align8();
   std::uint64_t running = 0;
-  for (NodeId v = 0; ok && v < header.id_bound; ++v) {
+  for (std::size_t v = 0; ok && v < nodes.neighbors.size(); ++v) {
     ok = w.write(&running, 8);
-    if (g.has_node(v)) running += g.degree(v);
+    running += nodes.neighbors[v].size();
   }
   ok = ok && w.write(&running, 8) && w.align8();
-  for (NodeId v = 0; ok && v < header.id_bound; ++v) {
-    if (!g.has_node(v)) continue;
-    const auto nbrs = g.neighbors(v);
-    ok = w.write(nbrs.data(), nbrs.size_bytes());
-  }
+  for (std::size_t v = 0; ok && v < nodes.neighbors.size(); ++v)
+    ok = w.write(nodes.neighbors[v].data(), nodes.neighbors[v].size_bytes());
   ok = ok && w.align8();
   ok = ok && w.write(edges.raw_ctrl().data(), edges.raw_ctrl().size()) && w.align8();
   ok = ok && w.write(edges.raw_keys().data(), edges.raw_keys().size_bytes()) && w.align8();
@@ -343,56 +339,14 @@ bool stream_snapshot_payload(const DynamicGraph& g, const util::FlatSet& edges,
       ok = w.write(&zero_member, 1);
     ok = ok && w.align8();
   }
-  DMIS_ASSERT(!ok || w.position() == header.file_size);
   return ok;
 }
 
-/// Payload sink over an append-only util::WritableFile (write failures are
-/// remembered; the caller reads the final verdict from ok()).
-class WritableFileSink {
- public:
-  WritableFileSink(util::WritableFile* file, std::uint64_t header_bytes,
-                   std::string* error)
-      : file_(file), header_bytes_(header_bytes), error_(error) {}
-
-  bool write(const void* data, std::size_t bytes) {
-    if (bytes == 0) return true;
-    if (!file_->write(data, bytes, error_)) return false;
-    written_ += bytes;
-    return true;
-  }
-
-  bool align8() {
-    static constexpr std::uint8_t zeros[8] = {};
-    const std::uint64_t target = pad8(position());
-    return write(zeros, static_cast<std::size_t>(target - position()));
-  }
-
-  [[nodiscard]] std::uint64_t position() const noexcept {
-    return header_bytes_ + written_;
-  }
-
- private:
-  util::WritableFile* file_;
-  std::uint64_t header_bytes_;
-  std::uint64_t written_ = 0;
-  std::string* error_;
-};
-
-/// Shared writer body: version 1 when `state` is null, version 2 otherwise.
-/// Crash-safe publish: the bytes stream into `path.tmp`, which is fsynced
-/// and then renamed over `path`, so an interrupted save can never leave a
-/// torn file at the published path — a reader sees the old snapshot or the
-/// new one, never a mixture (util/fs.hpp documents the protocol).
-bool save_snapshot_impl(const DynamicGraph& g, const EngineStateView* state,
-                        const std::string& path, std::string* error) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    set_error(error, util::errno_context(tmp, "fopen", errno));
-    return false;
-  }
-
+/// The writer body of every overload: version 1 when `state` is null,
+/// version 2 otherwise, published crash-safe by util::save_staged.
+bool write_snapshot(const DynamicGraph& g, const EngineStateView* state,
+                    const std::string& path, const util::FileFactory& factory,
+                    std::string* error) {
   SnapshotHeader header{};
   SnapshotEngineExt ext{};
   // A borrowed graph's edge table is merged (base + overlay) into the
@@ -400,86 +354,33 @@ bool save_snapshot_impl(const DynamicGraph& g, const EngineStateView* state,
   util::FlatSet merged_scratch;
   const util::FlatSet& edges = g.merged_edge_set(merged_scratch);
   layout_snapshot(g, edges, state, &header, &ext);
-
-  bool ok = std::fwrite(&header, sizeof(header), 1, f) == 1;
-  util::PayloadWriter w(f, sizeof(SnapshotHeader));
-  ok = ok && stream_snapshot_payload(g, edges, header, &ext, state, w);
-
-  // Patch the checksum now that the payload has streamed through the hash.
-  header.payload_checksum = w.checksum();
-  ok = ok && std::fseek(f, 0, SEEK_SET) == 0 &&
-       std::fwrite(&header, sizeof(header), 1, f) == 1;
-  if (!ok) set_error(error, util::errno_context(tmp, "fwrite", errno));
-  // Durability before visibility: the temp file's bytes must be on disk
-  // before the rename makes them the published snapshot.
-  ok = ok && util::fsync_stream(f, tmp, error);
-  ok = (std::fclose(f) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (!util::atomic_publish(tmp, path, error)) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-/// The factory-backed save: same bytes, same publish protocol, but every
-/// file operation goes through an injectable WritableFile so tests can
-/// fail the temp write or the pre-publish fsync at an exact byte
-/// (util/fault_file.hpp). WritableFile is append-only — no seeking back to
-/// patch the header — so this runs two passes: hash the payload first,
-/// then write the finished header followed by the payload. The extra pass
-/// costs one walk over in-memory state and buys the property the
-/// Checkpointer tests pin: a save that dies at ANY point leaves the
-/// previously published snapshot untouched.
-bool save_snapshot_via_factory(const DynamicGraph& g, const EngineStateView* state,
-                               const std::string& path,
-                               const util::FileFactory& factory,
-                               std::string* error) {
-  SnapshotHeader header{};
-  SnapshotEngineExt ext{};
-  util::FlatSet merged_scratch;
-  const util::FlatSet& edges = g.merged_edge_set(merged_scratch);
-  layout_snapshot(g, edges, state, &header, &ext);
-
-  util::PayloadHasher hasher(sizeof(SnapshotHeader));
-  stream_snapshot_payload(g, edges, header, &ext, state, hasher);
-  header.payload_checksum = hasher.checksum();
-
-  const std::string tmp = path + ".tmp";
-  auto file = factory(tmp, error);
-  if (file == nullptr) return false;
-  WritableFileSink sink(file.get(), sizeof(SnapshotHeader), error);
-  bool ok = file->write(&header, sizeof(header), error) &&
-            stream_snapshot_payload(g, edges, header, &ext, state, sink) &&
-            file->sync(error);
-  ok = file->close(ok ? error : nullptr) && ok;
-  if (ok && !util::atomic_publish(tmp, path, error)) ok = false;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  NodeSections nodes{std::vector<std::uint8_t>(g.id_bound(), 0),
+                     std::vector<std::span<const NodeId>>(g.id_bound())};
+  g.for_each_node([&](NodeId v) {
+    nodes.alive[v] = 1;
+    nodes.neighbors[v] = g.neighbors(v);
+  });
+  return util::save_staged(
+      path, header,
+      [&](auto& w) { return stream_snapshot_payload(nodes, edges, header, &ext, state, w); },
+      factory, error);
 }
 
 }  // namespace
 
 bool save_snapshot(const DynamicGraph& g, const std::string& path, std::string* error) {
-  return save_snapshot_impl(g, nullptr, path, error);
+  return write_snapshot(g, nullptr, path, {}, error);
 }
 
 bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
                    const std::string& path, std::string* error) {
-  return save_snapshot_impl(g, &state, path, error);
+  return write_snapshot(g, &state, path, {}, error);
 }
 
 bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
                    const std::string& path, const util::FileFactory& factory,
                    std::string* error) {
-  if (!factory) return save_snapshot_impl(g, &state, path, error);
-  return save_snapshot_via_factory(g, &state, path, factory, error);
+  return write_snapshot(g, &state, path, factory, error);
 }
 
 DynamicGraph DynamicGraph::load(const Snapshot& snapshot) {

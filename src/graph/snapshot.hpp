@@ -46,6 +46,10 @@
 // edge-table consistency, and (v2) that the persisted membership is the
 // greedy fixpoint of the persisted keys (the deep check the dmis_snapshot
 // CLI runs).
+//
+// Every save_snapshot overload publishes through util::save_staged
+// (util/binary_io.hpp): a crash mid-save leaves the old file plus at most
+// `<path>.tmp`, never a torn file at `path`.
 #pragma once
 
 #include <cstdint>
@@ -287,11 +291,10 @@ bool save_snapshot(const DynamicGraph& g, const std::string& path,
 bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
                    const std::string& path, std::string* error = nullptr);
 
-/// As above, with every file operation routed through `factory` (empty
-/// falls back to the stdio path) — the fault-injection seam the
-/// Checkpointer tests use to fail a save mid-write/fsync/publish and prove
-/// the previously published snapshot survives. Bytes on disk are identical
-/// to the stdio path's.
+/// As above, with the staging file opened through `factory` (empty means
+/// util::open_writable, which the other overloads use) — the seam the
+/// Checkpointer's fault tests fail a save through, at any byte or at the
+/// fsync, to prove the previously published snapshot survives.
 bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
                    const std::string& path, const util::FileFactory& factory,
                    std::string* error = nullptr);

@@ -8,12 +8,9 @@
 
 #include "service/wal.hpp"
 #include "util/assert.hpp"
-#include "util/binary_io.hpp"  // set_error
 #include "util/fs.hpp"
 
 namespace dmis::service {
-
-using util::set_error;
 
 std::string checkpoint_path(const std::string& dir, std::uint64_t lsn) {
   char name[48];
@@ -21,7 +18,8 @@ std::string checkpoint_path(const std::string& dir, std::uint64_t lsn) {
   return dir + "/" + name;
 }
 
-std::vector<CheckpointInfo> list_checkpoints(const std::string& dir) {
+std::vector<CheckpointInfo> list_checkpoints(const std::string& dir,
+                                             std::string_view suffix) {
   std::vector<CheckpointInfo> checkpoints;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
@@ -31,7 +29,7 @@ std::vector<CheckpointInfo> list_checkpoints(const std::string& dir) {
     int consumed = 0;
     if (std::sscanf(name.c_str(), "checkpoint-%20" SCNu64 ".snap%n", &lsn,
                     &consumed) != 1 ||
-        static_cast<std::size_t>(consumed) != name.size())
+        std::string_view(name).substr(consumed) != suffix)
       continue;
     checkpoints.push_back({lsn, entry.path().string()});
   }
@@ -47,7 +45,7 @@ bool Checkpointer::checkpoint(const core::CascadeEngine& engine, std::uint64_t l
   DMIS_ASSERT_MSG(!dir_.empty(), "Checkpointer used before construction");
   const std::string path = checkpoint_path(dir_, lsn);
   // Step 1 — the only step that creates state. core::save_snapshot writes
-  // temp + fsync + rename (graph/snapshot.cpp), so the published path only
+  // temp + fsync + rename (util::save_staged), so the published path only
   // ever holds a complete checkpoint.
   if (!core::save_snapshot(engine, path, file_factory_, error)) return false;
   ++taken_;

@@ -9,8 +9,9 @@
 // O(history), and disk usage stays proportional to state size.
 //
 // Crash ordering (the protocol docs/FORMATS.md specifies):
-//   1. write checkpoint-<L>.snap via the atomic temp+fsync+rename save —
-//      a crash mid-save leaves only a stale .tmp, never a half checkpoint;
+//   1. write checkpoint-<L>.snap via util::save_staged (temp + fsync +
+//      rename) — a crash mid-save leaves only a stale .tmp, which the next
+//      open or promote deletes (MisService::adopt), never a half checkpoint;
 //   2. only after the rename, delete older checkpoints;
 //   3. delete WAL segments whose successor's base_lsn ≤ L (every op they
 //      hold is < that base_lsn ≤ L, hence inside the checkpoint). The
@@ -21,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine_snapshot.hpp"
@@ -35,8 +37,10 @@ struct CheckpointInfo {
 [[nodiscard]] std::string checkpoint_path(const std::string& dir, std::uint64_t lsn);
 
 /// The `checkpoint-*.snap` files of `dir`, ascending by lsn (parsed from
-/// the filename; contents are validated by whoever opens them).
-[[nodiscard]] std::vector<CheckpointInfo> list_checkpoints(const std::string& dir);
+/// the filename; contents are validated by whoever opens them), or with
+/// `suffix` = util::kStagingSuffix the `checkpoint-*.snap.tmp` staging files.
+[[nodiscard]] std::vector<CheckpointInfo> list_checkpoints(const std::string& dir,
+                                                           std::string_view suffix = {});
 
 class Checkpointer {
  public:

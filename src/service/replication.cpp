@@ -8,7 +8,7 @@
 
 #include "service/checkpoint.hpp"
 #include "util/assert.hpp"
-#include "util/binary_io.hpp"  // set_error
+#include "util/binary_io.hpp"  // commit_staged, set_error
 #include "util/fs.hpp"
 
 namespace dmis::service {
@@ -189,20 +189,17 @@ ShipAck FollowerService::receive(const Shipment& shipment) {
 
   if (shipment.kind == Shipment::Kind::kCheckpoint && shipment.file_size > 0 &&
       sink_have_ >= shipment.file_size) {
-    // Complete: durability before visibility, then the atomic rename.
-    const std::string final_path = checkpoint_path(dir_, shipment.id);
-    std::string publish_error;
-    bool ok = sink_->sync(&publish_error);
-    ok = sink_->close(ok ? &publish_error : nullptr) && ok;
+    // Complete: publish the way every local save does (fsync, close,
+    // rename); a failed publish removes the partial.
+    const bool ok = util::commit_staged(*sink_, /*written=*/true,
+                                        checkpoint_path(dir_, shipment.id), nullptr);
     const std::uint64_t have_now = sink_have_;
     sink_.reset();
     sink_path_.clear();
     sink_have_ = 0;
-    ok = ok && util::atomic_publish(path, final_path, &publish_error);
     if (!ok) {
-      // Failed publish: scrap the partial and ask for a clean re-ship.
+      // Ask for a clean re-ship.
       ++stats_.receive_errors;
-      std::remove(path.c_str());
       return {0};
     }
     ++stats_.checkpoints_published;

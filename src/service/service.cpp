@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/binary_io.hpp"  // kStagingSuffix
 #include "util/fs.hpp"
 
 namespace dmis::service {
@@ -42,6 +43,13 @@ std::optional<MisService> MisService::adopt(ServiceConfig config,
     const std::string aside = seg.path + ".unreachable";
     if (!util::atomic_publish(seg.path, aside, error)) return std::nullopt;
     report.detail += "moved aside: " + aside + "\n";
+  }
+  // Staging files of checkpoint saves a crash interrupted: nothing reads
+  // them, and no later save reuses their lsn-bearing names.
+  for (const CheckpointInfo& staged :
+       list_checkpoints(config.dir, util::kStagingSuffix)) {
+    if (!util::remove_file(staged.path, error)) return std::nullopt;
+    report.detail += "removed staging file: " + staged.path + "\n";
   }
   MisService service(std::move(config), std::move(engine), std::move(wal),
                      std::move(report));

@@ -41,7 +41,11 @@ class PosixWritableFile final : public WritableFile {
     return true;
   }
 
-  bool sync(std::string* error) override { return fsync_fd(fd_, path_, error); }
+  bool sync(std::string* error) override {
+    if (::fsync(fd_) == 0) return true;
+    set_error(error, errno_context(path_, "fsync", errno));
+    return false;
+  }
 
   bool close(std::string* error) override {
     if (fd_ < 0) return true;

@@ -1,6 +1,7 @@
 #include "util/fs.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
@@ -20,32 +21,6 @@ std::string errno_context(const std::string& path, const char* syscall, int err)
          std::to_string(err) + ")";
 }
 
-bool fsync_fd(int fd, const std::string& path, std::string* error) {
-#if defined(DMIS_HAVE_POSIX_FS)
-  if (::fsync(fd) != 0) {
-    set_error(error, errno_context(path, "fsync", errno));
-    return false;
-  }
-#else
-  (void)fd;
-  (void)path;
-  (void)error;
-#endif
-  return true;
-}
-
-bool fsync_stream(std::FILE* f, const std::string& path, std::string* error) {
-  if (std::fflush(f) != 0) {
-    set_error(error, errno_context(path, "fflush", errno));
-    return false;
-  }
-#if defined(DMIS_HAVE_POSIX_FS)
-  return fsync_fd(::fileno(f), path, error);
-#else
-  return true;
-#endif
-}
-
 void fsync_parent_dir(const std::string& path) {
 #if defined(DMIS_HAVE_POSIX_FS)
   const std::filesystem::path parent = std::filesystem::path(path).parent_path();
@@ -62,7 +37,7 @@ void fsync_parent_dir(const std::string& path) {
 bool atomic_publish(const std::string& tmp_path, const std::string& final_path,
                     std::string* error) {
   if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    set_error(error, errno_context(final_path, "rename", errno));
+    set_error(error, errno_context(tmp_path + " -> " + final_path, "rename", errno));
     return false;
   }
   fsync_parent_dir(final_path);

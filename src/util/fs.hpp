@@ -1,5 +1,6 @@
 // Filesystem durability helpers shared by every on-disk writer (snapshot,
-// trace, WAL segments, checkpoints).
+// trace, WAL segments, checkpoints); util::commit_staged (util/binary_io.hpp)
+// runs the publish protocol below on a util::WritableFile.
 //
 // Two concerns live here because they are inseparable in practice:
 //
@@ -18,7 +19,6 @@
 //     because several filesystems reject fsync on directory fds.
 #pragma once
 
-#include <cstdio>
 #include <string>
 
 namespace dmis::util {
@@ -28,21 +28,14 @@ namespace dmis::util {
 [[nodiscard]] std::string errno_context(const std::string& path, const char* syscall,
                                         int err);
 
-/// fsync a raw descriptor; false (with *error) on failure.
-bool fsync_fd(int fd, const std::string& path, std::string* error);
-
-/// fflush + fsync a stdio stream: after this returns true, everything
-/// written to `f` is durable (modulo lying hardware).
-bool fsync_stream(std::FILE* f, const std::string& path, std::string* error);
-
 /// Best-effort fsync of the directory containing `path` (makes a recent
 /// create/rename/unlink in that directory durable). Failures are ignored —
 /// see the header comment.
 void fsync_parent_dir(const std::string& path);
 
 /// rename `tmp_path` over `final_path` (atomic replace) and fsync the
-/// parent directory. The caller must have fsynced `tmp_path`'s contents
-/// first; fsync_stream does that.
+/// parent directory (an error names both paths). A publish must have
+/// fsynced `tmp_path`'s contents first; util::commit_staged does that.
 bool atomic_publish(const std::string& tmp_path, const std::string& final_path,
                     std::string* error);
 

@@ -1,12 +1,9 @@
 #include "workload/trace_file.hpp"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "util/binary_io.hpp"
-#include "util/fs.hpp"
 
 namespace dmis::workload {
 
@@ -48,36 +45,15 @@ bool TraceFile::save(const std::string& path, const Trace& trace, std::string* e
   header.arena_off = pad8(header.ops_off + records.size() * sizeof(TraceOpRecord));
   header.file_size = pad8(header.arena_off + arena.size() * sizeof(graph::NodeId));
 
-  // Crash-safe publish, same protocol as the snapshot writer: stream into
-  // path.tmp, fsync, rename over path (util/fs.hpp).
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    set_error(error, util::errno_context(tmp, "fopen", errno));
-    return false;
-  }
-  bool ok = std::fwrite(&header, sizeof(header), 1, f) == 1;
-  util::PayloadWriter w(f, sizeof(TraceFileHeader));
-  ok = ok && w.write(records.data(), records.size() * sizeof(TraceOpRecord)) &&
-       w.align8();
-  ok = ok && w.write(arena.data(), arena.size() * sizeof(graph::NodeId)) &&
-       w.align8();
-  DMIS_ASSERT(!ok || w.position() == header.file_size);
-  header.payload_checksum = w.checksum();
-  ok = ok && std::fseek(f, 0, SEEK_SET) == 0 &&
-       std::fwrite(&header, sizeof(header), 1, f) == 1;
-  if (!ok) set_error(error, util::errno_context(tmp, "fwrite", errno));
-  ok = ok && util::fsync_stream(f, tmp, error);
-  ok = (std::fclose(f) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (!util::atomic_publish(tmp, path, error)) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  // Crash-safe publish through the same writer as every snapshot.
+  return util::save_staged(
+      path, header,
+      [&](auto& w) {
+        return w.write(records.data(), records.size() * sizeof(TraceOpRecord)) &&
+               w.align8() && w.write(arena.data(), arena.size() * sizeof(graph::NodeId)) &&
+               w.align8();
+      },
+      {}, error);
 }
 
 bool TraceFile::open(const std::string& path, std::string* error, bool force_read) {

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "core/engine_snapshot.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
+#include "support.hpp"
 #include "util/rng.hpp"
 #include "workload/batched.hpp"
 #include "workload/churn.hpp"
@@ -41,15 +41,7 @@ using graph::DynamicGraph;
 using graph::NodeId;
 using graph::Snapshot;
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("dmis_borrow_" + name)).string();
-}
-
-struct TempFile {
-  explicit TempFile(const std::string& name) : path(temp_path(name)) {}
-  ~TempFile() { std::filesystem::remove(path); }
-  std::string path;
-};
+using test::TempFile;
 
 /// A graph with dead ids, spilled records and tombstones — the awkward
 /// shapes the borrowed overlay must reproduce, not a fresh clean CSR.

@@ -44,6 +44,7 @@
 #include "core/cascade_engine.hpp"
 #include "graph/generators.hpp"
 #include "service/service.hpp"
+#include "support.hpp"
 #include "util/rng.hpp"
 #include "workload/batched.hpp"
 #include "workload/churn.hpp"
@@ -59,14 +60,7 @@ using service::ServiceConfig;
 constexpr std::uint64_t kPrioritySeed = 7;
 constexpr std::uint64_t kStreamSeed = 424242;
 
-struct TempDir {
-  explicit TempDir(const std::string& name)
-      : path((std::filesystem::temp_directory_path() / ("dmis_kill9_" + name)).string()) {
-    std::filesystem::remove_all(path);
-  }
-  ~TempDir() { std::filesystem::remove_all(path); }
-  std::string path;
-};
+using test::TempDir;
 
 /// The same deterministic stream in parent, child, and reference: grow a
 /// random graph op by op from empty, then mixed churn.
@@ -217,6 +211,11 @@ void torture_round(FsyncPolicy policy, std::uint64_t kill_at, const std::string&
   std::string error;
   auto svc = MisService::open(config, &error);
   ASSERT_TRUE(svc.has_value()) << tag << ": recovery failed: " << error << "\n";
+  // A kill mid-checkpoint leaves the save's staging file; the open deletes it.
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path))
+    ASSERT_NE(entry.path().extension(), ".tmp")
+        << tag << ": " << entry.path() << " survived recovery\n"
+        << svc->recovery().detail;
 
   const auto stream = make_stream(2000, 6);
   std::uint64_t total = 0;

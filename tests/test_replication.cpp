@@ -9,22 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/batch.hpp"
 #include "core/cascade_engine.hpp"
-#include "graph/generators.hpp"
 #include "service/recovery.hpp"
 #include "service/replication.hpp"
 #include "service/service.hpp"
+#include "support.hpp"
 #include "util/fault_file.hpp"
-#include "util/rng.hpp"
-#include "workload/batched.hpp"
-#include "workload/churn.hpp"
-#include "workload/trace.hpp"
 
 namespace {
 
@@ -39,63 +34,10 @@ using service::LogShipperOptions;
 using service::MisService;
 using service::ServiceConfig;
 using service::TransportFaults;
-
-struct TempDir {
-  explicit TempDir(const std::string& name)
-      : path((std::filesystem::temp_directory_path() / ("dmis_repl_" + name)).string()) {
-    std::filesystem::remove_all(path);
-  }
-  ~TempDir() { std::filesystem::remove_all(path); }
-  std::string path;
-};
-
-std::vector<core::Batch> make_stream(std::uint64_t seed, std::size_t total_ops,
-                                     std::size_t ops_per_batch) {
-  util::Rng rng(seed);
-  graph::DynamicGraph g = graph::random_avg_degree(120, 6.0, rng);
-  const workload::Trace grow = workload::grow_trace(g);
-  workload::ChurnConfig config;
-  config.p_abrupt = 0.4;
-  workload::ChurnGenerator gen(g, config, seed + 1);
-
-  std::vector<core::Batch> out;
-  core::Batch current;
-  const auto flush = [&] {
-    if (!current.empty()) {
-      out.push_back(current);
-      current.clear();
-    }
-  };
-  std::size_t ops = 0;
-  for (const workload::GraphOp& op : grow) {
-    workload::append_op(current, op);
-    ++ops;
-    if (current.size() >= ops_per_batch) flush();
-  }
-  while (ops < total_ops) {
-    workload::append_op(current, gen.next());
-    ++ops;
-    if (current.size() >= ops_per_batch) flush();
-  }
-  flush();
-  return out;
-}
-
-core::CascadeEngine reference(const std::vector<core::Batch>& batches,
-                              std::size_t first, std::uint64_t priority_seed) {
-  core::CascadeEngine engine(priority_seed);
-  for (std::size_t i = 0; i < first; ++i) (void)core::apply_batch(engine, batches[i]);
-  return engine;
-}
-
-void expect_same(const core::CascadeEngine& got, const core::CascadeEngine& want,
-                 const std::string& where) {
-  EXPECT_TRUE(got.graph() == want.graph()) << where;
-  EXPECT_TRUE(got.membership() == want.membership()) << where;
-  EXPECT_EQ(got.mis_size(), want.mis_size()) << where;
-  EXPECT_TRUE(got.priorities().rng_state() == want.priorities().rng_state())
-      << where << ": RNG diverged — future draws would differ";
-}
+using test::expect_same;
+using test::make_stream;
+using test::reference;
+using test::TempDir;
 
 ServiceConfig leader_config(const std::string& dir) {
   ServiceConfig config;

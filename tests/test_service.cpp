@@ -15,15 +15,11 @@
 
 #include "core/batch.hpp"
 #include "core/cascade_engine.hpp"
-#include "graph/generators.hpp"
 #include "service/checkpoint.hpp"
 #include "service/service.hpp"
 #include "service/wal.hpp"
+#include "support.hpp"
 #include "util/fault_file.hpp"
-#include "util/rng.hpp"
-#include "workload/batched.hpp"
-#include "workload/churn.hpp"
-#include "workload/trace.hpp"
 
 namespace {
 
@@ -31,74 +27,16 @@ using namespace dmis;
 using service::FsyncPolicy;
 using service::MisService;
 using service::ServiceConfig;
-
-struct TempDir {
-  explicit TempDir(const std::string& name)
-      : path((std::filesystem::temp_directory_path() / ("dmis_svc_" + name)).string()) {
-    std::filesystem::remove_all(path);
-  }
-  ~TempDir() { std::filesystem::remove_all(path); }
-  std::string path;
-};
-
-/// Deterministic batch stream from an empty graph: grow a random graph op
-/// by op, then mixed churn. Both the service (from lsn 0) and the in-memory
-/// reference apply exactly these batches, so positional node ids line up.
-std::vector<core::Batch> make_stream(std::uint64_t seed, std::size_t total_ops,
-                                     std::size_t ops_per_batch) {
-  util::Rng rng(seed);
-  graph::DynamicGraph g = graph::random_avg_degree(120, 6.0, rng);
-  const workload::Trace grow = workload::grow_trace(g);
-  workload::ChurnConfig config;
-  config.p_abrupt = 0.4;
-  workload::ChurnGenerator gen(g, config, seed + 1);
-
-  std::vector<core::Batch> out;
-  core::Batch current;
-  const auto flush = [&] {
-    if (!current.empty()) {
-      out.push_back(current);
-      current.clear();
-    }
-  };
-  std::size_t ops = 0;
-  for (const workload::GraphOp& op : grow) {
-    workload::append_op(current, op);
-    ++ops;
-    if (current.size() >= ops_per_batch) flush();
-  }
-  while (ops < total_ops) {
-    workload::append_op(current, gen.next());
-    ++ops;
-    if (current.size() >= ops_per_batch) flush();
-  }
-  flush();
-  return out;
-}
+using test::expect_same;
+using test::make_stream;
+using test::reference;
+using test::TempDir;
 
 std::size_t total_ops(const std::vector<core::Batch>& batches,
                       std::size_t first = ~static_cast<std::size_t>(0)) {
   std::size_t n = 0;
   for (std::size_t i = 0; i < batches.size() && i < first; ++i) n += batches[i].size();
   return n;
-}
-
-core::CascadeEngine reference(const std::vector<core::Batch>& batches,
-                              std::size_t first, std::uint64_t priority_seed) {
-  core::CascadeEngine engine(priority_seed);
-  for (std::size_t i = 0; i < first; ++i) (void)core::apply_batch(engine, batches[i]);
-  return engine;
-}
-
-/// Full-state equality, including the RNG — the property that makes a
-/// recovered replica behave bit-for-bit like the pre-crash process.
-void expect_same(const core::CascadeEngine& got, const core::CascadeEngine& want,
-                 const char* where) {
-  EXPECT_TRUE(got.graph() == want.graph()) << where;
-  EXPECT_TRUE(got.membership() == want.membership()) << where;
-  EXPECT_EQ(got.mis_size(), want.mis_size()) << where;
-  EXPECT_TRUE(got.priorities().rng_state() == want.priorities().rng_state())
-      << where << ": RNG diverged — future draws would differ";
 }
 
 ServiceConfig config_for(const std::string& dir) {
@@ -461,6 +399,48 @@ TEST(Service, CheckpointAmongMovedAsideBasesRecoversTheNewHistory) {
   EXPECT_EQ(service->lsn(), total_ops(new_history, applied));
   expect_same(service->engine(), reference(new_history, applied, 7),
               "new history over moved-aside bases");
+}
+
+TEST(Service, OpenDeletesStaleCheckpointStagingFiles) {
+  TempDir dir("stale_staging");
+  const auto batches = make_stream(1101, 900, 8);
+  const std::size_t half = batches.size() / 2;
+  std::string error;
+  std::uint64_t checkpoint_lsn = 0;
+  {
+    auto service = MisService::open(config_for(dir.path), &error);
+    ASSERT_TRUE(service.has_value()) << error;
+    for (std::size_t i = 0; i < half; ++i)
+      ASSERT_TRUE(service->apply(batches[i], &error)) << error;
+    ASSERT_TRUE(service->checkpoint(&error)) << error;
+    checkpoint_lsn = service->last_checkpoint_lsn();
+    for (std::size_t i = half; i < batches.size(); ++i)
+      ASSERT_TRUE(service->apply(batches[i], &error)) << error;
+    ASSERT_TRUE(service->close(&error)) << error;
+  }
+  // A crash during a later checkpoint save left its staging file: a torn
+  // prefix of a checkpoint that never published. Its name carries the lsn,
+  // so no later save would ever overwrite it.
+  ASSERT_LT(checkpoint_lsn, 600U);
+  const std::string stale = service::checkpoint_path(dir.path, 600) + ".tmp";
+  std::vector<std::uint8_t> torn =
+      test::read_bytes(service::checkpoint_path(dir.path, checkpoint_lsn));
+  torn.resize(torn.size() / 2);
+  test::write_bytes(stale, torn);
+
+  auto service = MisService::open(config_for(dir.path), &error);
+  ASSERT_TRUE(service.has_value()) << error;
+  EXPECT_FALSE(std::filesystem::exists(stale)) << service->recovery().detail;
+  EXPECT_NE(service->recovery().detail.find("removed staging file: " + stale),
+            std::string::npos)
+      << service->recovery().detail;
+  // The recovered state is the one the stale file never touched.
+  EXPECT_EQ(service->recovery().checkpoint_lsn, checkpoint_lsn);
+  EXPECT_EQ(service->recovery().recovered_lsn, total_ops(batches));
+  expect_same(service->engine(), reference(batches, batches.size(), 7),
+              "recovery beside a stale staging file");
+  EXPECT_EQ(service::list_checkpoints(dir.path).size(), 1U);
+  ASSERT_TRUE(service->close(&error)) << error;
 }
 
 TEST(Service, EveryOpPolicyRecoversIdentically) {

@@ -12,12 +12,12 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <filesystem>
 #include <new>
 #include <string>
 
 #include "core/batch.hpp"
 #include "service/service.hpp"
+#include "support.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -45,15 +45,7 @@ namespace {
 using namespace dmis;
 using graph::NodeId;
 
-struct TempDir {
-  explicit TempDir(const std::string& name)
-      : path((std::filesystem::temp_directory_path() / ("dmis_svc_alloc_" + name))
-                 .string()) {
-    std::filesystem::remove_all(path);
-  }
-  ~TempDir() { std::filesystem::remove_all(path); }
-  std::string path;
-};
+using test::TempDir;
 
 /// Apply `ops` single-op edge-toggle batches through the service, counting
 /// the heap allocations of the whole ingest loop (batch build + WAL append

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "core/greedy_mis.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_stats.hpp"
+#include "support.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"
 #include "workload/distributed.hpp"
@@ -29,12 +29,7 @@ namespace {
 using namespace dmis;
 using graph::NodeId;
 
-struct TempFile {
-  explicit TempFile(const std::string& name)
-      : path((std::filesystem::temp_directory_path() / ("dmis_skew_" + name)).string()) {}
-  ~TempFile() { std::filesystem::remove(path); }
-  std::string path;
-};
+using test::TempFile;
 
 // ---------------------------------------------------------------- generators
 

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -22,6 +21,9 @@
 #include "core/engine_snapshot.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
+#include "support.hpp"
+#include "util/binary_io.hpp"
+#include "util/fault_file.hpp"
 #include "util/rng.hpp"
 #include "workload/batched.hpp"
 #include "workload/churn.hpp"
@@ -35,17 +37,9 @@ using graph::DynamicGraph;
 using graph::NodeId;
 using graph::Snapshot;
 
-/// Fresh path under the system temp dir, removed by the fixture-less tests
-/// themselves (each test uses its own name).
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("dmis_test_" + name)).string();
-}
-
-struct TempFile {
-  explicit TempFile(const std::string& name) : path(temp_path(name)) {}
-  ~TempFile() { std::filesystem::remove(path); }
-  std::string path;
-};
+using test::read_bytes;
+using test::TempFile;
+using test::write_bytes;
 
 /// A graph with dead ids, spilled adjacency records and edge-table
 /// tombstones: the churned shape a production snapshot would have.
@@ -57,17 +51,6 @@ DynamicGraph churned_graph(NodeId n, std::uint64_t seed) {
   workload::ChurnGenerator gen(std::move(g), config, seed + 1);
   (void)gen.generate(4 * n);
   return gen.graph();
-}
-
-std::vector<std::uint8_t> read_bytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
-}
-
-void write_bytes(const std::string& path, const std::vector<std::uint8_t>& bytes) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
 }
 
 void expect_round_trip(const DynamicGraph& g, const std::string& tag) {
@@ -475,6 +458,108 @@ TEST(Snapshot, ChecksumCatchesPayloadBitFlips) {
   std::string error;
   EXPECT_FALSE(snap.verify(&error));
   EXPECT_NE(error.find("checksum"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Frozen bytes: FNV-1a 64 over whole files for fixed seeds, recorded from
+// the stdio writer that util::save_staged replaced. The layouts are frozen
+// (docs/FORMATS.md), so every writer must reproduce them byte for byte; the
+// snapshot_bytes bench gates pin only sizes.
+// ---------------------------------------------------------------------------
+
+std::uint64_t file_fnv1a(const std::string& path) {
+  const std::vector<std::uint8_t> bytes = read_bytes(path);
+  return util::fnv1a64(bytes.data(), bytes.size());
+}
+
+TEST(SnapshotBytes, V1GraphMatchesFrozenHash) {
+  TempFile file("pin_v1.snap");
+  ASSERT_TRUE(churned_graph(400, 2016).save(file.path));
+  EXPECT_EQ(file_fnv1a(file.path), 0x52a3e58d4ce2a722ULL);
+}
+
+TEST(SnapshotBytes, V2EngineMatchesFrozenHash) {
+  std::unique_ptr<workload::ChurnGenerator> gen;
+  const core::CascadeEngine engine = churned_engine(400, 2017, /*priority_seed=*/7,
+                                                    /*extra_ops=*/900, gen);
+  TempFile file("pin_v2.snap");
+  ASSERT_TRUE(core::save_snapshot(engine, file.path));
+  EXPECT_EQ(file_fnv1a(file.path), 0x35b0d44b5abed1d3ULL);
+}
+
+TEST(SnapshotBytes, V2BorrowedAfterChurnMatchesFrozenHash) {
+  // Saving a borrowed graph merges the mapped base edge table with the
+  // overlay (DynamicGraph::merged_edge_set): the same sections from a
+  // different source.
+  std::unique_ptr<workload::ChurnGenerator> gen;
+  const core::CascadeEngine source = churned_engine(400, 2018, /*priority_seed=*/7,
+                                                    /*extra_ops=*/300, gen);
+  TempFile base("pin_base.snap");
+  ASSERT_TRUE(core::save_snapshot(source, base.path));
+  auto snap = std::make_shared<Snapshot>();
+  std::string error;
+  ASSERT_TRUE(snap->open(base.path, &error)) << error;
+  core::CascadeEngine live(DynamicGraph::borrow(snap), *snap, 7);
+  ASSERT_TRUE(live.graph().borrowed());
+  for (int i = 0; i < 600; ++i) workload::apply(live, gen->next());
+  TempFile file("pin_borrowed.snap");
+  ASSERT_TRUE(core::save_snapshot(live, file.path, &error)) << error;
+  EXPECT_EQ(file_fnv1a(file.path), 0x87781e24bafc75aeULL);
+}
+
+// ---------------------------------------------------------------------------
+// The writer under faults, through util::faulty_factory on the staging
+// file: a save that fails anywhere returns false with an error naming the
+// staging file, leaves the published file byte-identical and leaves no
+// staging file behind.
+// ---------------------------------------------------------------------------
+
+TEST(SnapshotWriterFaults, FailedSavesKeepThePublishedFileAndLeaveNoStaging) {
+  std::unique_ptr<workload::ChurnGenerator> gen;
+  core::CascadeEngine engine = churned_engine(40, 2020, /*priority_seed=*/7,
+                                              /*extra_ops=*/60, gen);
+  TempFile file("faults.snap");
+  const std::string staging = file.path + ".tmp";
+  std::string error;
+  ASSERT_TRUE(core::save_snapshot(engine, file.path, &error)) << error;
+  const std::vector<std::uint8_t> published = read_bytes(file.path);
+  // The saves below would publish different bytes.
+  for (int i = 0; i < 40; ++i) workload::apply(engine, gen->next());
+  TempFile probe("faults_probe.snap");
+  ASSERT_TRUE(core::save_snapshot(engine, probe.path, &error)) << error;
+  const std::uint64_t next_size = std::filesystem::file_size(probe.path);
+  ASSERT_NE(read_bytes(probe.path), published);
+
+  const auto expect_failed_save = [&](const util::FaultPlan& plan,
+                                      const std::string& what) {
+    std::string fault;
+    EXPECT_FALSE(core::save_snapshot(engine, file.path, util::faulty_factory(plan), &fault))
+        << what;
+    EXPECT_NE(fault.find(staging), std::string::npos) << what << ": " << fault;
+    EXPECT_EQ(read_bytes(file.path), published) << what;
+    EXPECT_FALSE(std::filesystem::exists(staging)) << what;
+  };
+  for (std::uint64_t budget = 0; budget < next_size; budget += 8) {
+    util::FaultPlan plan;
+    plan.write_budget = budget;
+    expect_failed_save(plan, "write fails after " + std::to_string(budget) + " bytes");
+    if (HasFailure()) return;
+  }
+  util::FaultPlan no_sync;
+  no_sync.sync_budget = 0;
+  expect_failed_save(no_sync, "fsync fails");
+
+  // The rename fails: a directory squats on the final path.
+  TempFile squat("faults_squat.snap");
+  std::filesystem::create_directory(squat.path);
+  EXPECT_FALSE(core::save_snapshot(engine, squat.path, &error));
+  EXPECT_NE(error.find(squat.path + ".tmp"), std::string::npos) << error;
+  EXPECT_TRUE(std::filesystem::is_directory(squat.path));
+  EXPECT_FALSE(std::filesystem::exists(squat.path + ".tmp"));
+
+  Snapshot snap;
+  ASSERT_TRUE(snap.open(file.path, &error)) << error;
+  EXPECT_TRUE(snap.verify(&error)) << error;
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "core/engine_snapshot.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
+#include "support.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"
 
@@ -40,10 +40,6 @@ using graph::DynamicGraph;
 using graph::NodeId;
 using graph::Snapshot;
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("dmis_fuzz_" + name)).string();
-}
-
 /// The committed v3 fixture: a churned CascadeEngine snapshot (seed 4242)
 /// written by the retired v3 writer with shard_count 4 — 84 live nodes over
 /// 122 ids, one spilled 18-neighbor record, edge-table tombstones.
@@ -51,11 +47,9 @@ std::string v3_fixture_path() {
   return std::string(DMIS_TEST_DATA_DIR) + "/v3_shards4.snap";
 }
 
-struct TempFile {
-  explicit TempFile(const std::string& name) : path(temp_path(name)) {}
-  ~TempFile() { std::filesystem::remove(path); }
-  std::string path;
-};
+using test::read_bytes;
+using test::TempFile;
+using test::write_bytes;
 
 DynamicGraph churned_graph(NodeId n, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -65,17 +59,6 @@ DynamicGraph churned_graph(NodeId n, std::uint64_t seed) {
   workload::ChurnGenerator gen(std::move(g), config, seed + 1);
   (void)gen.generate(3 * n);
   return gen.graph();
-}
-
-std::vector<std::uint8_t> read_bytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
-}
-
-void write_bytes(const std::string& path, const std::vector<std::uint8_t>& bytes) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
 }
 
 /// The post-mutation gauntlet: open the file; if open accepts, every

@@ -15,6 +15,7 @@
 
 #include "core/batch.hpp"
 #include "service/wal.hpp"
+#include "support.hpp"
 #include "util/fault_file.hpp"
 #include "util/rng.hpp"
 
@@ -27,15 +28,7 @@ using service::WalSegmentReader;
 using service::WalWriter;
 using service::WalWriterOptions;
 
-struct TempDir {
-  explicit TempDir(const std::string& name)
-      : path((std::filesystem::temp_directory_path() / ("dmis_wal_" + name)).string()) {
-    std::filesystem::remove_all(path);
-    std::filesystem::create_directories(path);
-  }
-  ~TempDir() { std::filesystem::remove_all(path); }
-  std::string path;
-};
+using test::TempDir;
 
 /// A deterministic mixed batch: edges, removals, add-nodes with neighbor
 /// lists (the arena path).
