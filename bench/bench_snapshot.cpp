@@ -146,28 +146,7 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
     }
     graph::DynamicGraph built;
     built.reserve_edges(r.edges);
-    for (std::size_t i = 0; i < tf.size(); ++i) {
-      const auto op = tf.op(i);
-      switch (op.kind) {
-        case workload::OpKind::kAddNode:
-        case workload::OpKind::kUnmuteNode: {
-          const NodeId v = built.add_node();
-          for (const NodeId u : op.neighbors) built.add_edge(v, u);
-          break;
-        }
-        case workload::OpKind::kAddEdge:
-          built.add_edge(op.u, op.v);
-          break;
-        case workload::OpKind::kRemoveEdgeGraceful:
-        case workload::OpKind::kRemoveEdgeAbrupt:
-          built.remove_edge(op.u, op.v);
-          break;
-        case workload::OpKind::kRemoveNodeGraceful:
-        case workload::OpKind::kRemoveNodeAbrupt:
-          built.remove_node(op.u);
-          break;
-      }
-    }
+    tf.replay(built);
     rebuilt_tuned = std::move(built);
   });
 

@@ -8,26 +8,7 @@ StaticRecomputeMis::StaticRecomputeMis(const graph::DynamicGraph& g, std::uint64
 }
 
 sim::CostReport StaticRecomputeMis::apply(const workload::GraphOp& op) {
-  using workload::OpKind;
-  switch (op.kind) {
-    case OpKind::kAddNode:
-    case OpKind::kUnmuteNode: {
-      const NodeId v = g_.add_node();
-      for (const NodeId u : op.neighbors) g_.add_edge(v, u);
-      break;
-    }
-    case OpKind::kAddEdge:
-      g_.add_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-    case OpKind::kRemoveEdgeAbrupt:
-      g_.remove_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveNodeGraceful:
-    case OpKind::kRemoveNodeAbrupt:
-      g_.remove_node(op.u);
-      break;
-  }
+  workload::apply(g_, op);
   LubyResult result = luby_mis(g_, seeds_.next_u64());
   sim::CostReport cost = result.cost;
   for (const NodeId v : g_.nodes()) {

@@ -3,14 +3,28 @@
 //
 // The paper's analysis covers one change between stable periods. When many
 // changes land at once, one can still repair the invariant with a *single*
-// cascade pass: apply every topology mutation, seed the priority queue with
-// every node whose invariant might have broken (the later endpoint of each
-// touched edge, each inserted node, the later-ordered neighbors of each
-// deleted node), and run the usual increasing-π repair. Correctness follows
-// from the same argument as the single-change cascade: a node's invariant
-// can only break because its own edge set changed (then it is seeded) or a
-// lower-ordered neighbor flipped (then the flip enqueues it), and pops in
-// increasing π order finalize each node in one evaluation.
+// cascade pass: apply every op's topology change in order, seed the
+// priority queue with every node whose invariant the op may have broken,
+// and run the usual increasing-π repair. The seeding rule is §3's, op by
+// op, judged against the membership the batch started from:
+//   * an added edge can break only its later endpoint, and only when both
+//     ends are in M;
+//   * a removed edge can break only its later end, and only when the
+//     earlier end is in M and the later end is not;
+//   * a removed node frees only its later neighbors, and only when it was
+//     in M;
+//   * an inserted node starts in M̄ and seeds itself.
+// The single-change updates run exactly this step followed by one cascade
+// (CascadeEngine::step), so one op has one seeding rule in both paths.
+// Why judging each op against the pre-batch membership suffices: steps
+// change no membership but a removed node's own, so a surviving node can
+// end the batch with a broken invariant only as an M node that gained an
+// earlier M neighbor (that add seeded it), as an M̄ node that lost earlier
+// M neighbors (each edge or node removal that did seeded it), or as a new
+// node (seeded itself). Every other node keeps its invariant until an
+// earlier neighbor flips in the cascade, which enqueues it; pops in
+// increasing π order finalize each node in one evaluation. The cascade
+// skips seeds pushed twice (visited stamps) and seeds a later op deleted.
 //
 // The interesting measurement (bench_ablation E13d) is that the batch
 // repair's total adjustments can be *smaller* than applying the same
@@ -49,9 +63,11 @@ struct BatchOp {
 };
 
 /// An ordered list of simultaneous ops plus the arena backing their
-/// neighbor lists. Ops are validated when applied, in order, against the
-/// evolving graph (an edge added earlier in the batch may be removed later,
-/// a node added earlier may be wired to later, etc.).
+/// neighbor lists. Ops apply in order against the evolving graph (an edge
+/// added earlier in the batch may be removed later, a node added earlier
+/// may be wired to later, etc.). Nothing validates them yet: an invalid op
+/// — a duplicate edge, a missing edge, a dead node — aborts the process
+/// when applied.
 class Batch {
  public:
   Batch() = default;
@@ -87,6 +103,19 @@ class Batch {
   void add_node(std::initializer_list<NodeId> neighbors) {
     add_node(std::span<const NodeId>(neighbors.begin(), neighbors.size()));
   }
+  /// Append one op given as (kind, u, v, neighbors) — the shape client ops,
+  /// WAL records and trace ops all share — through the typed builder of its
+  /// kind, so every source produces the same op bytes. kAddNode reads only
+  /// `neighbors`, kRemoveNode only `u`, edge ops only `u` and `v`.
+  void append(BatchOp::Kind kind, NodeId u, NodeId v,
+              std::span<const NodeId> neighbors = {}) {
+    switch (kind) {
+      case BatchOp::Kind::kAddEdge: add_edge(u, v); break;
+      case BatchOp::Kind::kRemoveEdge: remove_edge(u, v); break;
+      case BatchOp::Kind::kAddNode: add_node(neighbors); break;
+      case BatchOp::Kind::kRemoveNode: remove_node(u); break;
+    }
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return ops_.size(); }
   [[nodiscard]] bool empty() const noexcept { return ops_.empty(); }
@@ -106,8 +135,8 @@ struct BatchResult {
   std::vector<NodeId> new_nodes;
 };
 
-/// Apply all ops as one simultaneous change and repair with a single
-/// cascade.
+/// Apply all ops as one simultaneous change — CascadeEngine's op step per
+/// op — and repair with a single cascade (none when no op seeded a node).
 [[nodiscard]] BatchResult apply_batch(CascadeEngine& engine, const Batch& batch);
 
 /// Same, writing into a caller-owned result whose vectors keep their

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/batch.hpp"
 #include "core/greedy_mis.hpp"
 #include "core/invariant.hpp"
 #include "graph/snapshot.hpp"
@@ -115,6 +116,7 @@ void CascadeEngine::cascade() {
     heap_.push_back({hot_[v].key, v});
     std::push_heap(heap_.begin(), heap_.end(), HeapAfter{});
   }
+  seeds_.clear();
 
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), HeapAfter{});
@@ -148,100 +150,87 @@ void CascadeEngine::cascade() {
     std::sort(report_.changed.begin(), report_.changed.end());
 }
 
+NodeId CascadeEngine::step(const BatchOp& op, std::span<const NodeId> neighbors) {
+  // Each rule reads the (cheap) states before any priority lookup, so the
+  // common no-op path skips them. Within a batch the states are still the
+  // pre-batch ones — steps change no membership but a removed node's own —
+  // so each op is judged against the MIS the batch started from.
+  const NodeId u = op.u;
+  const NodeId v = op.v;
+  switch (op.kind) {
+    case BatchOp::Kind::kAddEdge:
+      DMIS_ASSERT(g_.add_edge(u, v));
+      // Only the later endpoint can break, and only when both ends are in M.
+      if (state_[u] != 0 && state_[v] != 0)
+        seeds_.push_back(priorities_.before(u, v) ? v : u);
+      break;
+    case BatchOp::Kind::kRemoveEdge:
+      DMIS_ASSERT(g_.remove_edge(u, v));
+      // Only the later end can break — it may have lost its only earlier M
+      // neighbor — so the earlier end must be in M and the later one not.
+      if ((state_[u] != 0) != (state_[v] != 0)) {
+        const NodeId member = state_[u] != 0 ? u : v;
+        const NodeId other = member == u ? v : u;
+        if (priorities_.before(member, other)) seeds_.push_back(other);
+      }
+      break;
+    case BatchOp::Kind::kAddNode: {
+      const NodeId fresh = g_.add_node();
+      // If the mirror was in sync, the only key event is this node's own
+      // draw: patch the one entry and stay in sync, so node insertion never
+      // triggers the O(n) version-resync rescan in begin_epoch().
+      const bool was_in_sync = key_version_seen_ == priorities_.version();
+      const std::uint64_t key = priorities_.ensure(fresh);
+      grow_node_arrays();
+      if (was_in_sync) {
+        hot_[fresh].key = key;
+        key_version_seen_ = priorities_.version();
+      }
+      for (const NodeId w : neighbors) g_.add_edge(fresh, w);
+      // The new node starts in M̄; nobody else can break (it blocks no one).
+      seeds_.push_back(fresh);
+      return fresh;
+    }
+    case BatchOp::Kind::kRemoveNode:
+      DMIS_ASSERT(g_.has_node(u));
+      // Removing an M̄ node frees nobody; removing an M node can free only
+      // its later neighbors.
+      if (state_[u] != 0) {
+        for (const NodeId w : g_.neighbors(u))
+          if (priorities_.before(u, w)) seeds_.push_back(w);
+        set_member(u, false);
+      }
+      g_.remove_node(u);
+      break;
+  }
+  return graph::kInvalidNode;
+}
+
+const UpdateReport& CascadeEngine::settle() {
+  if (seeds_.empty()) clear_report();
+  else cascade();
+  return report_;
+}
+
 NodeId CascadeEngine::add_node(std::span<const NodeId> neighbors) {
-  const NodeId v = raw_add_node(neighbors);
-  seeds_.clear();
-  seeds_.push_back(v);
-  cascade();
+  const NodeId v = step({BatchOp::Kind::kAddNode, 0, 0, 0, 0}, neighbors);
+  settle();
   return v;
 }
 
 const UpdateReport& CascadeEngine::add_edge(NodeId u, NodeId v) {
-  DMIS_ASSERT(g_.add_edge(u, v));
-  // The invariant can only break at the later endpoint, and only when both
-  // endpoints are currently in the MIS (§3) — check states first so the
-  // common no-op path skips the priority lookups entirely.
-  if (state_[u] != 0 && state_[v] != 0) {
-    seeds_.clear();
-    seeds_.push_back(priorities_.before(u, v) ? v : u);
-    cascade();
-  } else {
-    clear_report();
-  }
-  return report_;
+  step({BatchOp::Kind::kAddEdge, u, v, 0, 0}, {});
+  return settle();
 }
 
 const UpdateReport& CascadeEngine::remove_edge(NodeId u, NodeId v) {
-  DMIS_ASSERT(g_.remove_edge(u, v));
-  // Deleting an edge can only break the later endpoint: it may have just
-  // lost its only earlier MIS neighbor. Both-M cannot happen across an edge,
-  // so a cascade is only possible when exactly one endpoint is in M — and
-  // then only if the member is the earlier one. Checking the (cheap) states
-  // first keeps priority lookups off the common no-op path.
-  if ((state_[u] != 0) != (state_[v] != 0)) {
-    const NodeId lo = priorities_.before(u, v) ? u : v;
-    const NodeId hi = lo == u ? v : u;
-    if (state_[lo] != 0) {
-      seeds_.clear();
-      seeds_.push_back(hi);
-      cascade();
-      return report_;
-    }
-  }
-  clear_report();
-  return report_;
+  step({BatchOp::Kind::kRemoveEdge, u, v, 0, 0}, {});
+  return settle();
 }
 
 const UpdateReport& CascadeEngine::remove_node(NodeId v) {
-  DMIS_ASSERT(g_.has_node(v));
-  seeds_.clear();
-  // Deleting an M̄ node affects nobody (no invariant references it); deleting
-  // an M node can free exactly its later-ordered neighbors.
-  if (state_[v] != 0)
-    for (const NodeId u : g_.neighbors(v))
-      if (priorities_.before(v, u)) seeds_.push_back(u);
-  g_.remove_node(v);
-  if (state_[v] != 0) set_member(v, false);
-  cascade();
-  return report_;
-}
-
-NodeId CascadeEngine::raw_add_node(std::span<const NodeId> neighbors) {
-  const NodeId v = g_.add_node();
-  // If the mirror was in sync, the only key event is this node's own draw:
-  // patch the one entry and stay in sync, so add_node never triggers the
-  // O(n) version-resync rescan in begin_epoch().
-  const bool was_in_sync = key_version_seen_ == priorities_.version();
-  const std::uint64_t key = priorities_.ensure(v);
-  grow_node_arrays();
-  if (was_in_sync) {
-    hot_[v].key = key;
-    key_version_seen_ = priorities_.version();
-  }
-  for (const NodeId u : neighbors) g_.add_edge(v, u);
-  return v;
-}
-
-void CascadeEngine::raw_add_edge(NodeId u, NodeId v) {
-  DMIS_ASSERT(g_.add_edge(u, v));
-}
-
-void CascadeEngine::raw_remove_edge(NodeId u, NodeId v) {
-  DMIS_ASSERT(g_.remove_edge(u, v));
-}
-
-std::vector<NodeId> CascadeEngine::raw_remove_node(NodeId v) {
-  std::vector<NodeId> former;
-  raw_remove_node(v, former);
-  return former;
-}
-
-void CascadeEngine::raw_remove_node(NodeId v, std::vector<NodeId>& former_out) {
-  DMIS_ASSERT(g_.has_node(v));
-  const auto nb = g_.neighbors(v);
-  former_out.insert(former_out.end(), nb.begin(), nb.end());
-  g_.remove_node(v);
-  if (state_[v] != 0) set_member(v, false);
+  step({BatchOp::Kind::kRemoveNode, v, v, 0, 0}, {});
+  return settle();
 }
 
 const UpdateReport& CascadeEngine::repair(const std::vector<NodeId>& seeds) {

@@ -10,6 +10,12 @@
 // it is also the paper's suggestion (§6) for the sequential dynamic setting,
 // where the O(Δ) neighbor-notification cost is inherent.
 //
+// One op path. Every update is one step — the op's topology change plus
+// the seeds §3 says it implies — and then one cascade, skipped when the op
+// seeded nothing. core::apply_batch runs the same step for each op of a
+// batch and then one cascade; core/batch.hpp states the seeding rule and
+// why it holds for a whole batch.
+//
 // Why pops in π order finalize immediately: a node is only ever enqueued by a
 // *lower-priority* neighbor, and the heap pops lowest priority first, so by
 // the time v pops, every lower node that could still flip has already been
@@ -56,6 +62,10 @@
 #include "graph/node_set.hpp"
 
 namespace dmis::core {
+
+struct BatchOp;  // core/batch.hpp
+class Batch;
+struct BatchResult;
 
 struct UpdateReport {
   /// Surviving nodes whose output changed (the paper's adjustment measure).
@@ -115,21 +125,12 @@ class CascadeEngine {
   /// Abort if the MIS invariant does not hold everywhere (test hook).
   void verify() const;
 
-  // --- expert interface for simultaneous (batch) changes, core/batch.hpp ---
-  // Mutations below do NOT repair the invariant; after any sequence of them
-  // the caller must invoke repair() with seeds covering every node whose
-  // invariant may have broken (batch.cpp documents the seeding rule).
-
-  /// Insert a node (+ edges) without repairing. The node starts as M̄.
-  NodeId raw_add_node(std::span<const NodeId> neighbors);
-  void raw_add_edge(NodeId u, NodeId v);
-  void raw_remove_edge(NodeId u, NodeId v);
-  /// Remove a node without repairing; returns its former neighbors.
-  std::vector<NodeId> raw_remove_node(NodeId v);
-  /// Same, appending the former neighbors to `former_out` (no temporary).
-  void raw_remove_node(NodeId v, std::vector<NodeId>& former_out);
   /// Run the increasing-π repair pass from `seeds`; the report becomes
-  /// last_report().
+  /// last_report(). Updates never need it — every update and
+  /// core::apply_batch seeds its own cascade. It heals a membership made
+  /// wrong behind the engine's back (e.g. priorities re-pinned through
+  /// priorities().set_key): seeded with every such node it lands on the
+  /// unique greedy MIS again, and on a correct structure it changes nothing.
   const UpdateReport& repair(const std::vector<NodeId>& seeds);
 
   // --- test hooks for the epoch-stamped visited array ---
@@ -167,8 +168,16 @@ class CascadeEngine {
   /// cascade) and leave the key mirror marked in sync.
   void init_warm(const graph::Snapshot& snapshot);
 
+  /// The one op step, shared by the four updates and apply_batch: apply
+  /// `op`'s topology change and append to seeds_ exactly the nodes it can
+  /// break (§3). Invalid ops abort. Returns the new id for kAddNode.
+  NodeId step(const BatchOp& op, std::span<const NodeId> neighbors);
+  /// Repair from seeds_ with one cascade, or none when no op seeded a node.
+  const UpdateReport& settle();
+  friend void apply_batch(CascadeEngine& engine, const Batch& batch, BatchResult& out);
+
   [[nodiscard]] bool eval(NodeId v) const;
-  /// Repair pass over seeds_ (callers fill seeds_, then call cascade()).
+  /// Repair pass over seeds_ (consumed).
   void cascade();
   void begin_epoch();
   void clear_report();

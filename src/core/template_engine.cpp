@@ -20,7 +20,7 @@ bool TemplateEngine::eval(NodeId v) const {
   return true;
 }
 
-NodeId TemplateEngine::add_node(const std::vector<NodeId>& neighbors) {
+NodeId TemplateEngine::add_node(std::span<const NodeId> neighbors) {
   const NodeId v = g_.add_node();
   priorities_.ensure(v);
   state_.resize(g_.id_bound(), false);

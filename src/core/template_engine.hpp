@@ -31,6 +31,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "core/membership.hpp"
@@ -63,7 +65,10 @@ class TemplateEngine {
   TemplateEngine(const graph::DynamicGraph& g, std::uint64_t priority_seed);
 
   /// Insert a fresh isolated-or-connected node; report via last_report().
-  NodeId add_node(const std::vector<NodeId>& neighbors = {});
+  NodeId add_node(std::span<const NodeId> neighbors = {});
+  NodeId add_node(std::initializer_list<NodeId> neighbors) {
+    return add_node(std::span<const NodeId>(neighbors.begin(), neighbors.size()));
+  }
   TemplateReport add_edge(NodeId u, NodeId v);
   TemplateReport remove_edge(NodeId u, NodeId v);
   TemplateReport remove_node(NodeId v);

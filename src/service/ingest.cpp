@@ -63,20 +63,7 @@ std::size_t IngestQueue::drain(core::Batch& batch) {
       Lane& lane = lanes_[p];
       ClientOp op;
       if (!lane.ring.try_pop(op)) continue;
-      switch (op.kind) {
-        case core::BatchOp::Kind::kAddEdge:
-          batch.add_edge(op.u, op.v);
-          break;
-        case core::BatchOp::Kind::kRemoveEdge:
-          batch.remove_edge(op.u, op.v);
-          break;
-        case core::BatchOp::Kind::kAddNode:
-          batch.add_node(std::span<const graph::NodeId>(op.nbrs, op.nbr_count));
-          break;
-        case core::BatchOp::Kind::kRemoveNode:
-          batch.remove_node(op.u);
-          break;
-      }
+      batch.append(op.kind, op.u, op.v, {op.nbrs, op.nbr_count});
       ++lane.pending_ack;
       ++drained;
       progressed = true;

@@ -32,21 +32,8 @@ void replay_wal_record(core::CascadeEngine& engine, const WalRecordView& view,
   batch.clear();
   for (std::size_t i = from; i < view.ops.size(); ++i) {
     const WalOpRecord& op = view.ops[i];
-    switch (static_cast<core::BatchOp::Kind>(op.kind)) {
-      case core::BatchOp::Kind::kAddEdge:
-        batch.add_edge(op.u, op.v);
-        break;
-      case core::BatchOp::Kind::kRemoveEdge:
-        batch.remove_edge(op.u, op.v);
-        break;
-      case core::BatchOp::Kind::kAddNode:
-        batch.add_node(std::span<const graph::NodeId>(
-            view.arena.data() + op.nbr_begin, op.nbr_count));
-        break;
-      case core::BatchOp::Kind::kRemoveNode:
-        batch.remove_node(op.u);
-        break;
-    }
+    batch.append(static_cast<core::BatchOp::Kind>(op.kind), op.u, op.v,
+                 view.arena.subspan(op.nbr_begin, op.nbr_count));
   }
   core::apply_batch(engine, batch, result);
 }

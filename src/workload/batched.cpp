@@ -4,24 +4,8 @@
 
 namespace dmis::workload {
 
-void append_op(core::Batch& batch, const GraphOp& op) {
-  switch (op.kind) {
-    case OpKind::kAddNode:
-    case OpKind::kUnmuteNode:
-      batch.add_node(op.neighbors);
-      break;
-    case OpKind::kAddEdge:
-      batch.add_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-    case OpKind::kRemoveEdgeAbrupt:
-      batch.remove_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveNodeGraceful:
-    case OpKind::kRemoveNodeAbrupt:
-      batch.remove_node(op.u);
-      break;
-  }
+void append_op(core::Batch& batch, const OpView& op) {
+  batch.append(batch_kind(op.kind), op.u, op.v, op.neighbors);
 }
 
 std::vector<core::Batch> chunk_trace(const Trace& trace, std::size_t batch_size) {

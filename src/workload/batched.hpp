@@ -19,8 +19,9 @@
 
 namespace dmis::workload {
 
-/// Append `op` to `batch` (graceful/abrupt and add/unmute collapse).
-void append_op(core::Batch& batch, const GraphOp& op);
+/// Append `op` — a GraphOp or a TraceFile record — to `batch`
+/// (graceful/abrupt and add/unmute collapse, as batch_kind() says).
+void append_op(core::Batch& batch, const OpView& op);
 
 /// Split `trace` into consecutive batches of at most `batch_size` ops.
 [[nodiscard]] std::vector<core::Batch> chunk_trace(const Trace& trace,

@@ -21,62 +21,20 @@ std::uint32_t op_degree(const Engine& engine, const GraphOp& op) {
   }
 }
 
+template <typename Engine>
+CostSample sample_change(Engine& engine, const GraphOp& op) {
+  const std::uint32_t degree = op_degree(engine, op);  // read before the change
+  return {op.kind, degree, apply(engine, op).cost};
+}
+
 }  // namespace
 
 CostSample apply_with_cost(core::DistMis& engine, const GraphOp& op) {
-  CostSample sample;
-  sample.kind = op.kind;
-  sample.degree = op_degree(engine, op);
-  switch (op.kind) {
-    case OpKind::kAddNode:
-      sample.cost = engine.insert_node(op.neighbors).cost;
-      break;
-    case OpKind::kUnmuteNode:
-      sample.cost = engine.unmute_node(op.neighbors).cost;
-      break;
-    case OpKind::kAddEdge:
-      sample.cost = engine.insert_edge(op.u, op.v).cost;
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-      sample.cost = engine.remove_edge(op.u, op.v, core::DeletionMode::kGraceful).cost;
-      break;
-    case OpKind::kRemoveEdgeAbrupt:
-      sample.cost = engine.remove_edge(op.u, op.v, core::DeletionMode::kAbrupt).cost;
-      break;
-    case OpKind::kRemoveNodeGraceful:
-      sample.cost = engine.remove_node(op.u, core::DeletionMode::kGraceful).cost;
-      break;
-    case OpKind::kRemoveNodeAbrupt:
-      sample.cost = engine.remove_node(op.u, core::DeletionMode::kAbrupt).cost;
-      break;
-  }
-  return sample;
+  return sample_change(engine, op);
 }
 
 CostSample apply_with_cost(core::AsyncMis& engine, const GraphOp& op) {
-  CostSample sample;
-  sample.kind = op.kind;
-  sample.degree = op_degree(engine, op);
-  switch (op.kind) {
-    case OpKind::kAddNode:
-      sample.cost = engine.insert_node(op.neighbors).cost;
-      break;
-    case OpKind::kUnmuteNode:
-      sample.cost = engine.unmute_node(op.neighbors).cost;
-      break;
-    case OpKind::kAddEdge:
-      sample.cost = engine.insert_edge(op.u, op.v).cost;
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-    case OpKind::kRemoveEdgeAbrupt:
-      sample.cost = engine.remove_edge(op.u, op.v).cost;
-      break;
-    case OpKind::kRemoveNodeGraceful:
-    case OpKind::kRemoveNodeAbrupt:
-      sample.cost = engine.remove_node(op.u).cost;
-      break;
-  }
-  return sample;
+  return sample_change(engine, op);
 }
 
 }  // namespace dmis::workload

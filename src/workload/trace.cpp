@@ -20,117 +20,110 @@ Trace grow_trace(const graph::DynamicGraph& g) {
   return trace;
 }
 
-void apply(core::CascadeEngine& engine, const GraphOp& op) {
-  switch (op.kind) {
+core::BatchOp::Kind batch_kind(OpKind kind) {
+  switch (kind) {
     case OpKind::kAddNode:
     case OpKind::kUnmuteNode:
+      return core::BatchOp::Kind::kAddNode;
+    case OpKind::kAddEdge:
+      return core::BatchOp::Kind::kAddEdge;
+    case OpKind::kRemoveEdgeGraceful:
+    case OpKind::kRemoveEdgeAbrupt:
+      return core::BatchOp::Kind::kRemoveEdge;
+    case OpKind::kRemoveNodeGraceful:
+    case OpKind::kRemoveNodeAbrupt:
+      return core::BatchOp::Kind::kRemoveNode;
+  }
+  DMIS_ASSERT_MSG(false, "unknown op kind");
+}
+
+namespace {
+
+/// CascadeEngine and TemplateEngine share the update API.
+template <typename Engine>
+void apply_sequential(Engine& engine, const OpView& op) {
+  switch (batch_kind(op.kind)) {
+    case core::BatchOp::Kind::kAddNode:
       (void)engine.add_node(op.neighbors);
       break;
-    case OpKind::kAddEdge:
+    case core::BatchOp::Kind::kAddEdge:
       engine.add_edge(op.u, op.v);
       break;
-    case OpKind::kRemoveEdgeGraceful:
-    case OpKind::kRemoveEdgeAbrupt:
+    case core::BatchOp::Kind::kRemoveEdge:
       engine.remove_edge(op.u, op.v);
       break;
-    case OpKind::kRemoveNodeGraceful:
-    case OpKind::kRemoveNodeAbrupt:
+    case core::BatchOp::Kind::kRemoveNode:
       engine.remove_node(op.u);
       break;
   }
 }
 
-void apply(core::TemplateEngine& engine, const GraphOp& op) {
+}  // namespace
+
+void apply(core::CascadeEngine& engine, const OpView& op) { apply_sequential(engine, op); }
+
+void apply(core::TemplateEngine& engine, const OpView& op) { apply_sequential(engine, op); }
+
+core::DistMis::ChangeResult apply(core::DistMis& engine, const OpView& op) {
   switch (op.kind) {
     case OpKind::kAddNode:
+      return engine.insert_node(op.neighbors);
     case OpKind::kUnmuteNode:
-      (void)engine.add_node(op.neighbors);
-      break;
+      return engine.unmute_node(op.neighbors);
     case OpKind::kAddEdge:
-      engine.add_edge(op.u, op.v);
-      break;
+      return engine.insert_edge(op.u, op.v);
     case OpKind::kRemoveEdgeGraceful:
+      return engine.remove_edge(op.u, op.v, core::DeletionMode::kGraceful);
     case OpKind::kRemoveEdgeAbrupt:
-      engine.remove_edge(op.u, op.v);
-      break;
+      return engine.remove_edge(op.u, op.v, core::DeletionMode::kAbrupt);
     case OpKind::kRemoveNodeGraceful:
+      return engine.remove_node(op.u, core::DeletionMode::kGraceful);
     case OpKind::kRemoveNodeAbrupt:
-      engine.remove_node(op.u);
-      break;
+      return engine.remove_node(op.u, core::DeletionMode::kAbrupt);
   }
+  DMIS_ASSERT_MSG(false, "unknown op kind");
 }
 
-void apply(core::DistMis& engine, const GraphOp& op) {
+core::AsyncMis::ChangeResult apply(core::AsyncMis& engine, const OpView& op) {
   switch (op.kind) {
     case OpKind::kAddNode:
-      engine.insert_node(op.neighbors);
-      break;
+      return engine.insert_node(op.neighbors);
     case OpKind::kUnmuteNode:
-      engine.unmute_node(op.neighbors);
-      break;
+      return engine.unmute_node(op.neighbors);
     case OpKind::kAddEdge:
-      engine.insert_edge(op.u, op.v);
-      break;
+      return engine.insert_edge(op.u, op.v);
     case OpKind::kRemoveEdgeGraceful:
-      engine.remove_edge(op.u, op.v, core::DeletionMode::kGraceful);
-      break;
     case OpKind::kRemoveEdgeAbrupt:
-      engine.remove_edge(op.u, op.v, core::DeletionMode::kAbrupt);
-      break;
+      return engine.remove_edge(op.u, op.v);
     case OpKind::kRemoveNodeGraceful:
-      engine.remove_node(op.u, core::DeletionMode::kGraceful);
-      break;
     case OpKind::kRemoveNodeAbrupt:
-      engine.remove_node(op.u, core::DeletionMode::kAbrupt);
-      break;
+      return engine.remove_node(op.u);
   }
+  DMIS_ASSERT_MSG(false, "unknown op kind");
 }
 
-void apply(core::AsyncMis& engine, const GraphOp& op) {
-  switch (op.kind) {
-    case OpKind::kAddNode:
-      engine.insert_node(op.neighbors);
+void apply(graph::DynamicGraph& g, const OpView& op) {
+  switch (batch_kind(op.kind)) {
+    case core::BatchOp::Kind::kAddNode: {
+      const NodeId v = g.add_node();
+      for (const NodeId u : op.neighbors) g.add_edge(v, u);
       break;
-    case OpKind::kUnmuteNode:
-      engine.unmute_node(op.neighbors);
+    }
+    case core::BatchOp::Kind::kAddEdge:
+      g.add_edge(op.u, op.v);
       break;
-    case OpKind::kAddEdge:
-      engine.insert_edge(op.u, op.v);
+    case core::BatchOp::Kind::kRemoveEdge:
+      g.remove_edge(op.u, op.v);
       break;
-    case OpKind::kRemoveEdgeGraceful:
-    case OpKind::kRemoveEdgeAbrupt:
-      engine.remove_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveNodeGraceful:
-    case OpKind::kRemoveNodeAbrupt:
-      engine.remove_node(op.u);
+    case core::BatchOp::Kind::kRemoveNode:
+      g.remove_node(op.u);
       break;
   }
 }
 
 graph::DynamicGraph materialize(const Trace& trace) {
   graph::DynamicGraph g;
-  for (const GraphOp& op : trace) {
-    switch (op.kind) {
-      case OpKind::kAddNode:
-      case OpKind::kUnmuteNode: {
-        const NodeId v = g.add_node();
-        for (const NodeId u : op.neighbors) g.add_edge(v, u);
-        break;
-      }
-      case OpKind::kAddEdge:
-        g.add_edge(op.u, op.v);
-        break;
-      case OpKind::kRemoveEdgeGraceful:
-      case OpKind::kRemoveEdgeAbrupt:
-        g.remove_edge(op.u, op.v);
-        break;
-      case OpKind::kRemoveNodeGraceful:
-      case OpKind::kRemoveNodeAbrupt:
-        g.remove_node(op.u);
-        break;
-    }
-  }
+  for (const GraphOp& op : trace) apply(g, op);
   return g;
 }
 

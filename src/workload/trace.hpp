@@ -20,10 +20,11 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "core/async_mis.hpp"
-#include "core/cascade_engine.hpp"
+#include "core/batch.hpp"
 #include "core/dist_mis.hpp"
 #include "core/template_engine.hpp"
 #include "graph/dynamic_graph.hpp"
@@ -42,11 +43,23 @@ enum class OpKind : std::uint8_t {
   kRemoveNodeAbrupt,
 };
 
+/// One op with its neighbor list as a span: the shape a GraphOp and a
+/// mapped TraceFile record share, so each engine has one dispatcher.
+struct OpView {
+  OpKind kind = OpKind::kAddNode;
+  NodeId u = 0;
+  NodeId v = 0;
+  std::span<const NodeId> neighbors;  // kAddNode / kUnmuteNode only
+};
+
 struct GraphOp {
   OpKind kind = OpKind::kAddNode;
   NodeId u = 0;
   NodeId v = 0;
   std::vector<NodeId> neighbors;  // kAddNode / kUnmuteNode only
+
+  /// View of this op; valid while the op lives.
+  operator OpView() const noexcept { return {kind, u, v, neighbors}; }
 
   [[nodiscard]] static GraphOp add_node(std::vector<NodeId> neighbors = {}) {
     return {OpKind::kAddNode, 0, 0, std::move(neighbors)};
@@ -71,13 +84,21 @@ using Trace = std::vector<GraphOp>;
 /// then each edge (the canonical "grow" history of a graph).
 [[nodiscard]] Trace grow_trace(const graph::DynamicGraph& g);
 
-/// Apply one op / a whole trace to each engine flavor. The sequential
-/// engines collapse graceful/abrupt and treat unmute as insertion (the
-/// distinctions only exist at the communication layer).
-void apply(core::CascadeEngine& engine, const GraphOp& op);
-void apply(core::TemplateEngine& engine, const GraphOp& op);
-void apply(core::DistMis& engine, const GraphOp& op);
-void apply(core::AsyncMis& engine, const GraphOp& op);
+/// The op kind a core::Batch stores for `kind`: graceful/abrupt and
+/// add/unmute collapse (the distinctions only exist at the communication
+/// layer).
+[[nodiscard]] core::BatchOp::Kind batch_kind(OpKind kind);
+
+/// Apply one op / a whole trace to each engine flavor — one dispatcher per
+/// engine, taking a GraphOp or a TraceFile record alike. The sequential
+/// engines and the bare graph collapse ops as batch_kind() does; the
+/// distributed engines return the change's result, cost included.
+void apply(core::CascadeEngine& engine, const OpView& op);
+void apply(core::TemplateEngine& engine, const OpView& op);
+core::DistMis::ChangeResult apply(core::DistMis& engine, const OpView& op);
+core::AsyncMis::ChangeResult apply(core::AsyncMis& engine, const OpView& op);
+/// Topology only, no MIS machinery.
+void apply(graph::DynamicGraph& g, const OpView& op);
 
 template <typename Engine>
 void replay(Engine& engine, const Trace& trace) {

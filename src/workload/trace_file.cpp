@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "util/binary_io.hpp"
+#include "workload/batched.hpp"
 
 namespace dmis::workload {
 
@@ -128,117 +129,10 @@ Trace TraceFile::to_trace() const {
   return trace;
 }
 
-void apply_view(core::CascadeEngine& engine, const TraceFile::OpView& op) {
-  switch (op.kind) {
-    case OpKind::kAddNode:
-    case OpKind::kUnmuteNode:
-      (void)engine.add_node(op.neighbors);
-      break;
-    case OpKind::kAddEdge:
-      engine.add_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-    case OpKind::kRemoveEdgeAbrupt:
-      engine.remove_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveNodeGraceful:
-    case OpKind::kRemoveNodeAbrupt:
-      engine.remove_node(op.u);
-      break;
-  }
-}
-
-void apply_view(core::TemplateEngine& engine, const TraceFile::OpView& op) {
-  switch (op.kind) {
-    case OpKind::kAddNode:
-    case OpKind::kUnmuteNode:
-      (void)engine.add_node({op.neighbors.begin(), op.neighbors.end()});
-      break;
-    case OpKind::kAddEdge:
-      engine.add_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-    case OpKind::kRemoveEdgeAbrupt:
-      engine.remove_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveNodeGraceful:
-    case OpKind::kRemoveNodeAbrupt:
-      engine.remove_node(op.u);
-      break;
-  }
-}
-
-void apply_view(core::DistMis& engine, const TraceFile::OpView& op) {
-  switch (op.kind) {
-    case OpKind::kAddNode:
-      engine.insert_node(op.neighbors);
-      break;
-    case OpKind::kUnmuteNode:
-      engine.unmute_node(op.neighbors);
-      break;
-    case OpKind::kAddEdge:
-      engine.insert_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-      engine.remove_edge(op.u, op.v, core::DeletionMode::kGraceful);
-      break;
-    case OpKind::kRemoveEdgeAbrupt:
-      engine.remove_edge(op.u, op.v, core::DeletionMode::kAbrupt);
-      break;
-    case OpKind::kRemoveNodeGraceful:
-      engine.remove_node(op.u, core::DeletionMode::kGraceful);
-      break;
-    case OpKind::kRemoveNodeAbrupt:
-      engine.remove_node(op.u, core::DeletionMode::kAbrupt);
-      break;
-  }
-}
-
-void apply_view(core::AsyncMis& engine, const TraceFile::OpView& op) {
-  switch (op.kind) {
-    case OpKind::kAddNode:
-      engine.insert_node(op.neighbors);
-      break;
-    case OpKind::kUnmuteNode:
-      engine.unmute_node(op.neighbors);
-      break;
-    case OpKind::kAddEdge:
-      engine.insert_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-    case OpKind::kRemoveEdgeAbrupt:
-      engine.remove_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveNodeGraceful:
-    case OpKind::kRemoveNodeAbrupt:
-      engine.remove_node(op.u);
-      break;
-  }
-}
-
 void append_to_batch(const TraceFile& trace, std::size_t begin, std::size_t end,
                      core::Batch& batch) {
   DMIS_ASSERT(begin <= end && end <= trace.size());
-  for (std::size_t i = begin; i < end; ++i) {
-    const TraceFile::OpView view = trace.op(i);
-    switch (view.kind) {
-      case OpKind::kAddNode:
-      case OpKind::kUnmuteNode:
-        batch.add_node(view.neighbors);
-        break;
-      case OpKind::kAddEdge:
-        batch.add_edge(view.u, view.v);
-        break;
-      case OpKind::kRemoveEdgeGraceful:
-      case OpKind::kRemoveEdgeAbrupt:
-        batch.remove_edge(view.u, view.v);
-        break;
-      case OpKind::kRemoveNodeGraceful:
-      case OpKind::kRemoveNodeAbrupt:
-        batch.remove_node(view.u);
-        break;
-    }
-  }
+  for (std::size_t i = begin; i < end; ++i) append_op(batch, trace.op(i));
 }
 
 }  // namespace dmis::workload

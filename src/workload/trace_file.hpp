@@ -62,13 +62,6 @@ static_assert(sizeof(TraceOpRecord) == 24, "trace op record layout is frozen");
 /// the mapped bytes (zero-copy; the view must outlive them).
 class TraceFile {
  public:
-  struct OpView {
-    OpKind kind;
-    graph::NodeId u;
-    graph::NodeId v;
-    std::span<const graph::NodeId> neighbors;  // add-node / unmute only
-  };
-
   TraceFile() = default;
 
   /// Serialize `trace` to `path`. Returns false (with *error) on failure.
@@ -99,14 +92,14 @@ class TraceFile {
   }
 
   /// Materialize as a workload::Trace (allocates one vector per add-node
-  /// op — prefer replay()/to_batch() for hot paths).
+  /// op — prefer replay()/append_to_batch() for hot paths).
   [[nodiscard]] Trace to_trace() const;
 
-  /// Replay every op into an engine directly from the mapping. Engine is
-  /// any type with an apply_view overload below.
+  /// Replay every op into an engine directly from the mapping, through the
+  /// same workload::apply dispatcher a GraphOp takes.
   template <typename Engine>
   void replay(Engine& engine) const {
-    for (std::size_t i = 0; i < size(); ++i) apply_view(engine, op(i));
+    for (std::size_t i = 0; i < size(); ++i) apply(engine, op(i));
   }
 
   /// Payload checksum check (full pass; open() validates structure only).
@@ -126,16 +119,8 @@ class TraceFile {
   TraceFileHeader header_{};
 };
 
-/// Per-engine op application, mirroring workload::apply but reading the
-/// neighbor span straight out of the mapped arena (the sequential engines
-/// collapse graceful/abrupt and unmute, exactly like workload::apply).
-void apply_view(core::CascadeEngine& engine, const TraceFile::OpView& op);
-void apply_view(core::TemplateEngine& engine, const TraceFile::OpView& op);
-void apply_view(core::DistMis& engine, const TraceFile::OpView& op);
-void apply_view(core::AsyncMis& engine, const TraceFile::OpView& op);
-
-/// Append ops [begin, end) to `batch` (arena-to-arena copy; the same
-/// graceful/abrupt collapse as workload::append_op).
+/// Append ops [begin, end) to `batch` through workload::append_op
+/// (arena-to-arena copy).
 void append_to_batch(const TraceFile& trace, std::size_t begin, std::size_t end,
                      core::Batch& batch);
 

@@ -1,6 +1,6 @@
 // Tests for CascadeEngine's reused-scratch machinery: the epoch-stamped
 // visited table (including counter rollover), the incremental mis_size()
-// counter, and interleaved raw_*/repair batch sequences.
+// counter, and interleaved batch/repair sequences.
 #include <gtest/gtest.h>
 
 #include "core/batch.hpp"
@@ -89,28 +89,37 @@ TEST(CascadeScratch, MisSizeCounterTracksSetExactly) {
   engine.verify();
 }
 
-TEST(CascadeScratch, InterleavedRawAndRepairSequences) {
+TEST(CascadeScratch, InterleavedBatchAndRepairSequences) {
   dmis::util::Rng rng(13);
   CascadeEngine engine(dmis::graph::erdos_renyi(40, 0.1, rng), 23);
 
-  // Alternate raw mutations + manual repair with normal single-change
-  // updates and apply_batch calls; after every repair the structure must
-  // equal the from-scratch greedy MIS (history independence).
+  // Alternate edge-toggle storms + manual repair with normal single-change
+  // updates and mixed apply_batch calls; after every round the structure
+  // must equal the from-scratch greedy MIS (history independence).
   std::vector<NodeId> live = engine.graph().nodes();
   for (int round = 0; round < 60; ++round) {
     const int mode = round % 3;
     if (mode == 0) {
-      // Raw phase: a handful of unrepaired mutations, then one repair.
+      // Storm phase: a handful of toggles as one batch, then a repair from
+      // their later endpoints, which must find nothing left to fix.
+      dmis::graph::DynamicGraph mirror = engine.graph();  // the in-batch graph
+      Batch toggles;
       std::vector<NodeId> seeds;
       for (int k = 0; k < 4; ++k) {
         const NodeId u = live[rng.below(live.size())];
         const NodeId v = live[rng.below(live.size())];
         if (u == v) continue;
-        if (engine.graph().has_edge(u, v)) engine.raw_remove_edge(u, v);
-        else engine.raw_add_edge(u, v);
+        if (mirror.has_edge(u, v)) {
+          mirror.remove_edge(u, v);
+          toggles.remove_edge(u, v);
+        } else {
+          mirror.add_edge(u, v);
+          toggles.add_edge(u, v);
+        }
         seeds.push_back(engine.priorities().before(u, v) ? v : u);
       }
-      engine.repair(seeds);
+      (void)apply_batch(engine, toggles);
+      EXPECT_EQ(engine.repair(seeds).adjustments, 0U);
     } else if (mode == 1) {
       // Batch phase.
       Batch ops;

@@ -10,7 +10,9 @@
 // independence makes the comparison exact:
 // same priority seed ⇒ same permutation ⇒ the engines must agree on the
 // full membership after EVERY op and report identical per-op adjustment
-// counts. Divergence is reported with the regime, the seed and the op index;
+// counts; the batch-of-one engine must also evaluate exactly the nodes the
+// single-op engine does, since both seed by the same §3 rule. Divergence
+// is reported with the regime, the seed and the op index;
 // because every op is checked, the reported index is already minimal — the
 // shortest failing prefix of that trace ends exactly there.
 //
@@ -27,7 +29,9 @@
 // The regimes × seeds grid below yields 16 traces × 5 engines = 80
 // trace/engine combinations (the tier-1 bar is >= 65); graphs are kept small
 // enough that the whole suite stays well inside the ctest budget even under
-// the sanitizer jobs.
+// the sanitizer jobs. A separate multi-op regime feeds apply_batch batches
+// of 2-256 ops, the shape the service runs, against the oracle and a
+// single-op twin.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -161,6 +165,7 @@ bool run_trace_case(const char* regime_name, const graph::DynamicGraph& g0,
 
     workload::apply(cascade, op);
     const std::uint64_t want_adjustments = cascade.last_report().adjustments;
+    const std::uint64_t want_evaluated = cascade.last_report().evaluated;
 
     batch.clear();
     workload::append_op(batch, op);
@@ -181,6 +186,14 @@ bool run_trace_case(const char* regime_name, const graph::DynamicGraph& g0,
                     << " template=" << templ_adjustments << "\n  "
                     << locate(regime_name, seed, i, op)
                     << dump_divergence(regime_name, seed, prio_seed, g0, applied, i);
+      return false;
+    }
+    // One op seeds the batch cascade exactly as it seeds the single-op
+    // update (§3), so both evaluate the same nodes.
+    if (batched_result.report.evaluated != want_evaluated) {
+      ADD_FAILURE() << "evaluated-count divergence: cascade=" << want_evaluated
+                    << " batched=" << batched_result.report.evaluated << "\n  "
+                    << locate(regime_name, seed, i, op);
       return false;
     }
 
@@ -292,6 +305,126 @@ TEST(EngineFuzz, DifferentialUnderSkewedChurn) {
     }
   }
   EXPECT_GE(combos, 25U) << "skewed differential coverage dropped below the bar";
+}
+
+// Multi-op batches, the shape MisService applies: each case cuts one
+// generator's stream into batches of 2-256 ops and applies each batch with
+// one cascade, while a single-op twin takes the same ops one at a time. Two
+// shapes a generator rarely emits on its own are mixed in, each net-zero so
+// the generator's graph stays in step with the engines':
+//   * an edge added and removed in the same batch (after every edge op,
+//     with odds 1/3, the edge is toggled twice more);
+//   * after a node removal, an edge toggled twice between two of its
+//     former neighbors — the nodes the removal may free.
+// After every batch the batched engine must equal the greedy oracle and
+// the twin: same graph, same membership.
+bool run_multi_op_case(const char* regime_name, const graph::DynamicGraph& g0,
+                       workload::TraceGenerator& gen, std::size_t batches,
+                       std::uint64_t seed) {
+  using workload::GraphOp;
+  using workload::OpKind;
+  const std::uint64_t prio_seed = seed * 1000 + 17;
+  core::CascadeEngine batched(g0, prio_seed);
+  core::CascadeEngine single(g0, prio_seed);
+  util::Rng rng(seed + 7);
+  core::Batch batch;
+  std::vector<NodeId> former;
+  const auto push = [&](const GraphOp& op) {
+    workload::append_op(batch, op);
+    workload::apply(single, op);
+  };
+  const auto toggle_twice = [&](NodeId a, NodeId b) {
+    if (single.graph().has_edge(a, b)) {
+      push(GraphOp::remove_edge(a, b));
+      push(GraphOp::add_edge(a, b));
+    } else {
+      push(GraphOp::add_edge(a, b));
+      push(GraphOp::remove_edge(a, b));
+    }
+  };
+
+  for (std::size_t b = 0; b < batches; ++b) {
+    const std::size_t size = 2 + rng.below(255);
+    batch.clear();
+    while (batch.size() < size) {
+      const GraphOp op = gen.next();
+      const bool removes_node =
+          op.kind == OpKind::kRemoveNodeGraceful || op.kind == OpKind::kRemoveNodeAbrupt;
+      const bool edge_op = op.kind == OpKind::kAddEdge ||
+                           op.kind == OpKind::kRemoveEdgeGraceful ||
+                           op.kind == OpKind::kRemoveEdgeAbrupt;
+      if (removes_node) {
+        const auto nb = single.graph().neighbors(op.u);
+        former.assign(nb.begin(), nb.end());
+      }
+      push(op);
+      if (removes_node && former.size() >= 2) {
+        const NodeId x = former[rng.below(former.size())];
+        const NodeId y = former[rng.below(former.size())];
+        if (x != y) toggle_twice(x, y);
+      } else if (edge_op && rng.below(3) == 0) {
+        toggle_twice(op.u, op.v);
+      }
+    }
+
+    const core::BatchResult result = core::apply_batch(batched, batch);
+    const core::Membership oracle = core::greedy_mis(batched.graph(), batched.priorities());
+    bool ok = batched.graph() == single.graph() && batched.mis_size() == single.mis_size();
+    NodeId bad = graph::kInvalidNode;
+    batched.graph().for_each_node([&](NodeId v) {
+      const bool want = oracle[v] != 0;
+      if (bad == graph::kInvalidNode &&
+          (batched.in_mis(v) != want || single.in_mis(v) != want))
+        bad = v;
+    });
+    ok = ok && bad == graph::kInvalidNode;
+    if (!ok) {
+      ADD_FAILURE() << "multi-op divergence: regime=" << regime_name << " seed=" << seed
+                    << " batch=" << b << " ops=" << batch.size()
+                    << " graphs_equal=" << (batched.graph() == single.graph())
+                    << " first_bad_node=" << bad
+                    << " adjustments=" << result.report.adjustments;
+      return false;
+    }
+  }
+  batched.verify();
+  single.verify();
+  EXPECT_TRUE(batched.graph() == gen.graph());
+  return true;
+}
+
+constexpr std::size_t kMultiOpBatches = 40;  // per case, 2-256 ops each
+
+TEST(EngineFuzz, MultiOpBatchesMatchOracleAndSingleOpTwin) {
+  unsigned clean = 0;
+  unsigned cases = 0;
+  for (const Regime& regime : kRegimes) {
+    for (std::uint64_t s = 0; s < 2; ++s) {
+      const std::uint64_t seed = s * 6151 + 29;
+      util::Rng graph_rng(seed);
+      const graph::DynamicGraph g0 =
+          graph::random_avg_degree(regime.n, regime.deg, graph_rng);
+      workload::ChurnGenerator gen(g0, regime.config, seed + 99);
+      ++cases;
+      clean += run_multi_op_case(regime.name, g0, gen, kMultiOpBatches, seed) ? 1 : 0;
+    }
+  }
+  for (const SkewedRegime& regime : kSkewedRegimes) {
+    for (std::uint64_t s = 0; s < 2; ++s) {
+      const std::uint64_t seed = s * 104729 + 43;
+      util::Rng graph_rng(seed);
+      const graph::DynamicGraph g0 = graph::barabasi_albert(100, 3, graph_rng);
+      workload::SkewedChurnConfig config;
+      config.policy = regime.policy;
+      config.burst_cap = 12;
+      config.storm_len = 24;
+      workload::SkewedChurnGenerator gen(g0, config, seed + 99);
+      ++cases;
+      clean += run_multi_op_case(regime.name, g0, gen, kMultiOpBatches, seed) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(clean, cases);
+  EXPECT_EQ(cases, 14U);
 }
 
 // The dump machinery itself is load-bearing test infrastructure, so it gets

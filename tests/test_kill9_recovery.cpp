@@ -99,15 +99,8 @@ std::vector<core::Batch> make_stream(std::size_t total_ops, std::size_t ops_per_
 void append_slice(core::Batch& out, const core::Batch& b, std::size_t from,
                   std::size_t count) {
   const auto ops = b.ops();
-  for (std::size_t i = from; i < from + count && i < ops.size(); ++i) {
-    const core::BatchOp& op = ops[i];
-    switch (op.kind) {
-      case core::BatchOp::Kind::kAddEdge: out.add_edge(op.u, op.v); break;
-      case core::BatchOp::Kind::kRemoveEdge: out.remove_edge(op.u, op.v); break;
-      case core::BatchOp::Kind::kAddNode: out.add_node(b.neighbors_of(op)); break;
-      case core::BatchOp::Kind::kRemoveNode: out.remove_node(op.u); break;
-    }
-  }
+  for (std::size_t i = from; i < from + count && i < ops.size(); ++i)
+    out.append(ops[i].kind, ops[i].u, ops[i].v, b.neighbors_of(ops[i]));
 }
 
 /// Reference engine fed exactly the first `ops` ops of the stream —

@@ -7,10 +7,11 @@
 // increasing-π repair pass seeded with the corrupted nodes, landing back on
 // the unique greedy MIS. This is the self-stabilizing flavor the related
 // work (§1.2) aims for, obtained here for free from the invariant's
-// structure.
+// structure. The storm cases apply many simultaneous changes as one batch
+// and then check that a repair from everything they touched is a no-op.
 #include <gtest/gtest.h>
 
-#include "core/cascade_engine.hpp"
+#include "core/batch.hpp"
 #include "core/greedy_mis.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_stats.hpp"
@@ -39,27 +40,35 @@ TEST(Repair, SeededWithEveryNodeHealsAnyStart) {
   engine.verify();
 }
 
-TEST(Repair, HealsAfterRawMutationStorm) {
-  // Apply a storm of raw (unrepaired) mutations — the state is arbitrary
-  // garbage with respect to the new topology — then repair from the touched
-  // frontier and check the oracle.
+TEST(Repair, HealsAfterMutationStorm) {
+  // Apply a storm of simultaneous edge toggles as one batch — until its
+  // single cascade the membership is stale with respect to the new
+  // topology — then repair again from the whole touched frontier, which
+  // must find nothing left to fix, and check the oracle.
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     dmis::util::Rng rng(seed + 50);
     const auto g = dmis::graph::erdos_renyi(40, 0.12, rng);
     CascadeEngine engine(g, seed);
 
+    dmis::graph::DynamicGraph mirror = engine.graph();  // the in-batch graph
+    Batch storm;
     std::vector<NodeId> touched;
     for (int i = 0; i < 25; ++i) {
       const auto u = static_cast<NodeId>(rng.below(40));
       const auto v = static_cast<NodeId>(rng.below(40));
-      if (u == v || !engine.graph().has_node(u) || !engine.graph().has_node(v))
-        continue;
-      if (engine.graph().has_edge(u, v)) engine.raw_remove_edge(u, v);
-      else engine.raw_add_edge(u, v);
+      if (u == v || !mirror.has_node(u) || !mirror.has_node(v)) continue;
+      if (mirror.has_edge(u, v)) {
+        mirror.remove_edge(u, v);
+        storm.remove_edge(u, v);
+      } else {
+        mirror.add_edge(u, v);
+        storm.add_edge(u, v);
+      }
       touched.push_back(u);
       touched.push_back(v);
     }
-    (void)engine.repair(std::move(touched));
+    (void)apply_batch(engine, storm);
+    EXPECT_EQ(engine.repair(touched).adjustments, 0U);
     engine.verify();
     EXPECT_TRUE(dmis::graph::is_maximal_independent_set(engine.graph(),
                                                         engine.mis_set()));
@@ -118,24 +127,35 @@ TEST(Repair, MassCorruptionViaColdEngine) {
 }
 
 TEST(Repair, StormStatisticsStayLocal) {
-  // Even for large raw storms, repair work is proportional to the touched
-  // region, not to n.
+  // Even for large storms, repair work is proportional to the touched
+  // region, not to n — both the batch's own cascade and a repair from the
+  // whole touched frontier.
   dmis::util::Rng rng(99);
   const auto g = dmis::graph::random_avg_degree(2000, 6.0, rng);
   CascadeEngine engine(g, 5);
+  dmis::graph::DynamicGraph mirror = engine.graph();  // the in-batch graph
+  Batch storm;
   std::vector<NodeId> touched;
   for (int i = 0; i < 10; ++i) {
     const auto u = static_cast<NodeId>(rng.below(2000));
     const auto v = static_cast<NodeId>(rng.below(2000));
     if (u == v) continue;
-    if (engine.graph().has_edge(u, v)) engine.raw_remove_edge(u, v);
-    else engine.raw_add_edge(u, v);
+    if (mirror.has_edge(u, v)) {
+      mirror.remove_edge(u, v);
+      storm.remove_edge(u, v);
+    } else {
+      mirror.add_edge(u, v);
+      storm.add_edge(u, v);
+    }
     touched.push_back(u);
     touched.push_back(v);
   }
-  const auto report = engine.repair(std::move(touched));
+  const BatchResult result = apply_batch(engine, storm);
+  EXPECT_LT(result.report.evaluated, 200U);  // ≪ n = 2000
+  const auto report = engine.repair(touched);
+  EXPECT_EQ(report.adjustments, 0U);
+  EXPECT_LT(report.evaluated, 200U);
   engine.verify();
-  EXPECT_LT(report.evaluated, 200U);  // ≪ n = 2000
 }
 
 }  // namespace

@@ -16,8 +16,11 @@
 #include "core/batch.hpp"
 #include "service/wal.hpp"
 #include "support.hpp"
+#include "util/binary_io.hpp"
 #include "util/fault_file.hpp"
 #include "util/rng.hpp"
+#include "workload/batched.hpp"
+#include "workload/trace.hpp"
 
 namespace {
 
@@ -34,26 +37,21 @@ using test::TempDir;
 /// lists (the arena path).
 core::Batch make_batch(util::Rng& rng, std::uint32_t ops) {
   core::Batch batch;
+  std::vector<graph::NodeId> nbrs;
   for (std::uint32_t i = 0; i < ops; ++i) {
-    switch (rng.next_u64() % 4) {
-      case 0:
-        batch.add_edge(static_cast<graph::NodeId>(rng.below(1000)),
-                       static_cast<graph::NodeId>(rng.below(1000)));
-        break;
-      case 1:
-        batch.remove_edge(static_cast<graph::NodeId>(rng.below(1000)),
-                          static_cast<graph::NodeId>(rng.below(1000)));
-        break;
-      case 2: {
-        std::vector<graph::NodeId> nbrs(rng.next_u64() % 5);
-        for (auto& v : nbrs) v = static_cast<graph::NodeId>(rng.below(1000));
-        batch.add_node(std::span<const graph::NodeId>(nbrs));
-        break;
-      }
-      default:
-        batch.remove_node(static_cast<graph::NodeId>(rng.below(1000)));
-        break;
+    const auto kind = static_cast<core::BatchOp::Kind>(rng.next_u64() % 4);
+    nbrs.clear();
+    graph::NodeId u = 0;
+    graph::NodeId v = 0;
+    if (kind == core::BatchOp::Kind::kAddNode) {
+      nbrs.resize(rng.next_u64() % 5);
+      for (auto& w : nbrs) w = static_cast<graph::NodeId>(rng.below(1000));
+    } else {
+      u = static_cast<graph::NodeId>(rng.below(1000));
+      v = kind == core::BatchOp::Kind::kRemoveNode ? u
+                                                   : static_cast<graph::NodeId>(rng.below(1000));
     }
+    batch.append(kind, u, v, nbrs);
   }
   return batch;
 }
@@ -148,6 +146,71 @@ TEST(Wal, EveryOpSplitsRecords) {
     ++records;
   }
   EXPECT_EQ(records, batch.size());
+}
+
+/// A fixed valid op stream holding every op kind — add-nodes with and
+/// without neighbor lists, an unmute, edge adds, graceful and abrupt edge
+/// and node removals — in batches of four, built by workload::chunk_trace.
+std::vector<core::Batch> pinned_stream() {
+  using workload::GraphOp;
+  const workload::Trace trace = {
+      GraphOp::add_node(),             // 0
+      GraphOp::add_node({0}),          // 1
+      GraphOp::add_node({0, 1}),       // 2
+      GraphOp::unmute_node({2}),       // 3
+      GraphOp::add_edge(1, 3),
+      GraphOp::remove_edge(0, 2),
+      GraphOp::add_node({3, 1, 0}),    // 4
+      GraphOp::remove_node(2),
+      GraphOp::remove_edge(1, 0, /*abrupt=*/true),
+      GraphOp::add_edge(0, 3),
+      GraphOp::remove_node(4, /*abrupt=*/true),
+      GraphOp::add_node(),             // 5
+      GraphOp::add_edge(5, 1),
+      GraphOp::add_node({5, 3}),       // 6
+  };
+  return workload::chunk_trace(trace, 4);
+}
+
+/// FNV-1a over the bytes of every segment in `dir`, in seq order.
+std::uint64_t segments_hash(const std::string& dir) {
+  std::uint64_t h = util::kFnv1aSeed;
+  for (const service::SegmentInfo& seg : service::list_segments(dir)) {
+    const std::vector<std::uint8_t> bytes = test::read_bytes(seg.path);
+    h = util::fnv1a64(bytes.data(), bytes.size(), h);
+  }
+  return h;
+}
+
+TEST(Wal, PinnedStreamKeepsItsBytes) {
+  // The hashes pin the segment bytes of every op kind under both record
+  // shapes (one record per batch, one per op): how batches are built and
+  // encoded may change, the bytes may not.
+  const std::vector<core::Batch> stream = pinned_stream();
+  for (const FsyncPolicy policy : {FsyncPolicy::kEveryBatch, FsyncPolicy::kEveryOp}) {
+    TempDir dir("pinned");
+    WalWriterOptions options;
+    options.fsync = policy;
+    options.segment_bytes = 256;  // rotate, so seals and headers are pinned too
+    WalWriter writer;
+    std::string error;
+    ASSERT_TRUE(writer.open(dir.path, 1, 0, options, &error)) << error;
+    for (const core::Batch& batch : stream) {
+      if (policy == FsyncPolicy::kEveryOp) {
+        // One record per op, as MisService logs under kEveryOp.
+        for (std::size_t i = 0; i < batch.size(); ++i)
+          ASSERT_TRUE(writer.append(batch, i, 1, &error)) << error;
+      } else {
+        ASSERT_TRUE(writer.append(batch, &error)) << error;
+      }
+    }
+    ASSERT_TRUE(writer.close(&error)) << error;
+    EXPECT_EQ(writer.next_lsn(), 14U);
+    EXPECT_GT(service::list_segments(dir.path).size(), 1U);
+    EXPECT_EQ(segments_hash(dir.path), policy == FsyncPolicy::kEveryBatch
+                                           ? 0x46330b291c3c8e9dULL
+                                           : 0x06596980ce012bd2ULL);
+  }
 }
 
 TEST(Wal, RotationSealsAndChainsSegments) {
