@@ -247,19 +247,6 @@ bool write_json(const std::string& path, const std::vector<Result>& results,
   return true;
 }
 
-std::vector<std::string> split_list(const std::string& list) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > start) out.push_back(list.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -268,33 +255,22 @@ int main(int argc, char** argv) {
       cli.flag_int("ops", 2'000, "topology changes per (workload, n) cell"));
   const auto seed = static_cast<std::uint64_t>(cli.flag_int("seed", 42, "base seed"));
   const auto deg = cli.flag_double("deg", 8.0, "average degree of the base graph");
-  const auto sizes_flag =
-      cli.flag_string("sizes", "1000,10000,100000,1000000", "node counts, comma-separated");
-  const auto workloads_flag =
-      cli.flag_string("workloads", "churn,insert-heavy,delete-heavy,abrupt-delete",
-                      "workload mixes, comma-separated");
+  const auto sizes = cli.flag_int_list("sizes", "1000,10000,100000,1000000", 2,
+                                       "node counts, comma-separated");
+  const auto workloads =
+      cli.flag_list("workloads", "churn,insert-heavy,delete-heavy,abrupt-delete",
+                    "workload mixes, comma-separated");
   const bool verify =
       cli.flag_bool("verify", true, "check each cell against the greedy oracle");
   const auto out = cli.flag_string("out", "BENCH_distributed_cost.json",
                                    "machine-readable output path");
   cli.finish();
 
-  std::vector<NodeId> sizes;
-  for (const std::string& token : split_list(sizes_flag)) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0' || parsed < 2) {
-      std::fprintf(stderr, "--sizes wants a comma-separated list of node counts >= 2\n");
-      return 2;
-    }
-    sizes.push_back(static_cast<NodeId>(parsed));
-  }
-  const std::vector<std::string> workloads = split_list(workloads_flag);
 
   std::vector<Result> results;
   for (const std::string& workload : workloads) {
-    for (const NodeId n : sizes) {
-      const Result r = run_cell(workload, n, deg, ops, seed, verify);
+    for (const std::int64_t n : sizes) {
+      const Result r = run_cell(workload, static_cast<NodeId>(n), deg, ops, seed, verify);
       results.push_back(r);
       std::printf(
           "%-13s n=%-8u ops=%-6llu %6.2fs  graceful: bcast=%.2f adj=%.2f rounds=%.2f"

@@ -42,6 +42,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -82,34 +83,22 @@ struct BorrowedRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  NodeId n = 1'000'000;
-  double deg = 6.0;
-  std::uint64_t seed = 42;
-  std::uint64_t churn_ops = 20'000;
-  std::uint64_t query_ops = 100'000;
-  std::uint64_t slack_mb = 48;
-  std::string out = "BENCH_oom.json";
-  std::string dir = std::filesystem::temp_directory_path().string();
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
-    if (arg == "--n") n = static_cast<NodeId>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--deg") deg = std::strtod(next(), nullptr);
-    else if (arg == "--seed") seed = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--churn-ops") churn_ops = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--query-ops") query_ops = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--slack-mb") slack_mb = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--out") out = next();
-    else if (arg == "--dir") dir = next();
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [--n N] [--deg D] [--seed S] [--churn-ops K] "
-                   "[--query-ops Q] [--slack-mb MB] [--dir TMP] [--out F]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  util::Cli cli(argc, argv);
+  const auto n = static_cast<NodeId>(cli.flag_int("n", 1'000'000, "graph nodes"));
+  const double deg = cli.flag_double("deg", 6.0, "average degree");
+  const auto seed =
+      static_cast<std::uint64_t>(cli.flag_int("seed", 42, "graph and workload seed"));
+  const auto churn_ops = static_cast<std::uint64_t>(
+      cli.flag_int("churn-ops", 20'000, "edge toggles under the cap"));
+  const auto query_ops = static_cast<std::uint64_t>(
+      cli.flag_int("query-ops", 100'000, "adjacency probes under the cap"));
+  const auto slack_mb = static_cast<std::uint64_t>(
+      cli.flag_int("slack-mb", 48, "heap cap above the uncapped VmData, in MB"));
+  const auto out =
+      cli.flag_string("out", "BENCH_oom.json", "machine-readable output path");
+  const auto dir = cli.flag_string("dir", std::filesystem::temp_directory_path().string(),
+                                   "scratch directory for the snapshot");
+  cli.finish();
   if (std::getenv("DMIS_NO_MMAP") != nullptr) {
     // The fallback path buffers the file on heap — under the cap BOTH modes
     // would fail, which proves nothing about the borrowed design.

@@ -30,8 +30,8 @@
 //                        scripts/check_bench.py gates it.
 //
 // Every recovered engine is compared against the live pre-drop engine
-// (membership + RNG state) outside the timed region, so a cell that exists
-// has been correctness-checked.
+// (core::state_diff: graph, priority keys, membership, RNG state) outside
+// the timed region, so a cell that exists has been correctness-checked.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -42,13 +42,11 @@
 
 #include "core/batch.hpp"
 #include "core/cascade_engine.hpp"
-#include "graph/generators.hpp"
+#include "core/identity.hpp"
 #include "service/recovery.hpp"
 #include "service/service.hpp"
-#include "util/rng.hpp"
+#include "util/cli.hpp"
 #include "workload/batched.hpp"
-#include "workload/churn.hpp"
-#include "workload/trace.hpp"
 
 namespace {
 
@@ -75,38 +73,6 @@ struct Result {
   double replay_s = 0;
   bool borrowed = false;
 };
-
-std::vector<core::Batch> make_stream(NodeId n, double deg, std::uint64_t seed,
-                                     std::uint64_t total_ops, std::size_t ops_per_batch) {
-  util::Rng rng(seed);
-  graph::DynamicGraph g = graph::random_avg_degree(n, deg, rng);
-  const workload::Trace grow = workload::grow_trace(g);
-  workload::ChurnConfig config;
-  config.p_abrupt = 0.4;
-  workload::ChurnGenerator gen(g, config, seed + 1);
-
-  std::vector<core::Batch> out;
-  core::Batch current;
-  const auto flush = [&] {
-    if (!current.empty()) {
-      out.push_back(current);
-      current.clear();
-    }
-  };
-  std::uint64_t ops = 0;
-  for (const workload::GraphOp& op : grow) {
-    workload::append_op(current, op);
-    ++ops;
-    if (current.size() >= ops_per_batch) flush();
-  }
-  while (ops < total_ops) {
-    workload::append_op(current, gen.next());
-    ++ops;
-    if (current.size() >= ops_per_batch) flush();
-  }
-  flush();
-  return out;
-}
 
 /// Logical bytes of the op stream as the WAL defines payload: one 20-byte
 /// op record per op plus 4 bytes per add-node neighbor slot. Framing
@@ -166,9 +132,7 @@ Result run_cell(const std::vector<core::Batch>& stream, std::uint64_t interval,
   // Keep the live end state for the correctness pin, then drop the service
   // without close(): no seal, no final sync beyond the policy's — the
   // directory now looks exactly like the process was shot post-ack.
-  const core::Membership want_membership = svc->engine().membership();
-  const util::Rng::State want_rng = svc->engine().priorities().rng_state();
-  const std::size_t want_mis = svc->engine().mis_size();
+  const core::CascadeEngine want = svc->engine();
   svc.reset();
 
   std::size_t sink = 0;
@@ -199,10 +163,9 @@ Result run_cell(const std::vector<core::Batch>& stream, std::uint64_t interval,
     }
     // Correctness pin outside the timed region: the recovered engine must
     // be differentially identical to the live one that wrote the log.
-    if (engine->mis_size() != want_mis || !(engine->membership() == want_membership) ||
-        !(engine->priorities().rng_state() == want_rng)) {
-      std::fprintf(stderr, "recovered state mismatch at interval %llu\n",
-                   static_cast<unsigned long long>(interval));
+    if (const std::string diff = core::state_diff(*engine, want); !diff.empty()) {
+      std::fprintf(stderr, "recovered state mismatch at interval %llu: %s\n",
+                   static_cast<unsigned long long>(interval), diff.c_str());
       std::exit(1);
     }
     if (rep == 0 || rto < r.rto_s) {
@@ -265,61 +228,33 @@ bool write_json(const std::string& path, const std::vector<Result>& results, Nod
 }  // namespace
 
 int main(int argc, char** argv) {
-  NodeId n = 1000;
-  double deg = 6.0;
-  std::uint64_t seed = 42;
-  std::uint64_t ops = 120'000;
-  std::size_t batch = 32;
-  int reps = 3;
-  std::vector<std::uint64_t> intervals = {0, 50'000, 10'000, 2'000};
-  std::string out = "BENCH_recovery.json";
-  std::string dir = std::filesystem::temp_directory_path().string();
-  bool borrow = true;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
-    if (arg == "--n") n = static_cast<NodeId>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--deg") deg = std::strtod(next(), nullptr);
-    else if (arg == "--seed") seed = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--ops") ops = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--batch") batch = std::strtoul(next(), nullptr, 10);
-    else if (arg == "--reps") reps = static_cast<int>(std::strtol(next(), nullptr, 10));
-    else if (arg == "--out") out = next();
-    else if (arg == "--dir") dir = next();
-    else if (arg == "--no-borrow") borrow = false;
-    else if (arg == "--intervals") {
-      intervals.clear();
-      const char* s = next();
-      while (*s != '\0') {
-        char* end = nullptr;
-        const unsigned long long parsed = std::strtoull(s, &end, 10);
-        if (end == s) {
-          std::fprintf(stderr,
-                       "--intervals wants a comma-separated list of op counts "
-                       "(0 = never checkpoint)\n");
-          return 2;
-        }
-        intervals.push_back(parsed);
-        s = *end == ',' ? end + 1 : end;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--intervals a,b,c] [--n N] [--deg D] [--ops K] "
-                   "[--batch B] [--seed S] [--reps R] [--dir TMP] [--out F] "
-                   "[--no-borrow]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  util::Cli cli(argc, argv);
+  const auto n = static_cast<NodeId>(cli.flag_int("n", 1000, "base graph nodes"));
+  const double deg = cli.flag_double("deg", 6.0, "average degree of the base graph");
+  const auto seed =
+      static_cast<std::uint64_t>(cli.flag_int("seed", 42, "workload and priority seed"));
+  const auto ops =
+      static_cast<std::uint64_t>(cli.flag_int("ops", 120'000, "workload ops"));
+  auto batch = static_cast<std::size_t>(cli.flag_int("batch", 32, "ops per batch"));
+  const int reps = static_cast<int>(cli.flag_int("reps", 3, "recoveries per cell"));
+  const auto intervals = cli.flag_int_list(
+      "intervals", "0,50000,10000,2000", 0,
+      "checkpoint intervals in ops, comma-separated (0 = never checkpoint)");
+  const auto out =
+      cli.flag_string("out", "BENCH_recovery.json", "machine-readable output path");
+  const auto dir = cli.flag_string("dir", std::filesystem::temp_directory_path().string(),
+                                   "scratch directory for the service directories");
+  const bool borrow = !cli.flag_bool("no-borrow", false,
+                                     "recover with a materialized load, not a borrow");
+  cli.finish();
   if (batch == 0) batch = 1;
 
-  using namespace dmis;
-  const auto stream = make_stream(n, deg, seed, ops, batch);
+  const auto stream = workload::drill_stream(n, deg, seed, ops, batch);
 
   std::vector<Result> results;
-  for (const std::uint64_t interval : intervals) {
-    const Result r = run_cell(stream, interval, n, seed, reps, borrow, dir);
+  for (const std::int64_t interval : intervals) {
+    const Result r = run_cell(stream, static_cast<std::uint64_t>(interval), n, seed, reps,
+                              borrow, dir);
     results.push_back(r);
     std::printf("interval=%-8llu ingest=%8.0f ops/s  wal=%-9llu ckpt=%llux%-8llu "
                 "amp=%.2fx  tail=%-7llu rto=%.6fs (open %.6f + %s %.6f + warm %.6f "

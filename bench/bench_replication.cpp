@@ -26,8 +26,9 @@
 //                         re-base; O(state handoff), independent of history.
 //
 // The promoted engine is compared against a never-crashed reference fed the
-// same stream (membership + RNG state) outside the timed region, so every
-// cell that exists has survived the failover differential check.
+// same stream (core::state_diff: graph, priority keys, membership, RNG
+// state) outside the timed region, so every cell that exists has survived
+// the failover differential check.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -38,13 +39,11 @@
 
 #include "core/batch.hpp"
 #include "core/cascade_engine.hpp"
-#include "graph/generators.hpp"
+#include "core/identity.hpp"
 #include "service/replication.hpp"
 #include "service/service.hpp"
-#include "util/rng.hpp"
+#include "util/cli.hpp"
 #include "workload/batched.hpp"
-#include "workload/churn.hpp"
-#include "workload/trace.hpp"
 
 namespace {
 
@@ -68,38 +67,6 @@ struct Result {
   double failover_rto_s = 0;       // min over reps
   std::uint64_t promoted_lsn = 0;
 };
-
-std::vector<core::Batch> make_stream(NodeId n, double deg, std::uint64_t seed,
-                                     std::uint64_t total_ops, std::size_t ops_per_batch) {
-  util::Rng rng(seed);
-  graph::DynamicGraph g = graph::random_avg_degree(n, deg, rng);
-  const workload::Trace grow = workload::grow_trace(g);
-  workload::ChurnConfig config;
-  config.p_abrupt = 0.4;
-  workload::ChurnGenerator gen(g, config, seed + 1);
-
-  std::vector<core::Batch> out;
-  core::Batch current;
-  const auto flush = [&] {
-    if (!current.empty()) {
-      out.push_back(current);
-      current.clear();
-    }
-  };
-  std::uint64_t ops = 0;
-  for (const workload::GraphOp& op : grow) {
-    workload::append_op(current, op);
-    ++ops;
-    if (current.size() >= ops_per_batch) flush();
-  }
-  while (ops < total_ops) {
-    workload::append_op(current, gen.next());
-    ++ops;
-    if (current.size() >= ops_per_batch) flush();
-  }
-  flush();
-  return out;
-}
 
 bool parse_policy(const std::string& name, service::FsyncPolicy& out) {
   if (name == "everyop") out = service::FsyncPolicy::kEveryOp;
@@ -193,12 +160,11 @@ Result run_rep(const std::vector<core::Batch>& stream, const std::string& policy
 
   // Differential pin outside the timed region: the promoted service must be
   // the never-crashed leader, exactly.
-  if (r.promoted_lsn != r.ops || promoted->engine().mis_size() != want.mis_size() ||
-      !(promoted->engine().membership() == want.membership()) ||
-      !(promoted->engine().priorities().rng_state() == want.priorities().rng_state())) {
-    std::fprintf(stderr, "promoted state mismatch for policy %s (lsn %llu/%llu)\n",
+  const std::string diff = core::state_diff(promoted->engine(), want);
+  if (r.promoted_lsn != r.ops || !diff.empty()) {
+    std::fprintf(stderr, "promoted state mismatch for policy %s (lsn %llu/%llu) %s\n",
                  policy.c_str(), static_cast<unsigned long long>(r.promoted_lsn),
-                 static_cast<unsigned long long>(r.ops));
+                 static_cast<unsigned long long>(r.ops), diff.c_str());
     std::exit(1);
   }
   std::filesystem::remove_all(leader_dir);
@@ -280,49 +246,25 @@ bool write_json(const std::string& path, const std::vector<Result>& results, Nod
 }  // namespace
 
 int main(int argc, char** argv) {
-  NodeId n = 1000;
-  double deg = 6.0;
-  std::uint64_t seed = 42;
-  std::uint64_t ops = 60'000;
-  std::size_t batch = 32;
-  int reps = 3;
-  std::vector<std::string> policies = {"everyop", "everybatch", "interval"};
-  std::string out = "BENCH_replication.json";
-  std::string dir = std::filesystem::temp_directory_path().string();
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
-    if (arg == "--n") n = static_cast<NodeId>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--deg") deg = std::strtod(next(), nullptr);
-    else if (arg == "--seed") seed = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--ops") ops = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--batch") batch = std::strtoul(next(), nullptr, 10);
-    else if (arg == "--reps") reps = static_cast<int>(std::strtol(next(), nullptr, 10));
-    else if (arg == "--out") out = next();
-    else if (arg == "--dir") dir = next();
-    else if (arg == "--policies") {
-      policies.clear();
-      std::string s = next();
-      std::size_t pos = 0;
-      while (pos < s.size()) {
-        const std::size_t comma = s.find(',', pos);
-        policies.push_back(s.substr(pos, comma - pos));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--policies a,b,c] [--n N] [--deg D] [--ops K] "
-                   "[--batch B] [--seed S] [--reps R] [--dir TMP] [--out F]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  util::Cli cli(argc, argv);
+  const auto n = static_cast<NodeId>(cli.flag_int("n", 1000, "base graph nodes"));
+  const double deg = cli.flag_double("deg", 6.0, "average degree of the base graph");
+  const auto seed =
+      static_cast<std::uint64_t>(cli.flag_int("seed", 42, "workload and priority seed"));
+  const auto ops =
+      static_cast<std::uint64_t>(cli.flag_int("ops", 60'000, "workload ops"));
+  auto batch = static_cast<std::size_t>(cli.flag_int("batch", 32, "ops per batch"));
+  const int reps = static_cast<int>(cli.flag_int("reps", 3, "runs per policy"));
+  const auto policies = cli.flag_list("policies", "everyop,everybatch,interval",
+                                      "fsync policies, comma-separated");
+  const auto out =
+      cli.flag_string("out", "BENCH_replication.json", "machine-readable output path");
+  const auto dir = cli.flag_string("dir", std::filesystem::temp_directory_path().string(),
+                                   "scratch directory for leader and follower");
+  cli.finish();
   if (batch == 0) batch = 1;
 
-  using namespace dmis;
-  const auto stream = make_stream(n, deg, seed, ops, batch);
+  const auto stream = workload::drill_stream(n, deg, seed, ops, batch);
   // The never-crashed reference every promoted follower is pinned against.
   core::CascadeEngine want(seed);
   for (const core::Batch& b : stream) (void)core::apply_batch(want, b);

@@ -294,19 +294,6 @@ bool write_json(const std::string& path, const std::vector<Result>& results,
   return true;
 }
 
-std::vector<std::string> split_list(const std::string& list) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > start) out.push_back(list.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -316,37 +303,25 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.flag_int("seed", 42, "base seed"));
   const auto deg =
       cli.flag_double("deg", 8.0, "average degree target for the base graphs");
-  const auto sizes_flag =
-      cli.flag_string("sizes", "1000,10000", "node counts, comma-separated");
-  const auto graphs_flag = cli.flag_string(
-      "graphs", "ba,chung-lu,planted,uniform", "graph distributions, comma-separated");
-  const auto policies_flag = cli.flag_string(
-      "policies", "hub-kill,burst-mute,flash-crowd,churn",
-      "churn policies, comma-separated");
+  const auto sizes =
+      cli.flag_int_list("sizes", "1000,10000", 8, "node counts, comma-separated");
+  const auto graphs = cli.flag_list("graphs", "ba,chung-lu,planted,uniform",
+                                    "graph distributions, comma-separated");
+  const auto policies = cli.flag_list("policies", "hub-kill,burst-mute,flash-crowd,churn",
+                                      "churn policies, comma-separated");
   const bool verify =
       cli.flag_bool("verify", true, "check each cell against the greedy oracle");
   const auto out =
       cli.flag_string("out", "BENCH_skew.json", "machine-readable output path");
   cli.finish();
 
-  std::vector<NodeId> sizes;
-  for (const std::string& token : split_list(sizes_flag)) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0' || parsed < 8) {
-      std::fprintf(stderr, "--sizes wants a comma-separated list of node counts >= 8\n");
-      return 2;
-    }
-    sizes.push_back(static_cast<NodeId>(parsed));
-  }
-  const std::vector<std::string> graphs = split_list(graphs_flag);
-  const std::vector<std::string> policies = split_list(policies_flag);
 
   std::vector<Result> results;
   for (const std::string& graph_name : graphs) {
     for (const std::string& policy : policies) {
-      for (const NodeId n : sizes) {
-        const Result r = run_cell(graph_name, policy, n, deg, ops, seed, verify);
+      for (const std::int64_t n : sizes) {
+        const Result r =
+            run_cell(graph_name, policy, static_cast<NodeId>(n), deg, ops, seed, verify);
         results.push_back(r);
         std::printf(
             "%-9s %-12s n=%-7u %6.2fs  graceful: bcast=%.2f  abrupt-del: "

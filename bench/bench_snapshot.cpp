@@ -59,8 +59,10 @@
 
 #include "core/cascade_engine.hpp"
 #include "core/engine_snapshot.hpp"
+#include "core/identity.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "workload/trace.hpp"
 #include "workload/trace_file.hpp"
@@ -292,9 +294,8 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
                                    graph::SnapshotLoad::kWarm);
     const core::CascadeEngine coldkeys(graph::DynamicGraph::load(snap), snap, seed,
                                        graph::SnapshotLoad::kColdKeys);
-    if (warm.mis_size() != coldkeys.mis_size() ||
-        !(warm.membership() == coldkeys.membership())) {
-      std::fprintf(stderr, "warm-vs-cold state mismatch at n=%u\n", n);
+    if (const std::string diff = core::state_diff(warm, coldkeys); !diff.empty()) {
+      std::fprintf(stderr, "warm-vs-cold state mismatch at n=%u: %s\n", n, diff.c_str());
       std::exit(1);
     }
     sink += warm.mis_size();
@@ -345,46 +346,23 @@ bool write_json(const std::string& path, const std::vector<Result>& results,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t seed = 42;
-  double deg = 8.0;
-  int reps = 3;
-  std::vector<NodeId> sizes = {10'000, 100'000, 1'000'000};
-  std::string out = "BENCH_snapshot.json";
-  std::string dir = std::filesystem::temp_directory_path().string();
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
-    if (arg == "--seed") seed = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--deg") deg = std::strtod(next(), nullptr);
-    else if (arg == "--reps") reps = static_cast<int>(std::strtol(next(), nullptr, 10));
-    else if (arg == "--out") out = next();
-    else if (arg == "--dir") dir = next();
-    else if (arg == "--sizes") {
-      sizes.clear();
-      const char* s = next();
-      while (*s != '\0') {
-        char* end = nullptr;
-        const unsigned long parsed = std::strtoul(s, &end, 10);
-        if (end == s || parsed < 2) {
-          std::fprintf(stderr, "--sizes wants a comma-separated list of node counts >= 2\n");
-          return 2;
-        }
-        sizes.push_back(static_cast<NodeId>(parsed));
-        s = *end == ',' ? end + 1 : end;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--sizes a,b,c] [--deg D] [--seed S] [--reps R] "
-                   "[--dir TMP] [--out F]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  util::Cli cli(argc, argv);
+  const auto seed =
+      static_cast<std::uint64_t>(cli.flag_int("seed", 42, "graph and priority seed"));
+  const double deg = cli.flag_double("deg", 8.0, "average degree");
+  const int reps =
+      static_cast<int>(cli.flag_int("reps", 3, "reps per phase (min reported)"));
+  const auto sizes = cli.flag_int_list("sizes", "10000,100000,1000000", 2,
+                                       "node counts, comma-separated");
+  const auto out =
+      cli.flag_string("out", "BENCH_snapshot.json", "machine-readable output path");
+  const auto dir = cli.flag_string("dir", std::filesystem::temp_directory_path().string(),
+                                   "scratch directory for the snapshot files");
+  cli.finish();
 
   std::vector<Result> results;
-  for (const NodeId n : sizes) {
-    const Result r = run_size(n, deg, seed, reps, dir);
+  for (const std::int64_t n : sizes) {
+    const Result r = run_size(static_cast<NodeId>(n), deg, seed, reps, dir);
     results.push_back(r);
     std::printf("n=%-8u edges=%-8llu rebuild=%8.4fs (tuned %8.4fs) save=%8.4fs "
                 "open=%.6fs load=%8.4fs  speedup=%.1fx\n",

@@ -21,6 +21,7 @@
 
 #include "core/cascade_engine.hpp"
 #include "graph/generators.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -161,47 +162,22 @@ bool write_json(const std::string& path, const std::vector<Result>& results,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t ops = 200'000;
-  std::uint64_t seed = 42;
-  double deg = 8.0;
-  std::vector<NodeId> sizes = {10'000, 100'000, 1'000'000};
-  std::string out = "BENCH_update_latency.json";
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (arg == "--ops") ops = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--seed") seed = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--deg") deg = std::strtod(next(), nullptr);
-    else if (arg == "--out") out = next();
-    else if (arg == "--sizes") {
-      sizes.clear();
-      const char* s = next();
-      while (*s != '\0') {
-        char* end = nullptr;
-        const unsigned long parsed = std::strtoul(s, &end, 10);
-        if (end == s || parsed < 2) {
-          std::fprintf(stderr, "--sizes wants a comma-separated list of node counts >= 2\n");
-          return 2;
-        }
-        sizes.push_back(static_cast<NodeId>(parsed));
-        s = *end == ',' ? end + 1 : end;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--ops N] [--seed S] [--deg D] [--sizes a,b,c] [--out F]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  util::Cli cli(argc, argv);
+  const auto ops =
+      static_cast<std::uint64_t>(cli.flag_int("ops", 200'000, "updates per cell"));
+  const auto seed = static_cast<std::uint64_t>(cli.flag_int("seed", 42, "base seed"));
+  const double deg = cli.flag_double("deg", 8.0, "average degree of the base graph");
+  const auto sizes = cli.flag_int_list("sizes", "10000,100000,1000000", 2,
+                                       "node counts, comma-separated");
+  const auto out = cli.flag_string("out", "BENCH_update_latency.json",
+                                   "machine-readable output path");
+  cli.finish();
 
   std::vector<Result> results;
-  for (const NodeId n : sizes) {
+  for (const std::int64_t n : sizes) {
     using RunFn = Result (*)(NodeId, double, std::uint64_t, std::uint64_t);
     for (const RunFn fn : {&run_insert, &run_delete, &run_churn}) {
-      const Result r = fn(n, deg, ops, seed);
+      const Result r = fn(static_cast<NodeId>(n), deg, ops, seed);
       results.push_back(r);
       std::printf("%-7s n=%-8u ops=%-7llu %12.0f upd/s  p50=%5.0fns p95=%6.0fns "
                   "p99=%7.0fns adj/upd=%.3f\n",

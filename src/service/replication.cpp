@@ -247,17 +247,22 @@ std::optional<MisService> FollowerService::promote(ServiceConfig config,
 
 // --- LogShipper ------------------------------------------------------------
 
+/// Backoff after a lost shipment, in pump ticks: starts at kBackoffStart,
+/// doubles per consecutive loss, capped at kBackoffCap.
+constexpr std::uint32_t kBackoffStart = 1;
+constexpr std::uint32_t kBackoffCap = 64;
+
 LogShipper::LogShipper(std::string leader_dir, ShipmentTransport* transport,
                        LogShipperOptions options)
     : leader_dir_(std::move(leader_dir)),
       transport_(transport),
       options_(options),
-      next_backoff_(options.backoff_start) {}
+      next_backoff_(kBackoffStart) {}
 
 void LogShipper::lose() {
   ++stats_.lost;
   backoff_remaining_ = next_backoff_;
-  next_backoff_ = std::min(next_backoff_ * 2, options_.backoff_cap);
+  next_backoff_ = std::min(next_backoff_ * 2, kBackoffCap);
 }
 
 LogShipper::Pump LogShipper::ship(const Shipment& shipment, std::uint64_t* cursor) {
@@ -269,7 +274,7 @@ LogShipper::Pump LogShipper::ship(const Shipment& shipment, std::uint64_t* curso
   }
   ++stats_.delivered;
   stats_.bytes_shipped += shipment.bytes.size();
-  next_backoff_ = options_.backoff_start;
+  next_backoff_ = kBackoffStart;
   if (ack->have < shipment.offset) ++stats_.rewinds;
   // The ack is the resume protocol: rewind or fast-forward to exactly what
   // the follower holds.

@@ -212,10 +212,6 @@ class FollowerService {
 
 struct LogShipperOptions {
   std::uint64_t chunk_bytes = 64 << 10;
-  /// Backoff after a lost shipment, in pump ticks: starts at
-  /// backoff_start, doubles per consecutive loss, capped at backoff_cap.
-  std::uint32_t backoff_start = 1;
-  std::uint32_t backoff_cap = 64;
 };
 
 struct ShipperStats {

@@ -1,11 +1,43 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/assert.hpp"
-
 namespace dmis::util {
+
+namespace {
+
+[[noreturn]] void reject(const std::string& name, const std::string& value,
+                         const char* want) {
+  std::fprintf(stderr, "bad value for --%s: '%s' (want %s)\n", name.c_str(),
+               value.c_str(), want);
+  std::exit(2);
+}
+
+std::int64_t parse_int(const std::string& name, const std::string& value,
+                       const char* want) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || errno == ERANGE) reject(name, value, want);
+  return parsed;
+}
+
+/// The items of a comma-separated list, empty items dropped.
+std::vector<std::string> split_list(const std::string& list) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (start <= list.size()) {
+    const std::size_t comma = std::min(list.find(',', start), list.size());
+    if (comma > start) out.push_back(list.substr(start, comma - start));
+    start = comma + 1;
+  }
+  return out;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, char** argv) {
   program_ = argc > 0 ? argv[0] : "?";
@@ -30,7 +62,7 @@ Cli::Cli(int argc, char** argv) {
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         entry.value = argv[++i];
       } else {
-        entry.value = "true";  // bare boolean flag
+        entry.value = "";  // bare flag: true for a bool, malformed for a number
       }
     }
     entries_.push_back(std::move(entry));
@@ -51,13 +83,18 @@ std::int64_t Cli::flag_int(const std::string& name, std::int64_t def,
                            const std::string& help) {
   help_.push_back({name, std::to_string(def), help});
   const std::string* raw = lookup(name);
-  return raw != nullptr ? std::strtoll(raw->c_str(), nullptr, 10) : def;
+  return raw != nullptr ? parse_int(name, *raw, "an integer") : def;
 }
 
 double Cli::flag_double(const std::string& name, double def, const std::string& help) {
   help_.push_back({name, std::to_string(def), help});
   const std::string* raw = lookup(name);
-  return raw != nullptr ? std::strtod(raw->c_str(), nullptr) : def;
+  if (raw == nullptr) return def;
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(raw->c_str(), &end);
+  if (raw->empty() || *end != '\0' || errno == ERANGE) reject(name, *raw, "a number");
+  return parsed;
 }
 
 std::string Cli::flag_string(const std::string& name, std::string def,
@@ -71,7 +108,28 @@ bool Cli::flag_bool(const std::string& name, bool def, const std::string& help) 
   help_.push_back({name, def ? "true" : "false", help});
   const std::string* raw = lookup(name);
   if (raw == nullptr) return def;
-  return *raw == "true" || *raw == "1" || *raw == "yes";
+  return raw->empty() || *raw == "true" || *raw == "1" || *raw == "yes";
+}
+
+std::vector<std::string> Cli::flag_list(const std::string& name, const std::string& def,
+                                        const std::string& help) {
+  return split_list(flag_string(name, def, help));
+}
+
+std::vector<std::int64_t> Cli::flag_int_list(const std::string& name,
+                                             const std::string& def, std::int64_t min,
+                                             const std::string& help) {
+  help_.push_back({name, def, help});
+  const std::string* raw = lookup(name);
+  const std::string& list = raw != nullptr ? *raw : def;
+  const std::string want = "a comma-separated list of integers >= " + std::to_string(min);
+  std::vector<std::int64_t> out;
+  for (const std::string& item : split_list(list)) {
+    out.push_back(parse_int(name, item, want.c_str()));
+    if (out.back() < min) reject(name, item, want.c_str());
+  }
+  if (out.empty()) reject(name, list, want.c_str());
+  return out;
 }
 
 void Cli::finish() const {

@@ -1,7 +1,9 @@
-// Tiny command-line flag parser for bench and example binaries.
+// Tiny command-line flag parser for the tools, benches and examples.
 //
-// Supports `--name=value` and `--name value`; unknown flags abort with the
-// available flag list so a typo cannot silently run the wrong experiment.
+// Supports `--name=value` and `--name value`; a flag given without a value
+// reads as empty (true for a bool). Unknown flags and malformed values exit
+// with status 2 and a message naming the flag, so a typo cannot silently
+// run the wrong experiment: a number must parse whole and fit its type.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +25,15 @@ class Cli {
                                         const std::string& help);
   [[nodiscard]] bool flag_bool(const std::string& name, bool def,
                                const std::string& help);
+  /// A comma-separated list; empty items are dropped.
+  [[nodiscard]] std::vector<std::string> flag_list(const std::string& name,
+                                                   const std::string& def,
+                                                   const std::string& help);
+  /// A non-empty comma-separated list of integers, each at least `min`.
+  [[nodiscard]] std::vector<std::int64_t> flag_int_list(const std::string& name,
+                                                        const std::string& def,
+                                                        std::int64_t min,
+                                                        const std::string& help);
 
   /// Call after declaring all flags: handles --help and rejects unknown flags.
   void finish() const;

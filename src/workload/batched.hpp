@@ -11,9 +11,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/batch.hpp"
+#include "graph/dynamic_graph.hpp"
 #include "workload/churn.hpp"
 #include "workload/trace.hpp"
 
@@ -33,5 +35,24 @@ void append_op(core::Batch& batch, const OpView& op);
 [[nodiscard]] std::vector<core::Batch> churn_batches(TraceGenerator& generator,
                                                      std::size_t count,
                                                      std::size_t batch_size);
+
+/// The pinned drill stream: a random_avg_degree(n, avg_degree) graph (Rng
+/// seeded with `seed`) grown op by op from empty, then ChurnGenerator churn
+/// (p_abrupt 0.4, seed + 1) until the stream holds `total_ops` ops, cut
+/// every `batch_size` ops. The grow prefix always runs whole. The crash and
+/// failover drills, the service suites and the recovery benches replay it,
+/// so a reference engine fed the same ops from empty lines up id for id.
+[[nodiscard]] std::vector<core::Batch> drill_stream(graph::NodeId n, double avg_degree,
+                                                    std::uint64_t seed,
+                                                    std::uint64_t total_ops,
+                                                    std::size_t batch_size);
+
+/// Ops [from, to) of `stream`, counted across batches: batch boundaries
+/// inside the range are kept, and the batches holding `from` and `to` are
+/// split there. `to` is clamped to the stream's op count (by default the
+/// slice runs to the end); an empty range gives no batches.
+[[nodiscard]] std::vector<core::Batch> slice(const std::vector<core::Batch>& stream,
+                                             std::uint64_t from,
+                                             std::uint64_t to = UINT64_MAX);
 
 }  // namespace dmis::workload

@@ -7,7 +7,7 @@
 //
 // Service streams: the service and replication suites drive the same
 // deterministic batch stream, check it against the same never-persisted
-// reference engine, and compare with the same full-state equality.
+// reference engine, and compare with the same identity check.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -21,11 +21,11 @@
 
 #include "core/batch.hpp"
 #include "core/cascade_engine.hpp"
+#include "core/identity.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 #include "workload/batched.hpp"
 #include "workload/churn.hpp"
-#include "workload/trace.hpp"
 
 namespace dmis::test {
 
@@ -64,40 +64,12 @@ inline void write_bytes(const std::string& path, const std::vector<std::uint8_t>
            static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Deterministic batch stream from an empty graph: grow a random graph op
-/// by op, then mixed churn. The service under test (from lsn 0) and the
-/// in-memory reference apply exactly these batches, so positional node ids
-/// line up.
+/// The service suites' drill stream (workload::drill_stream at n = 120).
+/// The service under test (from lsn 0) and the in-memory reference apply
+/// exactly these batches, so positional node ids line up.
 inline std::vector<core::Batch> make_stream(std::uint64_t seed, std::size_t total_ops,
                                             std::size_t ops_per_batch) {
-  util::Rng rng(seed);
-  graph::DynamicGraph g = graph::random_avg_degree(120, 6.0, rng);
-  const workload::Trace grow = workload::grow_trace(g);
-  workload::ChurnConfig config;
-  config.p_abrupt = 0.4;
-  workload::ChurnGenerator gen(g, config, seed + 1);
-
-  std::vector<core::Batch> out;
-  core::Batch current;
-  const auto flush = [&] {
-    if (!current.empty()) {
-      out.push_back(current);
-      current.clear();
-    }
-  };
-  std::size_t ops = 0;
-  for (const workload::GraphOp& op : grow) {
-    workload::append_op(current, op);
-    ++ops;
-    if (current.size() >= ops_per_batch) flush();
-  }
-  while (ops < total_ops) {
-    workload::append_op(current, gen.next());
-    ++ops;
-    if (current.size() >= ops_per_batch) flush();
-  }
-  flush();
-  return out;
+  return workload::drill_stream(120, 6.0, seed, total_ops, ops_per_batch);
 }
 
 /// The engine a service must equal after applying the first `first` batches.
@@ -108,16 +80,25 @@ inline core::CascadeEngine reference(const std::vector<core::Batch>& batches,
   return engine;
 }
 
-/// Full-state equality, including the RNG — the property that makes a
-/// recovered or promoted replica behave bit-for-bit like the pre-crash
-/// process.
+/// Identity equality (core/identity.hpp), RNG included — the property that
+/// makes a recovered or promoted replica behave bit-for-bit like the
+/// pre-crash process.
 inline void expect_same(const core::CascadeEngine& got, const core::CascadeEngine& want,
                         const std::string& where) {
-  EXPECT_TRUE(got.graph() == want.graph()) << where;
-  EXPECT_TRUE(got.membership() == want.membership()) << where;
-  EXPECT_EQ(got.mis_size(), want.mis_size()) << where;
-  EXPECT_TRUE(got.priorities().rng_state() == want.priorities().rng_state())
-      << where << ": RNG diverged — future draws would differ";
+  EXPECT_EQ(core::state_diff(got, want), "") << where;
+}
+
+/// A graph with dead ids, spilled adjacency records and edge-table
+/// tombstones: G(n, avg degree 8) after `churn_ops` churn ops — the churned
+/// shape a production snapshot has, not a fresh clean CSR.
+inline graph::DynamicGraph churned_graph(graph::NodeId n, std::uint64_t seed,
+                                         std::size_t churn_ops) {
+  util::Rng rng(seed);
+  workload::ChurnConfig config;
+  config.p_abrupt = 0.4;
+  workload::ChurnGenerator gen(graph::random_avg_degree(n, 8.0, rng), config, seed + 1);
+  (void)gen.generate(churn_ops);
+  return gen.graph();
 }
 
 }  // namespace dmis::test

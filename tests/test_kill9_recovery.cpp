@@ -8,9 +8,9 @@
 //     published to a shared-memory page) is in the recovered engine — for
 //     kEveryOp and kEveryBatch alike, since both sync before acking;
 //   * the recovered engine is differentially identical to a never-crashed
-//     reference fed the same op prefix: same graph, same membership, same
-//     priority-RNG state — and therefore identical op for op under
-//     continued churn after the recovery.
+//     reference fed the same op prefix: same identity (core/identity.hpp:
+//     graph, priority keys, membership, priority-RNG state) — and therefore
+//     identical op for op under continued churn after the recovery.
 //
 // The reference replays the prefix in whatever record chunking recovery
 // found (possibly splitting a batch mid-way under kEveryOp); equality of
@@ -42,13 +42,11 @@
 
 #include "core/batch.hpp"
 #include "core/cascade_engine.hpp"
-#include "graph/generators.hpp"
+#include "core/identity.hpp"
 #include "service/service.hpp"
 #include "support.hpp"
 #include "util/rng.hpp"
 #include "workload/batched.hpp"
-#include "workload/churn.hpp"
-#include "workload/trace.hpp"
 
 namespace {
 
@@ -62,77 +60,9 @@ constexpr std::uint64_t kStreamSeed = 424242;
 
 using test::TempDir;
 
-/// The same deterministic stream in parent, child, and reference: grow a
-/// random graph op by op from empty, then mixed churn.
-std::vector<core::Batch> make_stream(std::size_t total_ops, std::size_t ops_per_batch) {
-  util::Rng rng(kStreamSeed);
-  graph::DynamicGraph g = graph::random_avg_degree(100, 6.0, rng);
-  const workload::Trace grow = workload::grow_trace(g);
-  workload::ChurnConfig config;
-  config.p_abrupt = 0.4;
-  workload::ChurnGenerator gen(g, config, kStreamSeed + 1);
-
-  std::vector<core::Batch> out;
-  core::Batch current;
-  const auto flush = [&] {
-    if (!current.empty()) {
-      out.push_back(current);
-      current.clear();
-    }
-  };
-  std::size_t ops = 0;
-  for (const workload::GraphOp& op : grow) {
-    workload::append_op(current, op);
-    ++ops;
-    if (current.size() >= ops_per_batch) flush();
-  }
-  while (ops < total_ops) {
-    workload::append_op(current, gen.next());
-    ++ops;
-    if (current.size() >= ops_per_batch) flush();
-  }
-  flush();
-  return out;
-}
-
-/// Re-add ops [from, from + count) of `b` into `out` (arena copied).
-void append_slice(core::Batch& out, const core::Batch& b, std::size_t from,
-                  std::size_t count) {
-  const auto ops = b.ops();
-  for (std::size_t i = from; i < from + count && i < ops.size(); ++i)
-    out.append(ops[i].kind, ops[i].u, ops[i].v, b.neighbors_of(ops[i]));
-}
-
-/// Reference engine fed exactly the first `ops` ops of the stream —
-/// including, when `ops` lands inside a batch, the partial prefix of that
-/// batch (the shape kEveryOp recovery can legitimately produce).
-core::CascadeEngine reference_prefix(const std::vector<core::Batch>& stream,
-                                     std::uint64_t ops) {
-  core::CascadeEngine engine(kPrioritySeed);
-  core::Batch partial;
-  std::uint64_t done = 0;
-  for (const core::Batch& b : stream) {
-    if (done == ops) break;
-    if (done + b.size() <= ops) {
-      (void)core::apply_batch(engine, b);
-      done += b.size();
-    } else {
-      partial.clear();
-      append_slice(partial, b, 0, static_cast<std::size_t>(ops - done));
-      (void)core::apply_batch(engine, partial);
-      done = ops;
-    }
-  }
-  return engine;
-}
-
-void expect_same(const core::CascadeEngine& got, const core::CascadeEngine& want,
-                 const std::string& where) {
-  ASSERT_TRUE(got.graph() == want.graph()) << where;
-  ASSERT_TRUE(got.membership() == want.membership()) << where;
-  ASSERT_EQ(got.mis_size(), want.mis_size()) << where;
-  ASSERT_TRUE(got.priorities().rng_state() == want.priorities().rng_state())
-      << where << ": RNG diverged — future draws would differ";
+/// The same deterministic stream in parent, child, and reference.
+std::vector<core::Batch> make_stream() {
+  return workload::drill_stream(100, 6.0, kStreamSeed, 2000, 6);
 }
 
 /// Child body (post-fork): ingest the stream, publishing the acked lsn to
@@ -148,7 +78,7 @@ void expect_same(const core::CascadeEngine& got, const core::CascadeEngine& want
   std::string error;
   auto svc = MisService::open(config, &error);
   if (!svc.has_value()) _exit(2);
-  const auto stream = make_stream(2000, 6);
+  const auto stream = make_stream();
   for (const core::Batch& batch : stream) {
     if (!svc->apply(batch, &error)) _exit(3);
     acked->store(svc->lsn(), std::memory_order_release);
@@ -210,7 +140,7 @@ void torture_round(FsyncPolicy policy, std::uint64_t kill_at, const std::string&
         << tag << ": " << entry.path() << " survived recovery\n"
         << svc->recovery().detail;
 
-  const auto stream = make_stream(2000, 6);
+  const auto stream = make_stream();
   std::uint64_t total = 0;
   for (const auto& b : stream) total += b.size();
 
@@ -223,36 +153,26 @@ void torture_round(FsyncPolicy policy, std::uint64_t kill_at, const std::string&
     ASSERT_EQ(recovered, total) << tag;
   }
 
-  // State: differentially identical to the never-crashed reference at the
-  // recovered lsn.
-  core::CascadeEngine ref = reference_prefix(stream, recovered);
-  expect_same(svc->engine(), ref, tag + ": at recovery");
+  // State: differentially identical to the never-crashed reference fed
+  // the first `recovered` ops.
+  core::CascadeEngine ref(kPrioritySeed);
+  for (const core::Batch& b : workload::slice(stream, 0, recovered))
+    (void)core::apply_batch(ref, b);
+  ASSERT_EQ(core::state_diff(svc->engine(), ref), "") << tag << ": at recovery";
   svc->engine().verify();
 
   // Continued churn: finish the partially-recovered batch, then feed both
   // sides the same ~300 further ops; every repair must match exactly.
-  std::uint64_t done = 0;
-  std::size_t next_batch = 0;
-  while (next_batch < stream.size() && done + stream[next_batch].size() <= recovered)
-    done += stream[next_batch++].size();
-  core::Batch carry;
-  if (next_batch < stream.size() && done < recovered) {
-    append_slice(carry, stream[next_batch], static_cast<std::size_t>(recovered - done),
-                 stream[next_batch].size());
-    ++next_batch;
-  }
   std::uint64_t extra = 0;
-  const auto feed = [&](const core::Batch& b) {
+  for (const core::Batch& b : workload::slice(stream, recovered)) {
+    if (extra >= 300) break;
     ASSERT_TRUE(svc->apply(b, &error)) << tag << ": " << error;
     const core::BatchResult want = core::apply_batch(ref, b);
     ASSERT_EQ(svc->last_result().report.adjustments, want.report.adjustments) << tag;
     ASSERT_EQ(svc->last_result().new_nodes, want.new_nodes) << tag;
     extra += b.size();
-  };
-  if (!carry.empty()) feed(carry);
-  for (; next_batch < stream.size() && extra < 300; ++next_batch)
-    feed(stream[next_batch]);
-  expect_same(svc->engine(), ref, tag + ": after continued churn");
+  }
+  ASSERT_EQ(core::state_diff(svc->engine(), ref), "") << tag << ": after continued churn";
   svc->engine().verify();
   ASSERT_TRUE(svc->close(&error)) << error;
 }

@@ -37,21 +37,10 @@ using graph::DynamicGraph;
 using graph::NodeId;
 using graph::Snapshot;
 
+using test::churned_graph;
 using test::read_bytes;
 using test::TempFile;
 using test::write_bytes;
-
-/// A graph with dead ids, spilled adjacency records and edge-table
-/// tombstones: the churned shape a production snapshot would have.
-DynamicGraph churned_graph(NodeId n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  DynamicGraph g = graph::random_avg_degree(n, 8.0, rng);
-  workload::ChurnConfig config;
-  config.p_abrupt = 0.4;
-  workload::ChurnGenerator gen(std::move(g), config, seed + 1);
-  (void)gen.generate(4 * n);
-  return gen.graph();
-}
 
 void expect_round_trip(const DynamicGraph& g, const std::string& tag) {
   TempFile file("snap_" + tag + ".snap");
@@ -88,11 +77,12 @@ TEST(Snapshot, RoundTripShapes) {
 
 TEST(Snapshot, RoundTripChurnedRandomGraphs) {
   for (const std::uint64_t seed : {3u, 17u, 99u})
-    expect_round_trip(churned_graph(600, seed), "churn" + std::to_string(seed));
+    expect_round_trip(churned_graph(600, seed, 2400),
+                      "churn" + std::to_string(seed));
 }
 
 TEST(Snapshot, MisEqualityFromSnapshot) {
-  const DynamicGraph g = churned_graph(500, 11);
+  const DynamicGraph g = churned_graph(500, 11, 2000);
   TempFile file("snap_mis.snap");
   ASSERT_TRUE(g.save(file.path));
   Snapshot snap;
@@ -106,7 +96,7 @@ TEST(Snapshot, MisEqualityFromSnapshot) {
 }
 
 TEST(Snapshot, EngineStateEquivalenceUnderContinuedChurn) {
-  const DynamicGraph g = churned_graph(400, 23);
+  const DynamicGraph g = churned_graph(400, 23, 1600);
   TempFile file("snap_equiv.snap");
   ASSERT_TRUE(g.save(file.path));
   Snapshot snap;
@@ -131,7 +121,7 @@ TEST(Snapshot, EngineStateEquivalenceUnderContinuedChurn) {
 }
 
 TEST(Snapshot, DistributedEnginesFromSnapshot) {
-  const DynamicGraph g = churned_graph(300, 41);
+  const DynamicGraph g = churned_graph(300, 41, 1200);
   TempFile file("snap_engines.snap");
   ASSERT_TRUE(g.save(file.path));
   Snapshot snap;
@@ -148,7 +138,7 @@ TEST(Snapshot, DistributedEnginesFromSnapshot) {
 }
 
 TEST(Snapshot, RejectsTruncatedFiles) {
-  const DynamicGraph g = churned_graph(120, 7);
+  const DynamicGraph g = churned_graph(120, 7, 480);
   TempFile file("snap_trunc.snap");
   ASSERT_TRUE(g.save(file.path));
   const std::vector<std::uint8_t> bytes = read_bytes(file.path);
@@ -170,7 +160,7 @@ TEST(Snapshot, RejectsTruncatedFiles) {
 }
 
 TEST(Snapshot, RejectsCorruptHeaders) {
-  const DynamicGraph g = churned_graph(120, 8);
+  const DynamicGraph g = churned_graph(120, 8, 480);
   TempFile file("snap_hdr.snap");
   ASSERT_TRUE(g.save(file.path));
   const std::vector<std::uint8_t> pristine = read_bytes(file.path);
@@ -193,7 +183,7 @@ TEST(Snapshot, RejectsCorruptHeaders) {
 }
 
 TEST(Snapshot, RejectsCorruptStructure) {
-  const DynamicGraph g = churned_graph(120, 9);
+  const DynamicGraph g = churned_graph(120, 9, 480);
   TempFile file("snap_struct.snap");
   ASSERT_TRUE(g.save(file.path));
   const std::vector<std::uint8_t> pristine = read_bytes(file.path);
@@ -256,7 +246,7 @@ TEST(Snapshot, RejectsCorruptStructure) {
 core::CascadeEngine churned_engine(NodeId n, std::uint64_t seed,
                                    std::uint64_t priority_seed, int extra_ops,
                                    std::unique_ptr<workload::ChurnGenerator>& gen_out) {
-  const DynamicGraph g = churned_graph(n, seed);
+  const DynamicGraph g = churned_graph(n, seed, 4 * n);
   core::CascadeEngine engine(g, priority_seed);
   workload::ChurnConfig config;
   config.p_abrupt = 0.5;
@@ -289,19 +279,16 @@ TEST(SnapshotV2, WarmStartEqualsColdRecomputeUnderContinuedChurn) {
   core::CascadeEngine warm(DynamicGraph::load(snap), snap, 7, graph::SnapshotLoad::kWarm);
   core::CascadeEngine cold(DynamicGraph::load(snap), snap, 7,
                            graph::SnapshotLoad::kColdKeys);
-  EXPECT_EQ(warm.mis_size(), cold.mis_size());
-  EXPECT_TRUE(warm.membership() == cold.membership());
-  EXPECT_TRUE(warm.membership() == source.membership());
+  EXPECT_EQ(core::state_diff(warm, source), "");
+  EXPECT_EQ(core::state_diff(cold, source), "");
   warm.verify();
   // "Zero greedy-recompute work" made falsifiable: any priority draw during
   // construction would have advanced the restored generator past the
   // persisted state (and both engines must agree with the original's RNG,
-  // which is how the continued-churn draws below line up).
+  // which the identity checks above hold them to, and which is how the
+  // continued-churn draws below line up).
   const util::Rng::State warm_rng = warm.priorities().rng_state();
-  const util::Rng::State source_rng = source.priorities().rng_state();
   EXPECT_TRUE(std::equal(warm_rng.begin(), warm_rng.end(), snap.engine_ext().rng_state));
-  EXPECT_TRUE(warm_rng == source_rng);
-  EXPECT_TRUE(cold.priorities().rng_state() == source_rng);
   // The adopted seed keeps re-saved metadata honest: a warm engine saved
   // again persists the seed that actually produced its key/RNG stream.
   EXPECT_EQ(warm.priorities().seed(), snap.priority_seed());
@@ -316,9 +303,8 @@ TEST(SnapshotV2, WarmStartEqualsColdRecomputeUnderContinuedChurn) {
     ASSERT_EQ(cold.last_report().adjustments, source.last_report().adjustments)
         << "cold twin diverged from the saved engine at op " << i;
   }
-  EXPECT_TRUE(warm.graph() == source.graph());
-  EXPECT_TRUE(warm.membership() == source.membership());
-  EXPECT_TRUE(cold.membership() == source.membership());
+  EXPECT_EQ(core::state_diff(warm, source), "");
+  EXPECT_EQ(core::state_diff(cold, source), "");
   warm.verify();
   cold.verify();
 }
@@ -380,7 +366,7 @@ TEST(SnapshotV2, EveryEngineWarmStartsAndTracksAColdTwin) {
 TEST(SnapshotV2, CrossEngineSaveAndWarmStartInterchange) {
   // Engine state saved from any engine flavor warm-starts any other: the
   // persisted keys + membership are the complete, engine-agnostic state.
-  const DynamicGraph g = churned_graph(220, 71);
+  const DynamicGraph g = churned_graph(220, 71, 880);
   core::DistMis dist(g, 17);
   core::AsyncMis async(g, 17, /*scheduler_seed=*/3);
   const core::CascadeEngine oracle(g, 17);
@@ -411,7 +397,7 @@ TEST(SnapshotV2, CrossEngineSaveAndWarmStartInterchange) {
 }
 
 TEST(SnapshotV2, V1FilesStillColdStartUnderAuto) {
-  const DynamicGraph g = churned_graph(180, 81);
+  const DynamicGraph g = churned_graph(180, 81, 720);
   TempFile file("v2_v1auto.snap");
   ASSERT_TRUE(g.save(file.path));
   Snapshot snap;
@@ -429,7 +415,7 @@ TEST(SnapshotV2, V1FilesStillColdStartUnderAuto) {
 }
 
 TEST(Snapshot, ChecksumCatchesPayloadBitFlips) {
-  const DynamicGraph g = churned_graph(200, 10);
+  const DynamicGraph g = churned_graph(200, 10, 800);
   TempFile file("snap_sum.snap");
   ASSERT_TRUE(g.save(file.path));
   std::vector<std::uint8_t> bytes = read_bytes(file.path);
@@ -474,7 +460,7 @@ std::uint64_t file_fnv1a(const std::string& path) {
 
 TEST(SnapshotBytes, V1GraphMatchesFrozenHash) {
   TempFile file("pin_v1.snap");
-  ASSERT_TRUE(churned_graph(400, 2016).save(file.path));
+  ASSERT_TRUE(churned_graph(400, 2016, 1600).save(file.path));
   EXPECT_EQ(file_fnv1a(file.path), 0x52a3e58d4ce2a722ULL);
 }
 

@@ -27,11 +27,9 @@
 
 #include "core/cascade_engine.hpp"
 #include "core/engine_snapshot.hpp"
-#include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
 #include "support.hpp"
 #include "util/rng.hpp"
-#include "workload/churn.hpp"
 
 namespace {
 
@@ -47,19 +45,10 @@ std::string v3_fixture_path() {
   return std::string(DMIS_TEST_DATA_DIR) + "/v3_shards4.snap";
 }
 
+using test::churned_graph;
 using test::read_bytes;
 using test::TempFile;
 using test::write_bytes;
-
-DynamicGraph churned_graph(NodeId n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  DynamicGraph g = graph::random_avg_degree(n, 8.0, rng);
-  workload::ChurnConfig config;
-  config.p_abrupt = 0.4;
-  workload::ChurnGenerator gen(std::move(g), config, seed + 1);
-  (void)gen.generate(3 * n);
-  return gen.graph();
-}
 
 /// The post-mutation gauntlet: open the file; if open accepts, every
 /// accessor-driven consumer must run to completion (memory safety), and if
@@ -165,7 +154,7 @@ struct Corpus {
 /// scratch copy of the v3 fixture (mutations never touch the committed
 /// file).
 void build_corpus(Corpus& v1, Corpus& v2, Corpus& v3, NodeId n, std::uint64_t seed) {
-  const DynamicGraph g = churned_graph(n, seed);
+  const DynamicGraph g = churned_graph(n, seed, 3 * n);
   ASSERT_TRUE(g.save(v1.file.path));
   const core::CascadeEngine engine(g, seed * 3 + 1);
   ASSERT_TRUE(core::save_snapshot(engine, v2.file.path));
@@ -413,8 +402,7 @@ TEST(SnapshotV3Fixture, OpensVerifiesAndRoundTripsThroughV2) {
                             graph::SnapshotLoad::kWarm);
   core::CascadeEngine twin(DynamicGraph::load(v3), v3, v3.priority_seed(),
                            graph::SnapshotLoad::kWarm);
-  EXPECT_EQ(again.membership(), warm.membership());
-  EXPECT_TRUE(again.priorities().rng_state() == warm.priorities().rng_state());
+  EXPECT_EQ(core::state_diff(again, warm), "");
   const NodeId fresh = again.add_node();
   EXPECT_EQ(twin.add_node(), fresh);
   EXPECT_EQ(again.priorities().key(fresh), twin.priorities().key(fresh));
@@ -526,7 +514,7 @@ TEST_F(SnapshotFuzz, FailedSaveLeavesExistingSnapshotIntact) {
   // pre-existing snapshot at the target path byte-identical — the window
   // where the old file is gone and the new one incomplete must not exist.
   // Force the failure by squatting a directory on the .tmp staging path.
-  const DynamicGraph g = churned_graph(80, 41);
+  const DynamicGraph g = churned_graph(80, 41, 240);
   const core::CascadeEngine engine(g, 5);
   TempFile file("atomic.snap");
   std::string error;
@@ -535,7 +523,7 @@ TEST_F(SnapshotFuzz, FailedSaveLeavesExistingSnapshotIntact) {
 
   const std::string tmp = file.path + ".tmp";
   std::filesystem::create_directory(tmp);
-  const DynamicGraph g2 = churned_graph(90, 43);
+  const DynamicGraph g2 = churned_graph(90, 43, 270);
   const core::CascadeEngine engine2(g2, 5);
   EXPECT_FALSE(core::save_snapshot(engine2, file.path, &error));
   EXPECT_NE(error.find(".tmp"), std::string::npos) << error;  // errno context names the staging file
@@ -548,7 +536,7 @@ TEST_F(SnapshotFuzz, FailedSaveLeavesExistingSnapshotIntact) {
 }
 
 TEST_F(SnapshotFuzz, SuccessfulSaveReplacesAndLeavesNoResidue) {
-  const DynamicGraph g = churned_graph(80, 47);
+  const DynamicGraph g = churned_graph(80, 47, 240);
   const core::CascadeEngine engine(g, 5);
   TempFile file("replace.snap");
   std::string error;
@@ -557,7 +545,7 @@ TEST_F(SnapshotFuzz, SuccessfulSaveReplacesAndLeavesNoResidue) {
   // A stale partial .tmp from a hypothetical earlier crash must not block
   // or corrupt the next save.
   write_bytes(file.path + ".tmp", {0xDE, 0xAD, 0xBE, 0xEF});
-  const DynamicGraph g2 = churned_graph(100, 53);
+  const DynamicGraph g2 = churned_graph(100, 53, 300);
   const core::CascadeEngine engine2(g2, 9);
   ASSERT_TRUE(core::save_snapshot(engine2, file.path, &error)) << error;
   EXPECT_FALSE(std::filesystem::exists(file.path + ".tmp"));
@@ -650,7 +638,7 @@ TEST_F(SnapshotFuzz, NonFixpointMembershipRejectedByVerifyNotOpen) {
   // fixpoint (all-zero membership on a non-empty graph, checksum freshly
   // computed by the writer): open() must accept it — nothing is memory-
   // unsafe about it — and verify() must name the fixpoint violation.
-  const DynamicGraph g = churned_graph(120, 31);
+  const DynamicGraph g = churned_graph(120, 31, 360);
   const core::CascadeEngine engine(g, 7);
   std::vector<std::uint64_t> keys(g.id_bound(), 0);
   for (NodeId v = 0; v < g.id_bound(); ++v)

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -230,6 +234,58 @@ TEST(TableTest, PlusMinusCell) {
 TEST(FormatDouble, Precision) {
   EXPECT_EQ(dmis::util::format_double(3.14159, 2), "3.14");
   EXPECT_EQ(dmis::util::format_double(2.0, 0), "2");
+}
+
+/// A small tool's flags, parsed from `args`.
+struct Parsed {
+  std::int64_t ops = 0;
+  double p = 0;
+  std::vector<std::int64_t> sizes;
+  std::vector<std::string> names;
+};
+
+Parsed parse(std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  dmis::util::Cli cli(static_cast<int>(argv.size()), argv.data());
+  Parsed out{cli.flag_int("ops", 5, "ops"), cli.flag_double("p", 0.5, "probability"),
+             cli.flag_int_list("sizes", "10,20", 2, "node counts"),
+             cli.flag_list("names", "a,b", "names")};
+  cli.finish();
+  return out;
+}
+
+TEST(Cli, ParsesWellFormedValues) {
+  const Parsed defaults = parse({});
+  EXPECT_EQ(defaults.ops, 5);
+  EXPECT_EQ(defaults.p, 0.5);
+  EXPECT_EQ(defaults.sizes, (std::vector<std::int64_t>{10, 20}));
+  EXPECT_EQ(defaults.names, (std::vector<std::string>{"a", "b"}));
+  const Parsed given =
+      parse({"--ops=-2", "--p", "0.25", "--sizes", "7,,1000,", "--names", "x"});
+  EXPECT_EQ(given.ops, -2);
+  EXPECT_EQ(given.p, 0.25);
+  EXPECT_EQ(given.sizes, (std::vector<std::int64_t>{7, 1000}));
+  EXPECT_EQ(given.names, (std::vector<std::string>{"x"}));
+}
+
+TEST(CliDeathTest, RejectsMalformedValues) {
+  using ::testing::ExitedWithCode;
+  // Not a number, partly one (letter O for zero), empty, out of range.
+  EXPECT_EXIT(parse({"--ops", "abc"}), ExitedWithCode(2), "--ops: 'abc'");
+  EXPECT_EXIT(parse({"--ops", "22OO"}), ExitedWithCode(2), "--ops: '22OO'");
+  EXPECT_EXIT(parse({"--ops="}), ExitedWithCode(2), "--ops: ''");
+  EXPECT_EXIT(parse({"--ops", "99999999999999999999"}), ExitedWithCode(2), "--ops");
+  EXPECT_EXIT(parse({"--p", "0.2x"}), ExitedWithCode(2), "--p: '0.2x'");
+  EXPECT_EXIT(parse({"--p", "1e999"}), ExitedWithCode(2), "--p: '1e999'");
+  // A flag given without a value cannot stand in for a number.
+  EXPECT_EXIT(parse({"--ops", "--p", "0.1"}), ExitedWithCode(2), "--ops: ''");
+  // Every list item parses and reaches the minimum, and the list is not empty.
+  EXPECT_EXIT(parse({"--sizes", "10,abc"}), ExitedWithCode(2), "--sizes: 'abc'");
+  EXPECT_EXIT(parse({"--sizes", "10,1"}), ExitedWithCode(2), "--sizes: '1'");
+  EXPECT_EXIT(parse({"--sizes", ","}), ExitedWithCode(2), "--sizes: ','");
+  EXPECT_EXIT(parse({"--nope", "1"}), ExitedWithCode(2), "unknown flag: --nope");
 }
 
 }  // namespace

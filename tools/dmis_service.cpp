@@ -5,7 +5,8 @@
 //   dmis_service run     --dir d [--ops K --batch B --seed S]
 //                        [--policy everyop|everybatch|interval]
 //                        [--checkpoint-interval N] [--crash-at L]
-//                        ingest the deterministic workload; with --crash-at
+//                        ingest the deterministic workload from the lsn the
+//                        directory holds (even inside a batch); with --crash-at
 //                        the process _exit()s the moment lsn ≥ L — no
 //                        close(), no seal, exactly the on-disk shape a
 //                        kill -9 leaves (modulo a mid-write tear).
@@ -14,8 +15,9 @@
 //                        and RTO breakdown; with --verify, regenerate the
 //                        same workload and check the recovered engine is
 //                        differentially identical to a never-crashed
-//                        reference at the recovered lsn (graph, membership,
-//                        MIS size, priority-RNG state).
+//                        reference at the recovered lsn (core/identity.hpp:
+//                        graph, priority keys, membership, MIS size,
+//                        priority-RNG state).
 //   dmis_service serve   --dir d [--producers P --ops K --batch B --seed S]
 //                        [--policy ...] [--crash-at L]
 //                        concurrent ingest: P producer threads submit edge
@@ -43,11 +45,11 @@
 //                        ranges, plus the open mode recovery will use
 //                        (borrowed vs materialized).
 //
-// The workload is pinned by (--seed, --ops, --batch): grow a random graph
-// op by op from empty, then mixed churn — the same recipe the service and
-// kill -9 tests use, so `run --crash-at` + `recover --verify` is a
-// self-contained crash drill, and `run --crash-at` + `follow` + `promote
-// --verify` is a self-contained failover drill.
+// The workload is pinned by (--seed, --ops, --batch): workload::drill_stream,
+// the recipe the service and kill -9 tests use, so `run --crash-at` +
+// `recover --verify` is a self-contained crash drill, and `run --crash-at` +
+// `follow` + `promote --verify` is a self-contained failover drill.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -63,7 +65,7 @@
 
 #include "core/batch.hpp"
 #include "core/cascade_engine.hpp"
-#include "graph/generators.hpp"
+#include "core/identity.hpp"
 #include "graph/snapshot.hpp"
 #include "service/checkpoint.hpp"
 #include "service/ingest.hpp"
@@ -73,8 +75,6 @@
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "workload/batched.hpp"
-#include "workload/churn.hpp"
-#include "workload/trace.hpp"
 
 namespace {
 
@@ -85,89 +85,83 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// The pinned workload: identical across run / recover --verify.
-std::vector<core::Batch> make_stream(std::uint64_t seed, std::size_t total_ops,
-                                     std::size_t ops_per_batch) {
-  util::Rng rng(seed);
-  graph::DynamicGraph g = graph::random_avg_degree(100, 6.0, rng);
-  const workload::Trace grow = workload::grow_trace(g);
-  workload::ChurnConfig config;
-  config.p_abrupt = 0.4;
-  workload::ChurnGenerator gen(g, config, seed + 1);
-
-  std::vector<core::Batch> out;
-  core::Batch current;
-  const auto flush = [&] {
-    if (!current.empty()) {
-      out.push_back(current);
-      current.clear();
-    }
-  };
+/// The pinned workload (workload::drill_stream at n = 100) and the engine
+/// seed: run ingests it, and recover and promote regenerate it for --verify.
+struct Workload {
   std::size_t ops = 0;
-  for (const workload::GraphOp& op : grow) {
-    workload::append_op(current, op);
-    ++ops;
-    if (current.size() >= ops_per_batch) flush();
+  std::size_t batch = 0;
+  std::uint64_t seed = 0;
+  std::uint64_t priority_seed = 0;
+
+  [[nodiscard]] std::vector<core::Batch> stream() const {
+    return workload::drill_stream(100, 6.0, seed, ops, batch);
   }
-  while (ops < total_ops) {
-    workload::append_op(current, gen.next());
-    ++ops;
-    if (current.size() >= ops_per_batch) flush();
-  }
-  flush();
-  return out;
+};
+
+Workload workload_flags(util::Cli& cli) {
+  Workload w;
+  w.ops = static_cast<std::size_t>(
+      cli.flag_int("ops", 5000, "workload ops (--verify: as given to run)"));
+  w.batch = static_cast<std::size_t>(std::max<std::int64_t>(
+      1, cli.flag_int("batch", 8, "ops per batch (--verify: as given to run)")));
+  w.seed = static_cast<std::uint64_t>(
+      cli.flag_int("seed", 42, "workload seed (--verify: as given to run)"));
+  w.priority_seed =
+      static_cast<std::uint64_t>(cli.flag_int("priority-seed", 7, "engine seed"));
+  return w;
 }
 
-void append_slice(core::Batch& out, const core::Batch& b, std::size_t from,
-                  std::size_t count) {
-  const auto ops = b.ops();
-  for (std::size_t i = from; i < from + count && i < ops.size(); ++i)
-    out.append(ops[i].kind, ops[i].u, ops[i].v, b.neighbors_of(ops[i]));
+/// --verify: `engine`, at `lsn`, must have the identity of a never-crashed
+/// engine fed the first `lsn` ops of the workload.
+bool verify_against_workload(const core::CascadeEngine& engine, std::uint64_t lsn,
+                             const char* what, const Workload& w) {
+  const auto stream = w.stream();
+  std::uint64_t total = 0;
+  for (const auto& b : stream) total += b.size();
+  if (lsn > total) {
+    std::fprintf(stderr, "FAIL: %s lsn %llu beyond the %llu-op workload "
+                         "(wrong --ops/--seed?)\n",
+                 what, static_cast<unsigned long long>(lsn),
+                 static_cast<unsigned long long>(total));
+    return false;
+  }
+  core::CascadeEngine ref(w.priority_seed);
+  for (const core::Batch& b : workload::slice(stream, 0, lsn))
+    (void)core::apply_batch(ref, b);
+  if (const std::string diff = core::state_diff(engine, ref); !diff.empty()) {
+    std::fprintf(stderr, "FAIL: %s state diverges from the reference at lsn %llu: %s\n",
+                 what, static_cast<unsigned long long>(lsn), diff.c_str());
+    return false;
+  }
+  engine.verify();
+  std::printf("OK: %s engine is differentially identical to the reference at lsn "
+              "%llu (graph, keys, membership, |MIS| %zu, rng)\n",
+              what, static_cast<unsigned long long>(lsn), engine.mis_size());
+  return true;
 }
 
-/// Reference engine fed the first `ops` ops (splitting a batch if needed).
-core::CascadeEngine reference_prefix(const std::vector<core::Batch>& stream,
-                                     std::uint64_t ops, std::uint64_t priority_seed) {
-  core::CascadeEngine engine(priority_seed);
-  core::Batch partial;
-  std::uint64_t done = 0;
-  for (const core::Batch& b : stream) {
-    if (done == ops) break;
-    if (done + b.size() <= ops) {
-      (void)core::apply_batch(engine, b);
-      done += b.size();
-    } else {
-      partial.clear();
-      append_slice(partial, b, 0, static_cast<std::size_t>(ops - done));
-      (void)core::apply_batch(engine, partial);
-      done = ops;
-    }
-  }
-  return engine;
+/// --crash-at: print the fingerprint and die with the kill -9 exit code —
+/// no destructors, no close, no seal, no thread joins.
+[[noreturn]] void crash(std::uint64_t crash_at, const service::MisService& svc) {
+  std::printf("crash-at %llu reached at lsn %llu — dying without close "
+              "(fingerprint %016llx)\n",
+              static_cast<unsigned long long>(crash_at),
+              static_cast<unsigned long long>(svc.lsn()),
+              static_cast<unsigned long long>(core::fingerprint(svc.engine())));
+  std::fflush(stdout);
+#if defined(__unix__) || defined(__APPLE__)
+  _exit(137);
+#else
+  std::abort();
+#endif
 }
 
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n,
-                      std::uint64_t h = 0xcbf29ce484222325ULL) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-/// Order-independent engine fingerprint: membership bytes + RNG state. Two
-/// engines with equal fingerprints serve the same MIS and will draw the
-/// same priorities forever.
-std::uint64_t fingerprint(const core::CascadeEngine& engine) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (graph::NodeId v = 0; v < engine.graph().id_bound(); ++v) {
-    const std::uint8_t byte = engine.in_mis(v) ? 1 : 0;
-    h = fnv1a64(&byte, 1, h);
-  }
-  const util::Rng::State rng = engine.priorities().rng_state();
-  for (const std::uint64_t word : rng)
-    h = fnv1a64(reinterpret_cast<const std::uint8_t*>(&word), sizeof(word), h);
-  return h;
+/// Close `svc`; returns the subcommand's exit status.
+int close_service(service::MisService& svc) {
+  std::string error;
+  if (svc.close(&error)) return 0;
+  std::fprintf(stderr, "error: close: %s\n", error.c_str());
+  return 1;
 }
 
 bool parse_policy(const std::string& name, service::FsyncPolicy& out) {
@@ -180,12 +174,7 @@ bool parse_policy(const std::string& name, service::FsyncPolicy& out) {
 
 int cmd_run(util::Cli& cli) {
   const auto dir = cli.flag_string("dir", "mis-service", "service directory");
-  const auto ops = static_cast<std::size_t>(cli.flag_int("ops", 5000, "workload ops"));
-  const auto batch_ops =
-      static_cast<std::size_t>(cli.flag_int("batch", 8, "ops per batch"));
-  const auto seed = static_cast<std::uint64_t>(cli.flag_int("seed", 42, "workload seed"));
-  const auto priority_seed =
-      static_cast<std::uint64_t>(cli.flag_int("priority-seed", 7, "engine seed"));
+  const Workload w = workload_flags(cli);
   const auto policy_name =
       cli.flag_string("policy", "everybatch", "fsync policy: everyop|everybatch|interval");
   const auto checkpoint_interval = static_cast<std::uint64_t>(
@@ -196,7 +185,7 @@ int cmd_run(util::Cli& cli) {
 
   service::ServiceConfig config;
   config.dir = dir;
-  config.priority_seed = priority_seed;
+  config.priority_seed = w.priority_seed;
   config.checkpoint_interval_ops = checkpoint_interval;
   if (!parse_policy(policy_name, config.fsync)) {
     std::fprintf(stderr, "error: unknown --policy '%s'\n", policy_name.c_str());
@@ -214,34 +203,17 @@ int cmd_run(util::Cli& cli) {
                 static_cast<unsigned long long>(svc->recovery().checkpoint_lsn),
                 static_cast<unsigned long long>(svc->recovery().replayed_ops));
 
-  const auto stream = make_stream(seed, ops, batch_ops);
+  // Idempotent restart: apply only what the directory does not hold yet,
+  // which may start inside a batch (kEveryOp logs every op on its own).
+  const auto rest = workload::slice(w.stream(), svc->lsn());
   const auto t0 = Clock::now();
-  std::uint64_t skipped = 0;
-  for (const core::Batch& batch : stream) {
-    // Idempotent restart: skip batches the directory already holds.
-    if (svc->lsn() >= skipped + batch.size()) {
-      skipped += batch.size();
-      continue;
-    }
+  for (const core::Batch& batch : rest) {
     if (!svc->apply(batch, &error)) {
       std::fprintf(stderr, "error: apply at lsn %llu: %s\n",
                    static_cast<unsigned long long>(svc->lsn()), error.c_str());
       return 1;
     }
-    skipped += batch.size();
-    if (crash_at != 0 && svc->lsn() >= crash_at) {
-      std::printf("crash-at %llu reached at lsn %llu — dying without close "
-                  "(fingerprint %016llx)\n",
-                  static_cast<unsigned long long>(crash_at),
-                  static_cast<unsigned long long>(svc->lsn()),
-                  static_cast<unsigned long long>(fingerprint(svc->engine())));
-      std::fflush(stdout);
-#if defined(__unix__) || defined(__APPLE__)
-      _exit(137);  // the kill -9 exit code; no destructors, no seal
-#else
-      std::abort();
-#endif
-    }
+    if (crash_at != 0 && svc->lsn() >= crash_at) crash(crash_at, *svc);
   }
   const double run_s = seconds_since(t0);
   const std::uint64_t lsn = svc->lsn();
@@ -253,31 +225,20 @@ int cmd_run(util::Cli& cli) {
               static_cast<unsigned long long>(svc->wal_bytes_appended()),
               static_cast<unsigned long long>(svc->checkpoints_taken()),
               static_cast<unsigned long long>(svc->checkpoint_bytes()),
-              static_cast<unsigned long long>(fingerprint(svc->engine())));
-  if (!svc->close(&error)) {
-    std::fprintf(stderr, "error: close: %s\n", error.c_str());
-    return 1;
-  }
-  return 0;
+              static_cast<unsigned long long>(core::fingerprint(svc->engine())));
+  return close_service(*svc);
 }
 
 int cmd_recover(util::Cli& cli) {
   const auto dir = cli.flag_string("dir", "mis-service", "service directory");
   const bool verify = cli.flag_bool(
       "verify", false, "check the recovered engine against the regenerated workload");
-  const auto ops = static_cast<std::size_t>(
-      cli.flag_int("ops", 5000, "workload ops (--verify; must match run)"));
-  const auto batch_ops = static_cast<std::size_t>(
-      cli.flag_int("batch", 8, "ops per batch (--verify; must match run)"));
-  const auto seed = static_cast<std::uint64_t>(
-      cli.flag_int("seed", 42, "workload seed (--verify; must match run)"));
-  const auto priority_seed =
-      static_cast<std::uint64_t>(cli.flag_int("priority-seed", 7, "engine seed"));
+  const Workload w = workload_flags(cli);
   cli.finish();
 
   service::ServiceConfig config;
   config.dir = dir;
-  config.priority_seed = priority_seed;
+  config.priority_seed = w.priority_seed;
   const auto t0 = Clock::now();
   std::string error;
   auto svc = service::MisService::open(config, &error);
@@ -302,44 +263,11 @@ int cmd_recover(util::Cli& cli) {
               r.warm_s, r.replay_s);
   if (!r.detail.empty()) std::printf("detail:\n%s", r.detail.c_str());
   std::printf("|MIS| %zu, fingerprint %016llx\n", svc->engine().mis_size(),
-              static_cast<unsigned long long>(fingerprint(svc->engine())));
+              static_cast<unsigned long long>(core::fingerprint(svc->engine())));
 
-  if (verify) {
-    const auto stream = make_stream(seed, ops, batch_ops);
-    std::uint64_t total = 0;
-    for (const auto& b : stream) total += b.size();
-    if (r.recovered_lsn > total) {
-      std::fprintf(stderr, "FAIL: recovered lsn %llu beyond the %llu-op workload "
-                           "(wrong --ops/--seed?)\n",
-                   static_cast<unsigned long long>(r.recovered_lsn),
-                   static_cast<unsigned long long>(total));
-      return 1;
-    }
-    const core::CascadeEngine ref = reference_prefix(stream, r.recovered_lsn,
-                                                     priority_seed);
-    const bool same_graph = svc->engine().graph() == ref.graph();
-    const bool same_membership = svc->engine().membership() == ref.membership();
-    const bool same_rng =
-        svc->engine().priorities().rng_state() == ref.priorities().rng_state();
-    if (!same_graph || !same_membership || !same_rng) {
-      std::fprintf(stderr,
-                   "FAIL: recovered state diverges from the reference at lsn %llu "
-                   "(graph %d, membership %d, rng %d)\n",
-                   static_cast<unsigned long long>(r.recovered_lsn), same_graph,
-                   same_membership, same_rng);
-      return 1;
-    }
-    svc->engine().verify();
-    std::printf("OK: recovered engine is differentially identical to the reference "
-                "at lsn %llu (graph, membership, |MIS| %zu, rng)\n",
-                static_cast<unsigned long long>(r.recovered_lsn),
-                svc->engine().mis_size());
-  }
-  if (!svc->close(&error)) {
-    std::fprintf(stderr, "error: close: %s\n", error.c_str());
+  if (verify && !verify_against_workload(svc->engine(), r.recovered_lsn, "recovered", w))
     return 1;
-  }
-  return 0;
+  return close_service(*svc);
 }
 
 /// Concurrent ingest: P producers toggle edges in their own hash partition
@@ -457,7 +385,6 @@ int cmd_serve(util::Cli& cli) {
       if (queue.drain(batch) == 0) std::this_thread::yield();
     for (std::thread& lane : lanes) lane.join();
   };
-  bool crashed_requested = false;
   while (svc->lsn() < expected) {
     // Read the flag before draining: once every producer has finished, an
     // empty drain means the stream is over, and no drained op is dropped.
@@ -474,23 +401,7 @@ int cmd_serve(util::Cli& cli) {
       return 1;
     }
     queue.ack();
-    if (crash_at != 0 && svc->lsn() >= crash_at) {
-      crashed_requested = true;
-      break;
-    }
-  }
-  if (crashed_requested) {
-    std::printf("crash-at %llu reached at lsn %llu — dying without close "
-                "(fingerprint %016llx)\n",
-                static_cast<unsigned long long>(crash_at),
-                static_cast<unsigned long long>(svc->lsn()),
-                static_cast<unsigned long long>(fingerprint(svc->engine())));
-    std::fflush(stdout);
-#if defined(__unix__) || defined(__APPLE__)
-    _exit(137);  // producers never joined — exactly what kill -9 does
-#else
-    std::abort();
-#endif
+    if (crash_at != 0 && svc->lsn() >= crash_at) crash(crash_at, *svc);
   }
   join_lanes();
   const double run_s = seconds_since(t0);
@@ -512,12 +423,8 @@ int cmd_serve(util::Cli& cli) {
               static_cast<unsigned long long>(svc->lsn()), run_s,
               run_s > 0 ? static_cast<double>(svc->lsn()) / run_s : 0.0,
               static_cast<unsigned long long>(waits), svc->engine().mis_size(),
-              static_cast<unsigned long long>(fingerprint(svc->engine())));
-  if (!svc->close(&error)) {
-    std::fprintf(stderr, "error: close: %s\n", error.c_str());
-    return 1;
-  }
-  return 0;
+              static_cast<unsigned long long>(core::fingerprint(svc->engine())));
+  return close_service(*svc);
 }
 
 int cmd_follow(util::Cli& cli) {
@@ -612,7 +519,7 @@ int cmd_follow(util::Cli& cli) {
                 static_cast<unsigned long long>(faulty.truncations()));
   if (follower->has_engine())
     std::printf("fingerprint %016llx\n",
-                static_cast<unsigned long long>(fingerprint(follower->engine())));
+                static_cast<unsigned long long>(core::fingerprint(follower->engine())));
   if (until_lsn != 0 && follower->applied_lsn() < until_lsn) {
     std::fprintf(stderr, "FAIL: applied lsn %llu short of --until-lsn %llu\n",
                  static_cast<unsigned long long>(follower->applied_lsn()),
@@ -626,19 +533,12 @@ int cmd_promote(util::Cli& cli) {
   const auto dir = cli.flag_string("dir", "mis-follower", "follower directory");
   const bool verify = cli.flag_bool(
       "verify", false, "check the promoted engine against the regenerated workload");
-  const auto ops = static_cast<std::size_t>(
-      cli.flag_int("ops", 5000, "workload ops (--verify; must match the leader's run)"));
-  const auto batch_ops = static_cast<std::size_t>(
-      cli.flag_int("batch", 8, "ops per batch (--verify; must match run)"));
-  const auto seed = static_cast<std::uint64_t>(
-      cli.flag_int("seed", 42, "workload seed (--verify; must match run)"));
-  const auto priority_seed =
-      static_cast<std::uint64_t>(cli.flag_int("priority-seed", 7, "engine seed"));
+  const Workload w = workload_flags(cli);
   cli.finish();
 
   std::string error;
   service::FollowerOptions options;
-  options.priority_seed = priority_seed;
+  options.priority_seed = w.priority_seed;
   const auto t0 = Clock::now();
   auto follower = service::FollowerService::open(dir, options, &error);
   if (!follower.has_value()) {
@@ -647,7 +547,7 @@ int cmd_promote(util::Cli& cli) {
   }
   service::ServiceConfig config;
   config.dir = dir;
-  config.priority_seed = priority_seed;
+  config.priority_seed = w.priority_seed;
   auto svc = follower->promote(config, &error);
   if (!svc.has_value()) {
     std::fprintf(stderr, "error: promote: %s\n", error.c_str());
@@ -659,35 +559,11 @@ int cmd_promote(util::Cli& cli) {
               static_cast<unsigned long long>(svc->lsn()), rto_s,
               static_cast<unsigned long long>(svc->wal_segment_seq()),
               svc->engine().mis_size(),
-              static_cast<unsigned long long>(fingerprint(svc->engine())));
+              static_cast<unsigned long long>(core::fingerprint(svc->engine())));
 
-  if (verify) {
-    const auto stream = make_stream(seed, ops, batch_ops);
-    const core::CascadeEngine ref =
-        reference_prefix(stream, svc->lsn(), priority_seed);
-    const bool same_graph = svc->engine().graph() == ref.graph();
-    const bool same_membership = svc->engine().membership() == ref.membership();
-    const bool same_rng =
-        svc->engine().priorities().rng_state() == ref.priorities().rng_state();
-    if (!same_graph || !same_membership || !same_rng) {
-      std::fprintf(stderr,
-                   "FAIL: promoted state diverges from the reference at lsn %llu "
-                   "(graph %d, membership %d, rng %d)\n",
-                   static_cast<unsigned long long>(svc->lsn()), same_graph,
-                   same_membership, same_rng);
-      return 1;
-    }
-    svc->engine().verify();
-    std::printf("OK: promoted engine is differentially identical to the reference "
-                "at lsn %llu (graph, membership, |MIS| %zu, rng)\n",
-                static_cast<unsigned long long>(svc->lsn()),
-                svc->engine().mis_size());
-  }
-  if (!svc->close(&error)) {
-    std::fprintf(stderr, "error: close: %s\n", error.c_str());
+  if (verify && !verify_against_workload(svc->engine(), svc->lsn(), "promoted", w))
     return 1;
-  }
-  return 0;
+  return close_service(*svc);
 }
 
 int cmd_stats(util::Cli& cli) {

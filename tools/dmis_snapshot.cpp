@@ -18,12 +18,13 @@
 // writes a version-2 snapshot carrying the engine state (priority keys +
 // membership), which `load --warm` restarts without recomputing the greedy
 // MIS. Version-3 files (written by older builds) still load; their shard
-// table is ignored. Warm loads print a membership fingerprint (FNV-1a over
-// the id-indexed membership bytes) so two restarts of the same state can be
-// diffed in one line. `record` emits a self-contained binary churn trace:
-// the grow history of the warm start graph followed by `--ops` random churn
-// ops, so replaying the whole file from an empty engine reproduces the
-// workload exactly (that replay is bench_snapshot's rebuild comparator).
+// table is ignored. Warm loads print the engine fingerprint
+// (core/identity.hpp; borrowed and materialized loads of one file agree) so
+// two restarts of the same state can be diffed in one line. `record` emits
+// a self-contained binary churn trace: the grow history of the warm start
+// graph followed by `--ops` random churn ops, so replaying the whole file
+// from an empty engine reproduces the workload exactly (that replay is
+// bench_snapshot's rebuild comparator).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -35,6 +36,7 @@
 
 #include "core/cascade_engine.hpp"
 #include "core/engine_snapshot.hpp"
+#include "core/identity.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_stats.hpp"
 #include "graph/snapshot.hpp"
@@ -57,17 +59,6 @@ double seconds_since(Clock::time_point t0) {
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// FNV-1a 64 over the id-indexed membership bytes: equal fingerprints ⇔
-/// equal warm-started MIS, whatever the snapshot version.
-std::uint64_t membership_fingerprint(const core::CascadeEngine& e) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (NodeId v = 0; v < e.graph().id_bound(); ++v) {
-    h ^= e.in_mis(v) ? 1u : 0u;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 /// Build the save input: either the materialization of a trace file or a
@@ -189,7 +180,7 @@ int cmd_load(util::Cli& cli) {
       std::printf("warm engine-ready %.6fs  (|MIS| %zu, fingerprint %016llx, "
                   "borrowed graph)\n",
                   warm_s, e.mis_size(),
-                  static_cast<unsigned long long>(membership_fingerprint(e)));
+                  static_cast<unsigned long long>(core::fingerprint(e)));
     }
     return 0;
   }
@@ -225,7 +216,7 @@ int cmd_load(util::Cli& cli) {
                 "fingerprint %016llx, zero greedy recompute)\n",
                 warm_s, e.mis_size(),
                 static_cast<unsigned long long>(snap.priority_seed()),
-                static_cast<unsigned long long>(membership_fingerprint(e)));
+                static_cast<unsigned long long>(core::fingerprint(e)));
   }
   return 0;
 }
