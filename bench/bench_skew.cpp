@@ -19,21 +19,20 @@
 //
 // Every cell streams its ops through core::DistMis and is verified against
 // the sequential random-greedy oracle after the stream — a cell that reaches
-// the JSON has been oracle-checked. Costs are bucketed exactly like
-// bench_distributed_cost (graceful / node_insert / abrupt_node_delete with
-// the mean min{log2 n, d(v*)} envelope), so scripts/check_bench.py gates the
-// abrupt bucket against ENVELOPE_SLACK x envelope and the graceful means
-// against the committed reference at the deterministic tolerance.
+// the JSON has been oracle-checked. Costs are bucketed by the code
+// bench_distributed_cost uses (bench/cost_sweep.hpp: graceful /
+// node_insert / abrupt_node_delete with the mean min{log2 n, d(v*)}
+// envelope), so scripts/check_bench.py gates the abrupt bucket against
+// ENVELOPE_SLACK x envelope and the graceful means against the committed
+// reference at the deterministic tolerance.
 //
 // The degree_tail column quantifies the engine cliff skew stresses:
 // p50/p90/p99/max degree, Hill tail exponent, and the fraction of nodes
 // past the 14-neighbor inline record.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -47,22 +46,12 @@
 #include "workload/distributed.hpp"
 #include "workload/skewed.hpp"
 
+#include "cost_sweep.hpp"
+
 namespace {
 
 using namespace dmis;
 using graph::NodeId;
-using workload::OpKind;
-
-struct MetricSummary {
-  double mean = 0, p50 = 0, p95 = 0, p99 = 0, max = 0;
-};
-
-struct BucketSummary {
-  std::uint64_t count = 0;
-  double rounds = 0, broadcasts = 0, bits = 0, adjustments = 0;
-  double degree = 0;    // node ops: mean d(v*)
-  double envelope = 0;  // abrupt deletions: mean min{log2 n, d(v*)}
-};
 
 struct Result {
   std::string graph;
@@ -71,58 +60,8 @@ struct Result {
   std::uint64_t ops = 0;
   double seconds = 0;
   bool verified = false;
-  sim::CostReport total;
-  MetricSummary rounds, broadcasts, messages, bits, adjustments;
-  BucketSummary graceful, node_insert, abrupt_node_delete;
+  bench::CostSummary cost;
   graph::DegreeTail tail;   // post-churn topology shape
-};
-
-MetricSummary summarize(std::vector<std::uint64_t>& xs) {
-  MetricSummary m;
-  if (xs.empty()) return m;
-  double total = 0;
-  for (const auto x : xs) total += static_cast<double>(x);
-  m.mean = total / static_cast<double>(xs.size());
-  std::sort(xs.begin(), xs.end());
-  const auto at = [&xs](double p) {
-    const auto idx = static_cast<std::size_t>(p * static_cast<double>(xs.size() - 1));
-    return static_cast<double>(xs[idx]);
-  };
-  m.p50 = at(0.50);
-  m.p95 = at(0.95);
-  m.p99 = at(0.99);
-  m.max = static_cast<double>(xs.back());
-  return m;
-}
-
-struct BucketAccum {
-  std::uint64_t count = 0;
-  double rounds = 0, broadcasts = 0, bits = 0, adjustments = 0;
-  double degree = 0, envelope = 0;
-
-  void add(const workload::CostSample& s, double env) {
-    ++count;
-    rounds += static_cast<double>(s.cost.rounds);
-    broadcasts += static_cast<double>(s.cost.broadcasts);
-    bits += static_cast<double>(s.cost.bits);
-    adjustments += static_cast<double>(s.cost.adjustments);
-    degree += static_cast<double>(s.degree);
-    envelope += env;
-  }
-
-  [[nodiscard]] BucketSummary summary() const {
-    BucketSummary b;
-    b.count = count;
-    if (count == 0) return b;
-    const auto c = static_cast<double>(count);
-    b.rounds = rounds / c;
-    b.broadcasts = broadcasts / c;
-    b.bits = bits / c;
-    b.adjustments = adjustments / c;
-    b.degree = degree / c;
-    b.envelope = envelope / c;
-    return b;
-  }
 };
 
 graph::DynamicGraph build_graph(const std::string& name, NodeId n, double deg,
@@ -171,36 +110,10 @@ Result run_cell(const std::string& graph_name, const std::string& policy, NodeId
     gen = std::make_unique<workload::SkewedChurnGenerator>(g, cfg, seed * 17 + 5);
   }
 
-  std::vector<std::uint64_t> rounds, broadcasts, messages, bits, adjustments;
-  rounds.reserve(ops);
-  broadcasts.reserve(ops);
-  messages.reserve(ops);
-  bits.reserve(ops);
-  adjustments.reserve(ops);
-  BucketAccum graceful, node_insert, abrupt_delete;
-  const double log_n = std::log2(std::max<double>(2.0, static_cast<double>(n)));
-
-  sim::CostReport total;
+  bench::CostSweep sweep(n, ops);
   const auto t0 = std::chrono::steady_clock::now();
-  workload::stream_churn(mis, *gen, ops, [&](const workload::CostSample& s) {
-    total += s.cost;
-    rounds.push_back(s.cost.rounds);
-    broadcasts.push_back(s.cost.broadcasts);
-    messages.push_back(s.cost.messages);
-    bits.push_back(s.cost.bits);
-    adjustments.push_back(s.cost.adjustments);
-    switch (s.kind) {
-      case OpKind::kAddNode:
-        node_insert.add(s, 0);
-        break;
-      case OpKind::kRemoveNodeAbrupt:
-        abrupt_delete.add(s, std::min(log_n, static_cast<double>(s.degree)));
-        break;
-      default:
-        graceful.add(s, 0);
-        break;
-    }
-  });
+  workload::stream_churn(mis, *gen, ops,
+                         [&sweep](const workload::CostSample& s) { sweep.add(s); });
   const auto t1 = std::chrono::steady_clock::now();
   if (verify) mis.verify();
 
@@ -211,25 +124,9 @@ Result run_cell(const std::string& graph_name, const std::string& policy, NodeId
   r.ops = ops;
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
   r.verified = verify;
-  r.total = total;
-  r.rounds = summarize(rounds);
-  r.broadcasts = summarize(broadcasts);
-  r.messages = summarize(messages);
-  r.bits = summarize(bits);
-  r.adjustments = summarize(adjustments);
-  r.graceful = graceful.summary();
-  r.node_insert = node_insert.summary();
-  r.abrupt_node_delete = abrupt_delete.summary();
+  r.cost = sweep.summary();
   r.tail = graph::degree_tail(gen->graph());
   return r;
-}
-
-void write_metric(std::FILE* f, const char* name, const MetricSummary& m,
-                  const char* trailer) {
-  std::fprintf(f,
-               "      \"%s\": {\"mean\": %.4f, \"p50\": %.0f, \"p95\": %.0f, "
-               "\"p99\": %.0f, \"max\": %.0f}%s\n",
-               name, m.mean, m.p50, m.p95, m.p99, m.max, trailer);
 }
 
 bool write_json(const std::string& path, const std::vector<Result>& results,
@@ -254,34 +151,9 @@ bool write_json(const std::string& path, const std::vector<Result>& results,
                  r.graph.c_str(), r.policy.c_str(), r.n,
                  static_cast<unsigned long long>(r.ops), r.seconds,
                  r.verified ? "true" : "false");
-    std::fprintf(f, "      \"total\": %s,\n", r.total.to_json().c_str());
-    write_metric(f, "rounds", r.rounds, ",");
-    write_metric(f, "broadcasts", r.broadcasts, ",");
-    write_metric(f, "messages", r.messages, ",");
-    write_metric(f, "bits", r.bits, ",");
-    write_metric(f, "adjustments", r.adjustments, ",");
-    const BucketSummary& g = r.graceful;
+    bench::write_cost_json(f, r.cost);
     std::fprintf(f,
-                 "      \"graceful\": {\"count\": %llu, \"mean_rounds\": %.4f, "
-                 "\"mean_broadcasts\": %.4f, \"mean_bits\": %.2f, "
-                 "\"mean_adjustments\": %.4f},\n",
-                 static_cast<unsigned long long>(g.count), g.rounds, g.broadcasts,
-                 g.bits, g.adjustments);
-    const BucketSummary& ni = r.node_insert;
-    std::fprintf(f,
-                 "      \"node_insert\": {\"count\": %llu, \"mean_broadcasts\": %.4f, "
-                 "\"mean_degree\": %.4f, \"mean_adjustments\": %.4f},\n",
-                 static_cast<unsigned long long>(ni.count), ni.broadcasts, ni.degree,
-                 ni.adjustments);
-    const BucketSummary& ad = r.abrupt_node_delete;
-    std::fprintf(f,
-                 "      \"abrupt_node_delete\": {\"count\": %llu, "
-                 "\"mean_broadcasts\": %.4f, \"mean_degree\": %.4f, "
-                 "\"mean_envelope\": %.4f, \"mean_adjustments\": %.4f},\n",
-                 static_cast<unsigned long long>(ad.count), ad.broadcasts, ad.degree,
-                 ad.envelope, ad.adjustments);
-    std::fprintf(f,
-                 "      \"degree_tail\": {\"p50\": %zu, \"p90\": %zu, \"p99\": %zu, "
+                 ",\n      \"degree_tail\": {\"p50\": %zu, \"p90\": %zu, \"p99\": %zu, "
                  "\"max\": %zu, \"spilled_fraction\": %.4f, "
                  "\"tail_exponent\": %.3f}}%s\n",
                  r.tail.p50, r.tail.p90, r.tail.p99, r.tail.maximum,
@@ -328,9 +200,9 @@ int main(int argc, char** argv) {
             "bcast=%.2f env=%.2f (x%llu)  tail: p99=%zu max=%zu a=%.2f  "
             "spill=%.1f%%\n",
             r.graph.c_str(), r.policy.c_str(), r.n, r.seconds,
-            r.graceful.broadcasts, r.abrupt_node_delete.broadcasts,
-            r.abrupt_node_delete.envelope,
-            static_cast<unsigned long long>(r.abrupt_node_delete.count),
+            r.cost.graceful.broadcasts, r.cost.abrupt_node_delete.broadcasts,
+            r.cost.abrupt_node_delete.envelope,
+            static_cast<unsigned long long>(r.cost.abrupt_node_delete.count),
             r.tail.p99, r.tail.maximum, r.tail.tail_exponent,
             100.0 * r.tail.spilled_fraction);
         std::fflush(stdout);

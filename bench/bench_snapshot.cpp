@@ -27,15 +27,16 @@
 // then, in the SAME process with cold/warm reps strictly interleaved (so
 // machine drift hits both sides equally — the ROADMAP's rule for perf
 // claims),
-//   engine_cold   Snapshot::open + DynamicGraph::load + CascadeEngine
-//                 (kCold): bulk graph load, fresh priority draws, full
+//   engine_cold   Snapshot::open + DynamicGraph::load + the graph
+//                 constructor: bulk graph load, fresh priority draws, full
 //                 greedy recompute — the engine-ready path every snapshot
 //                 consumer paid before v2,
-//   engine_warm   Snapshot::open + DynamicGraph::load + CascadeEngine
-//                 (kWarm): bulk graph load + bulk key/membership adoption,
-//                 zero recompute.
+//   engine_warm   Snapshot::open + DynamicGraph::load + the snapshot
+//                 constructor (kWarm): bulk graph load + bulk
+//                 key/membership adoption, zero recompute.
 // The acceptance bar for the warm start is warm_speedup >= 2 at n = 1e6.
-// Warm-vs-cold-keys equality is pinned outside the timed region.
+// Outside the timed region the warm engine must pass verify() and equal
+// the saved engine (core::state_diff).
 //
 // The borrowed columns quantify the zero-copy path: per rep, strictly
 // interleaved with the materialized load,
@@ -244,14 +245,31 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
   // swing and their ratio is trustworthy within this one process.
   const std::string v2_path =
       (dir / ("bench_" + std::to_string(n) + "_v2.snap")).string();
+  std::size_t sink = 0;  // consumed below so the engines cannot be elided
   {
     const core::CascadeEngine source(g, seed);
     if (!core::save_snapshot(source, v2_path, &error)) {
       std::fprintf(stderr, "v2 snapshot save failed: %s\n", error.c_str());
       std::exit(1);
     }
+    // Correctness pin outside the timed region: verify() shows the MIS
+    // invariant holds under the adopted keys, so by fixpoint uniqueness the
+    // warm membership is what a greedy recompute yields; state_diff pins
+    // the warm engine to the saved one (graph, keys, membership, RNG).
+    graph::Snapshot snap;
+    if (!snap.open(v2_path, &error)) {
+      std::fprintf(stderr, "v2 snapshot open failed: %s\n", error.c_str());
+      std::exit(1);
+    }
+    const core::CascadeEngine warm(graph::DynamicGraph::load(snap), snap, seed,
+                                   graph::SnapshotLoad::kWarm);
+    warm.verify();
+    if (const std::string diff = core::state_diff(warm, source); !diff.empty()) {
+      std::fprintf(stderr, "warm-vs-saved state mismatch at n=%u: %s\n", n, diff.c_str());
+      std::exit(1);
+    }
+    sink += warm.mis_size();
   }
-  std::size_t sink = 0;  // consumed below so the engines cannot be elided
   for (int rep = 0; rep < reps; ++rep) {
     const auto t_cold = Clock::now();
     {
@@ -260,8 +278,7 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
         std::fprintf(stderr, "v2 snapshot open failed: %s\n", error.c_str());
         std::exit(1);
       }
-      const core::CascadeEngine cold(graph::DynamicGraph::load(snap), snap, seed,
-                                     graph::SnapshotLoad::kCold);
+      const core::CascadeEngine cold(graph::DynamicGraph::load(snap), seed);
       sink += cold.mis_size();
     }
     const double cold_s = std::chrono::duration<double>(Clock::now() - t_cold).count();
@@ -282,24 +299,6 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
     if (rep == 0 || warm_s < r.engine_warm_s) r.engine_warm_s = warm_s;
   }
   r.warm_speedup = r.engine_warm_s > 0 ? r.engine_cold_s / r.engine_warm_s : 0;
-  // Correctness pin outside the timed region: the warm start must equal the
-  // greedy recompute over the same persisted keys, node for node.
-  {
-    graph::Snapshot snap;
-    if (!snap.open(v2_path, &error)) {
-      std::fprintf(stderr, "v2 snapshot open failed: %s\n", error.c_str());
-      std::exit(1);
-    }
-    const core::CascadeEngine warm(graph::DynamicGraph::load(snap), snap, seed,
-                                   graph::SnapshotLoad::kWarm);
-    const core::CascadeEngine coldkeys(graph::DynamicGraph::load(snap), snap, seed,
-                                       graph::SnapshotLoad::kColdKeys);
-    if (const std::string diff = core::state_diff(warm, coldkeys); !diff.empty()) {
-      std::fprintf(stderr, "warm-vs-cold state mismatch at n=%u: %s\n", n, diff.c_str());
-      std::exit(1);
-    }
-    sink += warm.mis_size();
-  }
   if (sink == 0) std::fprintf(stderr, "(empty MIS — suspicious)\n");
 
   std::filesystem::remove(trace_path);

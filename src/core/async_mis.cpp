@@ -1,15 +1,6 @@
 #include "core/async_mis.hpp"
 
-#include "graph/snapshot.hpp"
-
 namespace dmis::core {
-
-AsyncMis::AsyncMis(graph::DynamicGraph&& g, const graph::Snapshot& snapshot,
-                   std::uint64_t priority_seed, std::uint64_t scheduler_seed,
-                   std::uint64_t max_delay, graph::SnapshotLoad mode)
-    : Base(priority_seed, scheduler_seed, max_delay) {
-  init_from_snapshot(std::move(g), snapshot, mode);
-}
 
 AsyncMisProtocol::Local& AsyncMisProtocol::local(NodeId v) {
   DMIS_ASSERT_MSG(v < nodes_.size() && nodes_[v].exists, "no such async node");

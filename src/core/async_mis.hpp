@@ -118,17 +118,6 @@ class AsyncMis : public NetworkDriver<sim::AsyncNetwork, AsyncMisProtocol> {
     init_stable(std::move(g));
   }
 
-  /// Start from a binary snapshot (graph/snapshot.hpp): `g` is the graph
-  /// loaded or borrowed from `snapshot` by the caller (defined in
-  /// async_mis.cpp to keep the snapshot header out of this one). A v2
-  /// snapshot warm-starts by default — persisted keys + membership are
-  /// installed into every view with no greedy recompute and no priority
-  /// draws; see CascadeEngine's snapshot ctor for the mode rules.
-  AsyncMis(graph::DynamicGraph&& g, const graph::Snapshot& snapshot,
-           std::uint64_t priority_seed, std::uint64_t scheduler_seed,
-           std::uint64_t max_delay = 8,
-           graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
-
   ChangeResult insert_edge(NodeId u, NodeId v);
   ChangeResult remove_edge(NodeId u, NodeId v);
   ChangeResult insert_node(std::span<const NodeId> neighbors = {});

@@ -18,24 +18,15 @@ CascadeEngine::CascadeEngine(graph::DynamicGraph g, std::uint64_t priority_seed)
 CascadeEngine::CascadeEngine(graph::DynamicGraph&& g, const graph::Snapshot& snapshot,
                              std::uint64_t priority_seed, graph::SnapshotLoad mode)
     : g_(std::move(g)), priorities_(priority_seed) {
-  if (graph::snapshot_load_warm(mode, snapshot.has_engine_state())) {
-    DMIS_ASSERT_MSG(snapshot.has_engine_state(),
+  if (!snapshot.has_engine_state()) {
+    DMIS_ASSERT_MSG(mode == graph::SnapshotLoad::kAuto,
                     "warm start requested from a graph-only (v1) snapshot");
-    priorities_.bulk_load(snapshot.priority_keys(), snapshot.engine_ext().rng_state,
-                          snapshot.priority_seed());
-    init_warm(snapshot);
+    init_mis();
     return;
   }
-  if (mode == graph::SnapshotLoad::kColdKeys) {
-    DMIS_ASSERT_MSG(snapshot.has_engine_state(),
-                    "kColdKeys requested from a graph-only (v1) snapshot");
-    // Pin the persisted permutation, then recompute: greedy_mis's ensure()
-    // calls see every id assigned and draw nothing, so this engine and a
-    // warm-started twin share both the key array and the future RNG stream.
-    priorities_.bulk_load(snapshot.priority_keys(), snapshot.engine_ext().rng_state,
-                          snapshot.priority_seed());
-  }
-  init_mis();
+  priorities_.bulk_load(snapshot.priority_keys(), snapshot.engine_ext().rng_state,
+                        snapshot.priority_seed());
+  init_warm(snapshot);
 }
 
 void CascadeEngine::init_mis() {

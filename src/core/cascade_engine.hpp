@@ -84,20 +84,20 @@ class CascadeEngine {
   /// an rvalue to hand the graph over without a copy.
   CascadeEngine(graph::DynamicGraph g, std::uint64_t priority_seed);
 
-  /// Build from a binary snapshot (graph/snapshot.hpp). The caller supplies
-  /// the graph — materialized with DynamicGraph::load or borrowed in place
-  /// with DynamicGraph::borrow — and `snapshot` provides the engine-state
-  /// sections; it must be the snapshot the graph came from. RecoveryManager
-  /// uses this split to time graph acquisition separately from warm-up.
-  /// With `mode` kAuto (default) a v2+ snapshot warm-starts — persisted
-  /// priority keys and membership are bulk-loaded and the greedy recompute
-  /// is skipped entirely (zero priority draws, zero cascade work; the
-  /// persisted membership is the unique greedy fixpoint of the persisted
-  /// keys, which dmis_snapshot verify deep-checks) — while a v1 snapshot
-  /// cold-starts. kColdKeys adopts the persisted keys but recomputes the
-  /// MIS: its result must equal the warm start bit for bit, which the
-  /// warm-vs-cold equivalence tests pin. `priority_seed` feeds the RNG for
-  /// *future* draws in every mode.
+  /// Build from a binary snapshot (graph/snapshot.hpp) — the one engine
+  /// start from disk. The caller supplies the graph — materialized with
+  /// DynamicGraph::load or borrowed in place with DynamicGraph::borrow — and
+  /// `snapshot` provides the engine-state sections; it must be the snapshot
+  /// the graph came from. RecoveryManager uses this split to time graph
+  /// acquisition separately from warm-up. With `mode` kAuto (default) a v2+
+  /// snapshot warm-starts — persisted priority keys, membership and RNG
+  /// state are bulk-loaded and the greedy recompute is skipped entirely
+  /// (zero priority draws, zero cascade work; the persisted membership is
+  /// the unique greedy fixpoint of the persisted keys, which verify() and
+  /// dmis_snapshot verify check) — while a v1 snapshot cold-starts exactly
+  /// like the graph constructor. kWarm requires engine state and aborts on
+  /// a v1 file. `priority_seed` is read only for a v1 file: a warm start
+  /// adopts the seed the snapshot persisted.
   CascadeEngine(graph::DynamicGraph&& g, const graph::Snapshot& snapshot,
                 std::uint64_t priority_seed,
                 graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);

@@ -1,14 +1,6 @@
 #include "core/dist_mis.hpp"
 
-#include "graph/snapshot.hpp"
-
 namespace dmis::core {
-
-DistMis::DistMis(graph::DynamicGraph&& g, const graph::Snapshot& snapshot,
-                 std::uint64_t seed, graph::SnapshotLoad mode)
-    : Base(seed) {
-  init_from_snapshot(std::move(g), snapshot, mode);
-}
 
 DistMis::ChangeResult DistMis::insert_edge(NodeId u, NodeId v) {
   DMIS_ASSERT(logical_.add_edge(u, v));

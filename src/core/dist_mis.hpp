@@ -49,15 +49,6 @@ class DistMis : public NetworkDriver<sim::SyncNetwork, MisProtocol> {
     init_stable(std::move(g));
   }
 
-  /// Start from a binary snapshot (graph/snapshot.hpp): `g` is the graph
-  /// loaded or borrowed from `snapshot` by the caller (defined in
-  /// dist_mis.cpp to keep the snapshot header out of this one). A v2
-  /// snapshot warm-starts by default — persisted keys + membership are
-  /// installed into every protocol view with no greedy recompute and no
-  /// priority draws; see CascadeEngine's snapshot ctor for the mode rules.
-  DistMis(graph::DynamicGraph&& g, const graph::Snapshot& snapshot, std::uint64_t seed,
-          graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
-
   ChangeResult insert_edge(NodeId u, NodeId v);
   ChangeResult remove_edge(NodeId u, NodeId v,
                            DeletionMode mode = DeletionMode::kGraceful);

@@ -1,22 +1,22 @@
-// Engine-state snapshot writers — the core-side half of the version-2
+// Engine-state snapshot writer — the core-side half of the version-2
 // snapshot format (graph/snapshot.hpp, docs/FORMATS.md).
 //
 // A v2 snapshot persists the graph plus the two arrays that, by the greedy
 // fixpoint property (paper §3), completely determine an engine: the per-node
-// priority keys and the MIS membership. These overloads extract that state
-// from a live engine and hand it to graph::save_snapshot; the matching read
-// side is each engine's snapshot constructor with graph::SnapshotLoad::kWarm
-// (or kAuto on a v2 file), which restarts without recomputing the greedy
-// MIS. dmis_snapshot `save --engine` / `load --warm` are the operator
-// entry points, and `verify` deep-checks that the persisted membership is
-// exactly the greedy fixpoint of the persisted keys.
+// priority keys and the MIS membership (plus the priority RNG state). Only
+// the serving engine ever restarts from them, so these overloads take a
+// CascadeEngine and hand its state to graph::save_snapshot; the matching
+// read side is CascadeEngine's snapshot constructor (kAuto or kWarm on a v2
+// file), which restarts without recomputing the greedy MIS. The distributed
+// engines start from graphs only. dmis_snapshot `save --engine` /
+// `load --warm` are the operator entry points, and `verify` deep-checks
+// that the persisted membership is exactly the greedy fixpoint of the
+// persisted keys.
 #pragma once
 
 #include <string>
 
-#include "core/async_mis.hpp"
 #include "core/cascade_engine.hpp"
-#include "core/dist_mis.hpp"
 #include "util/fault_file.hpp"  // util::FileFactory
 
 namespace dmis::core {
@@ -29,9 +29,5 @@ bool save_snapshot(const CascadeEngine& engine, const std::string& path,
 /// fault-injection seam — graph/snapshot.hpp; empty = real files).
 bool save_snapshot(const CascadeEngine& engine, const std::string& path,
                    const util::FileFactory& factory, std::string* error = nullptr);
-bool save_snapshot(const DistMis& engine, const std::string& path,
-                   std::string* error = nullptr);
-bool save_snapshot(const AsyncMis& engine, const std::string& path,
-                   std::string* error = nullptr);
 
 }  // namespace dmis::core

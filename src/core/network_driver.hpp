@@ -87,43 +87,13 @@ class NetworkDriver {
     logical_ = std::move(g);
     net_.comm() = logical_;
     const Membership oracle = greedy_mis(logical_, priorities_);
-    install_views([&](NodeId v) { return priorities_.key(v); },
-                  [&](NodeId v) { return oracle[v] != 0; });
-  }
-
-  /// Shared snapshot-mode dispatch for the drivers' snapshot constructors
-  /// (DistMis and AsyncMis resolve graph::SnapshotLoad identically; keeping
-  /// the rules here means a new mode is implemented once). `g` is the
-  /// caller's graph from `snapshot` — loaded or borrowed. A warm start
-  /// installs the persisted keys without drawing and hands every node and
-  /// view its *persisted* state, skipping the greedy recompute entirely:
-  /// the persisted membership is the greedy fixpoint of the persisted keys,
-  /// so the system is born stable, exactly as init_stable's assumption
-  /// demands. A template so this header stays free of the snapshot layout —
-  /// it is only instantiated from TUs that include graph/snapshot.hpp.
-  template <typename SnapshotT>
-  void init_from_snapshot(graph::DynamicGraph&& g, const SnapshotT& snapshot,
-                          graph::SnapshotLoad mode) {
-    if (graph::snapshot_load_warm(mode, snapshot.has_engine_state())) {
-      DMIS_ASSERT_MSG(snapshot.has_engine_state(),
-                      "warm start requested from a graph-only (v1) snapshot");
-      const auto keys = snapshot.priority_keys();
-      const auto membership = snapshot.membership_bytes();
-      logical_ = std::move(g);
-      net_.comm() = logical_;
-      priorities_.bulk_load(keys, snapshot.engine_ext().rng_state,
-                            snapshot.priority_seed());
-      install_views([&](NodeId v) { return keys[v]; },
-                    [&](NodeId v) { return membership[v] != 0; });
-      return;
-    }
-    if (mode == graph::SnapshotLoad::kColdKeys) {
-      DMIS_ASSERT_MSG(snapshot.has_engine_state(),
-                      "kColdKeys requested from a graph-only (v1) snapshot");
-      priorities_.bulk_load(snapshot.priority_keys(), snapshot.engine_ext().rng_state,
-                            snapshot.priority_seed());
-    }
-    init_stable(std::move(g));
+    logical_.for_each_node([&](NodeId v) {
+      protocol_.install_node(v, priorities_.key(v), oracle[v] != 0);
+    });
+    logical_.for_each_edge([&](NodeId u, NodeId v) {
+      protocol_.install_neighbor(u, v, priorities_.key(v), oracle[v] != 0);
+      protocol_.install_neighbor(v, u, priorities_.key(u), oracle[u] != 0);
+    });
   }
 
   /// Create a node in both graphs, wire its edges, and register it with the
@@ -159,19 +129,6 @@ class NetworkDriver {
   PriorityMap priorities_;
   Net net_;
   Proto protocol_;
-
- private:
-  /// Hand every node its key and state, and every node's view of each
-  /// neighbor the same: the stable start both init paths end in.
-  template <typename KeyOf, typename MemberOf>
-  void install_views(KeyOf key_of, MemberOf member) {
-    logical_.for_each_node(
-        [&](NodeId v) { protocol_.install_node(v, key_of(v), member(v)); });
-    logical_.for_each_edge([&](NodeId u, NodeId v) {
-      protocol_.install_neighbor(u, v, key_of(v), member(v));
-      protocol_.install_neighbor(v, u, key_of(u), member(u));
-    });
-  }
 };
 
 }  // namespace dmis::core

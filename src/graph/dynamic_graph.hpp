@@ -66,25 +66,15 @@ namespace dmis::graph {
 
 class Snapshot;  // graph/snapshot.hpp — mmap-backed binary snapshot view
 
-/// How an engine adopts a snapshot's persisted state (the v2 engine-state
-/// sections: per-node priority keys + MIS membership; graph/snapshot.hpp).
-/// Defined here, next to the Snapshot forward declaration, so engine headers
-/// can take it in constructor signatures without pulling in the snapshot
-/// layout.
+/// How CascadeEngine's snapshot constructor adopts a snapshot's persisted
+/// state (the v2 engine-state sections: per-node priority keys + MIS
+/// membership; graph/snapshot.hpp). Defined here, next to the Snapshot
+/// forward declaration, so the engine header can take it in a constructor
+/// signature without pulling in the snapshot layout.
 enum class SnapshotLoad : std::uint8_t {
-  kAuto,      ///< warm-start iff the snapshot carries engine state (default)
-  kCold,      ///< graph only: fresh priority draws + greedy recompute (v1 path)
-  kColdKeys,  ///< adopt persisted keys but recompute the greedy MIS — the
-              ///< verification twin of kWarm (requires engine state)
-  kWarm,      ///< adopt keys + membership, zero recompute (requires engine state)
+  kAuto,  ///< warm-start iff the snapshot carries engine state (default)
+  kWarm,  ///< adopt keys + membership, zero recompute (requires engine state)
 };
-
-/// Resolve a load mode against a snapshot's capability.
-[[nodiscard]] constexpr bool snapshot_load_warm(SnapshotLoad mode,
-                                                bool has_engine_state) noexcept {
-  return mode == SnapshotLoad::kWarm ||
-         (mode == SnapshotLoad::kAuto && has_engine_state);
-}
 
 using NodeId = std::uint32_t;
 inline constexpr NodeId kInvalidNode = ~static_cast<NodeId>(0);
@@ -322,10 +312,6 @@ class DynamicGraph {
   /// touch of a corrupt record aborts with a clear message instead of
   /// reading out of bounds. Defined in graph/snapshot.cpp.
   [[nodiscard]] static DynamicGraph borrow(std::shared_ptr<const Snapshot> snapshot);
-
-  /// The borrowed base snapshot (nullptr in materialized mode) — stats
-  /// tooling reads mapped/resident bytes through it.
-  [[nodiscard]] const Snapshot* base_snapshot() const noexcept { return base_.get(); }
 
   /// Overlay footprint, for stats: heap-migrated adjacency records and the
   /// two edge-delta sizes. All zero in materialized mode.

@@ -373,11 +373,6 @@ bool save_snapshot(const DynamicGraph& g, const std::string& path, std::string* 
 }
 
 bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
-                   const std::string& path, std::string* error) {
-  return write_snapshot(g, &state, path, {}, error);
-}
-
-bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
                    const std::string& path, const util::FileFactory& factory,
                    std::string* error) {
   return write_snapshot(g, &state, path, factory, error);

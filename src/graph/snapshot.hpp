@@ -25,8 +25,8 @@
 // located by offsets in the SnapshotEngineExt header that immediately
 // follows the frozen 104-byte base header. Because the greedy-by-priority
 // MIS is the unique fixpoint of the node priorities (paper §3), those two
-// arrays ARE the complete engine state: an engine that adopts them warm
-// (CascadeEngine et al., graph::SnapshotLoad::kWarm) restarts with zero
+// arrays ARE the complete engine state: a CascadeEngine that adopts them
+// warm (its snapshot constructor, graph::SnapshotLoad) restarts with zero
 // greedy-recompute work. v2 readers cold-start v1 files; v1 readers reject
 // v2 files because they need the base-header version check to vouch for
 // the bytes they map (see docs/FORMATS.md for the negotiation rules).
@@ -185,8 +185,6 @@ class Snapshot {
   [[nodiscard]] std::size_t resident_bytes() const noexcept {
     return file_.resident_bytes();
   }
-  /// Forward paging advice to the mapping (no-op on the read fallback).
-  bool advise(util::MapAdvice advice) const noexcept { return file_.advise(advice); }
 
   [[nodiscard]] NodeId id_bound() const noexcept { return header_.id_bound; }
   [[nodiscard]] NodeId node_count() const noexcept { return header_.node_count; }
@@ -284,17 +282,13 @@ class Snapshot {
 bool save_snapshot(const DynamicGraph& g, const std::string& path,
                    std::string* error = nullptr);
 
-/// Write `g` plus engine state as a version-2 snapshot. Engines call this
-/// through the core::save_snapshot overloads (core/engine_snapshot.hpp),
-/// which extract the spans; the writer zero-pads short spans to id_bound and
-/// computes mis_size itself.
-bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
-                   const std::string& path, std::string* error = nullptr);
-
-/// As above, with the staging file opened through `factory` (empty means
-/// util::open_writable, which the other overloads use) — the seam the
-/// Checkpointer's fault tests fail a save through, at any byte or at the
-/// fsync, to prove the previously published snapshot survives.
+/// Write `g` plus engine state as a version-2 snapshot. The engine calls
+/// this through core::save_snapshot (core/engine_snapshot.hpp), which
+/// extracts the spans; the writer zero-pads short spans to id_bound and
+/// computes mis_size itself. The staging file is opened through `factory`
+/// (empty means util::open_writable) — the seam the Checkpointer's fault
+/// tests fail a save through, at any byte or at the fsync, to prove the
+/// previously published snapshot survives.
 bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
                    const std::string& path, const util::FileFactory& factory,
                    std::string* error = nullptr);

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/engine_snapshot.hpp"
+#include "util/binary_io.hpp"  // kStagingSuffix
 
 namespace dmis::service {
 
@@ -36,9 +37,20 @@ struct CheckpointInfo {
 
 [[nodiscard]] std::string checkpoint_path(const std::string& dir, std::uint64_t lsn);
 
+/// Suffix of a checkpoint a follower is still receiving
+/// (`checkpoint-<lsn>.snap.ship`, service/replication.hpp); it is renamed
+/// to the checkpoint's own name once every byte has arrived.
+inline constexpr char kShipSuffix[] = ".ship";
+
+/// The suffixes of checkpoint staging files, which nothing reads: a save a
+/// crash interrupted (util::kStagingSuffix) and a partial shipment
+/// (kShipSuffix). MisService::adopt deletes both.
+inline constexpr std::string_view kCheckpointStagingSuffixes[] = {util::kStagingSuffix,
+                                                                  kShipSuffix};
+
 /// The `checkpoint-*.snap` files of `dir`, ascending by lsn (parsed from
 /// the filename; contents are validated by whoever opens them), or with
-/// `suffix` = util::kStagingSuffix the `checkpoint-*.snap.tmp` staging files.
+/// `suffix` one of kCheckpointStagingSuffixes the staging files carrying it.
 [[nodiscard]] std::vector<CheckpointInfo> list_checkpoints(const std::string& dir,
                                                            std::string_view suffix = {});
 

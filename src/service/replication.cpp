@@ -17,12 +17,6 @@ using util::set_error;
 
 namespace {
 
-/// The partially shipped form of a checkpoint. Published (renamed to the
-/// real checkpoint name) only once every byte arrived and the file
-/// fsynced, so list_checkpoints/recovery never see a half checkpoint —
-/// the same visibility rule the leader's own save obeys.
-std::string partial_suffix() { return ".ship"; }
-
 std::uint64_t local_file_size(const std::string& path) {
   std::error_code ec;
   const std::uintmax_t size = std::filesystem::file_size(path, ec);
@@ -116,7 +110,11 @@ std::optional<FollowerService> FollowerService::open(std::string dir,
 std::string FollowerService::target_path(const Shipment& shipment) const {
   if (shipment.kind == Shipment::Kind::kSegment)
     return segment_path(dir_, shipment.id);
-  return checkpoint_path(dir_, shipment.id) + partial_suffix();
+  // The partially shipped form (kShipSuffix) is published under the real
+  // checkpoint name only once every byte arrived and the file fsynced, so
+  // list_checkpoints/recovery never see a half checkpoint — the same
+  // visibility rule the leader's own save obeys.
+  return checkpoint_path(dir_, shipment.id) + kShipSuffix;
 }
 
 void FollowerService::drop_sink() {

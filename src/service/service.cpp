@@ -1,10 +1,10 @@
 #include "service/service.hpp"
 
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
-#include "util/binary_io.hpp"  // kStagingSuffix
 #include "util/fs.hpp"
 
 namespace dmis::service {
@@ -44,12 +44,15 @@ std::optional<MisService> MisService::adopt(ServiceConfig config,
     if (!util::atomic_publish(seg.path, aside, error)) return std::nullopt;
     report.detail += "moved aside: " + aside + "\n";
   }
-  // Staging files of checkpoint saves a crash interrupted: nothing reads
-  // them, and no later save reuses their lsn-bearing names.
-  for (const CheckpointInfo& staged :
-       list_checkpoints(config.dir, util::kStagingSuffix)) {
-    if (!util::remove_file(staged.path, error)) return std::nullopt;
-    report.detail += "removed staging file: " + staged.path + "\n";
+  // Checkpoint staging files: saves a crash interrupted and partial
+  // shipments of a follower that now serves. Nothing reads them, no later
+  // save reuses their lsn-bearing names, and a later follow into this
+  // directory would append another leader's bytes to a stale prefix.
+  for (const std::string_view suffix : kCheckpointStagingSuffixes) {
+    for (const CheckpointInfo& staged : list_checkpoints(config.dir, suffix)) {
+      if (!util::remove_file(staged.path, error)) return std::nullopt;
+      report.detail += "removed staging file: " + staged.path + "\n";
+    }
   }
   MisService service(std::move(config), std::move(engine), std::move(wal),
                      std::move(report));

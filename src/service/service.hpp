@@ -75,8 +75,9 @@ class MisService {
   /// lsn in the old last segment is orphaned by the new segment's base_lsn;
   /// whole segments that start past it hold a history the new segment
   /// supersedes and are renamed to `wal-<seq>.seg.unreachable`, which
-  /// list_segments skips, so the directory keeps one chain. Staging files
-  /// of interrupted checkpoint saves (`checkpoint-*.snap.tmp`) are deleted.
+  /// list_segments skips, so the directory keeps one chain. Checkpoint
+  /// staging files — interrupted saves (`checkpoint-*.snap.tmp`) and
+  /// partial shipments (`checkpoint-*.snap.ship`) — are deleted.
   /// report.checkpoint_lsn seeds last_checkpoint_lsn(); the report, plus a
   /// line per moved segment and per deleted staging file, becomes
   /// recovery().

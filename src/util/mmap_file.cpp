@@ -53,24 +53,6 @@ bool read_whole_file(const std::string& path, std::vector<std::uint8_t>& out,
 
 }  // namespace
 
-bool MmapFile::advise(MapAdvice advice) const noexcept {
-#if defined(DMIS_HAVE_MMAP)
-  if (map_ == nullptr || size_ == 0) return true;  // nothing mapped to advise
-  int native = MADV_NORMAL;
-  switch (advice) {
-    case MapAdvice::kNormal: native = MADV_NORMAL; break;
-    case MapAdvice::kSequential: native = MADV_SEQUENTIAL; break;
-    case MapAdvice::kRandom: native = MADV_RANDOM; break;
-    case MapAdvice::kWillNeed: native = MADV_WILLNEED; break;
-    case MapAdvice::kDontNeed: native = MADV_DONTNEED; break;
-  }
-  return ::madvise(map_, size_, native) == 0;
-#else
-  (void)advice;
-  return true;
-#endif
-}
-
 std::size_t MmapFile::resident_bytes() const noexcept {
 #if defined(DMIS_HAVE_MMAP)
   if (map_ != nullptr && size_ > 0) {

@@ -21,18 +21,6 @@
 
 namespace dmis::util {
 
-/// Paging advice forwarded to madvise(2) on the mapped path. The fallback
-/// buffer is ordinary heap memory, so advice is accepted and ignored there —
-/// callers express access intent unconditionally and the OS applies it where
-/// it can.
-enum class MapAdvice : std::uint8_t {
-  kNormal,      ///< default kernel readahead
-  kSequential,  ///< aggressive readahead, drop-behind (bulk materialize)
-  kRandom,      ///< disable readahead (point lookups over a huge file)
-  kWillNeed,    ///< asynchronously page in the region
-  kDontNeed,    ///< drop clean pages; a later touch re-faults from the file
-};
-
 class MmapFile {
  public:
   MmapFile() = default;
@@ -61,13 +49,6 @@ class MmapFile {
     return map_ != nullptr ? static_cast<const std::uint8_t*>(map_) : buffer_.data();
   }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
-  /// Advise the kernel about the expected access pattern. True on success
-  /// (including the fallback path, where there is nothing to advise, and a
-  /// closed or empty file). The mapping is MAP_PRIVATE and read-only, so
-  /// even kDontNeed is non-destructive: dropped pages re-fault from the
-  /// file on the next touch.
-  bool advise(MapAdvice advice) const noexcept;
 
   /// Bytes of the view currently resident in physical memory, via
   /// mincore(2) on the mapped path — what this process actually holds in

@@ -1,10 +1,6 @@
 #include "workload/trace.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <sstream>
-#include <string>
 
 namespace dmis::workload {
 
@@ -125,67 +121,6 @@ graph::DynamicGraph materialize(const Trace& trace) {
   graph::DynamicGraph g;
   for (const GraphOp& op : trace) apply(g, op);
   return g;
-}
-
-void write_trace(std::ostream& os, const Trace& trace) {
-  for (const GraphOp& op : trace) {
-    switch (op.kind) {
-      case OpKind::kAddNode:
-      case OpKind::kUnmuteNode:
-        os << (op.kind == OpKind::kAddNode ? "an" : "un");
-        for (const NodeId u : op.neighbors) os << ' ' << u;
-        os << '\n';
-        break;
-      case OpKind::kAddEdge:
-        os << "ae " << op.u << ' ' << op.v << '\n';
-        break;
-      case OpKind::kRemoveEdgeGraceful:
-        os << "re " << op.u << ' ' << op.v << '\n';
-        break;
-      case OpKind::kRemoveEdgeAbrupt:
-        os << "rea " << op.u << ' ' << op.v << '\n';
-        break;
-      case OpKind::kRemoveNodeGraceful:
-        os << "rn " << op.u << '\n';
-        break;
-      case OpKind::kRemoveNodeAbrupt:
-        os << "rna " << op.u << '\n';
-        break;
-    }
-  }
-}
-
-Trace read_trace(std::istream& is) {
-  Trace trace;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    std::string tag;
-    ss >> tag;
-    if (tag == "an" || tag == "un") {
-      std::vector<NodeId> neighbors;
-      NodeId u = 0;
-      while (ss >> u) neighbors.push_back(u);
-      trace.push_back(tag == "an" ? GraphOp::add_node(std::move(neighbors))
-                                  : GraphOp::unmute_node(std::move(neighbors)));
-    } else if (tag == "ae" || tag == "re" || tag == "rea") {
-      NodeId u = 0;
-      NodeId v = 0;
-      ss >> u >> v;
-      DMIS_ASSERT_MSG(!ss.fail(), "malformed edge op");
-      if (tag == "ae") trace.push_back(GraphOp::add_edge(u, v));
-      else trace.push_back(GraphOp::remove_edge(u, v, tag == "rea"));
-    } else if (tag == "rn" || tag == "rna") {
-      NodeId v = 0;
-      ss >> v;
-      DMIS_ASSERT_MSG(!ss.fail(), "malformed node op");
-      trace.push_back(GraphOp::remove_node(v, tag == "rna"));
-    } else {
-      DMIS_ASSERT_MSG(false, "unknown trace op");
-    }
-  }
-  return trace;
 }
 
 }  // namespace dmis::workload

@@ -1,25 +1,17 @@
-// Topology-change traces: a serializable sequence of graph operations that
-// can be replayed against any of the library's dynamic engines.
+// Topology-change traces: a sequence of graph operations that can be
+// replayed against any of the library's dynamic engines.
 //
 // Traces are the common currency of the workload generators, the
 // history-independence machinery (two different traces building the same
 // graph must induce the same output distribution — Definition 14) and the
 // benches. Node ids in a trace are *positional*: an add-node/unmute op
 // creates the next id in sequence (DynamicGraph ids are assigned in
-// insertion order), so a trace is self-contained.
-//
-// Text format (one op per line, '#' comments):
-//   an [nbr...]     add node (id = next), wired to the listed existing nodes
-//   un [nbr...]     unmute node (same effect; distributed path differs)
-//   ae u v          add edge
-//   re u v          remove edge (graceful)
-//   rea u v         remove edge (abrupt)
-//   rn v            remove node (graceful)
-//   rna v           remove node (abrupt)
+// insertion order), so a trace is self-contained. On disk a trace is a
+// binary workload::TraceFile (workload/trace_file.hpp), validated on open;
+// there is no other trace format.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -107,8 +99,5 @@ void replay(Engine& engine, const Trace& trace) {
 
 /// The graph a trace builds (no MIS machinery), for cross-checks.
 [[nodiscard]] graph::DynamicGraph materialize(const Trace& trace);
-
-void write_trace(std::ostream& os, const Trace& trace);
-[[nodiscard]] Trace read_trace(std::istream& is);
 
 }  // namespace dmis::workload

@@ -1,14 +1,16 @@
 // TraceFile — the versioned binary topology-change trace format, consumed
 // in place through util::MmapFile.
 //
-// The text trace format (workload/trace.hpp) is the human-readable currency;
-// this is its machine twin for big workloads: ChurnGenerator output round-
-// trips to disk losslessly — abrupt-delete markers, unmute ops and add-node
-// neighbor lists included — and replays straight from the mapping without
-// materializing a workload::Trace. The layout mirrors core::Batch's arena
-// idiom: ops are fixed 24-byte PODs whose add-node neighbor lists are
-// (offset, count) views into one shared u32 arena, so a million-op trace is
-// two flat arrays, not a million small vectors:
+// This is the only on-disk form of a workload::Trace (workload/trace.hpp):
+// ChurnGenerator output round-trips to disk losslessly — abrupt-delete
+// markers, unmute ops and add-node neighbor lists included — and replays
+// straight from the mapping without materializing a workload::Trace. A
+// structurally invalid file is an error from open(), never an abort (the
+// ops' meaning — say, a duplicate edge — is not checked here). The layout
+// mirrors core::Batch's arena idiom: ops are fixed 24-byte PODs whose
+// add-node neighbor lists are (offset, count) views into one shared u32
+// arena, so a million-op trace is two flat arrays, not a million small
+// vectors:
 //
 //   [TraceFileHeader]            fixed 64 bytes, validated on open
 //   [ops]    op_count  × TraceOpRecord (24 bytes each)

@@ -10,9 +10,10 @@
 // state through write-back (save of a borrowed graph streams the base table
 // from the mapping and merges the overlay) and require the round-tripped
 // file to load back equal. Engine-level transparency gets the same
-// treatment across every engine: borrowed-mode construction from a v2
-// snapshot must track a materialized twin bit for bit (membership, MIS
-// size, priority-RNG state) through churn.
+// treatment across every engine: an engine built on a borrowed graph
+// (CascadeEngine warm-started from a v2 snapshot, the distributed engines
+// from the graph alone) must track a materialized twin bit for bit
+// (membership, MIS size, priority-RNG state) through churn.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -255,12 +256,14 @@ TEST(BorrowedGraph, WriteBackRoundTripsThroughMergedEdgeSet) {
   EXPECT_TRUE(lb == materialized);
 }
 
-// ---- engine-level transparency: every snapshot-constructible engine ----
+// ---- engine-level transparency: every engine over a borrowed graph ----
 
 /// Drive the borrowed-constructed engine set and the materialized twins
 /// through the same churn trace; memberships must agree after every op and
 /// the cascade pair must also agree on the priority-RNG stream (so future
-/// draws stay aligned forever).
+/// draws stay aligned forever). The distributed twins start from the graph
+/// alone; both draw the same keys from the same seed, so the comparison
+/// stays exact.
 TEST(BorrowedEngines, EveryEngineTracksMaterializedTwins) {
   const std::uint64_t seed = 31;
   const DynamicGraph g0 = churned_graph(150, seed, 450);
@@ -278,16 +281,16 @@ TEST(BorrowedEngines, EveryEngineTracksMaterializedTwins) {
   const auto borrow = [&] { return DynamicGraph::borrow(snap); };
   core::CascadeEngine cascade_b(borrow(), *snap, seed * 3 + 1);
   core::CascadeEngine batched_b(borrow(), *snap, seed * 3 + 1);
-  core::DistMis dist_b(borrow(), *snap, seed * 3 + 1);
-  core::AsyncMis async_b(borrow(), *snap, seed * 3 + 1, /*scheduler_seed=*/seed + 5);
+  core::DistMis dist_b(borrow(), seed * 3 + 1);
+  core::AsyncMis async_b(borrow(), seed * 3 + 1, /*scheduler_seed=*/seed + 5);
   EXPECT_TRUE(cascade_b.graph().borrowed());
 
   // Materialized twins from the same file.
   const auto load = [&] { return DynamicGraph::load(*snap); };
   core::CascadeEngine cascade_m(load(), *snap, seed * 3 + 1);
   core::CascadeEngine batched_m(load(), *snap, seed * 3 + 1);
-  core::DistMis dist_m(load(), *snap, seed * 3 + 1);
-  core::AsyncMis async_m(load(), *snap, seed * 3 + 1, seed + 5);
+  core::DistMis dist_m(load(), seed * 3 + 1);
+  core::AsyncMis async_m(load(), seed * 3 + 1, seed + 5);
   EXPECT_FALSE(cascade_m.graph().borrowed());
 
   workload::ChurnConfig config;

@@ -1,10 +1,10 @@
 // util::MmapFile — the mapped path and the owned-buffer fallback must be
-// observationally identical through data()/size(), and the new paging
-// controls (advise / resident_bytes) must be safe no-ops wherever the
-// platform cannot honor them. The borrowed-snapshot machinery (PR 8) leans
-// on both: DynamicGraph::borrow reads the mapped bytes in place and the
-// stats tooling reports resident vs mapped, so these contracts get their
-// own tests instead of riding along in test_snapshot.
+// observationally identical through data()/size(), and resident_bytes()
+// must stay a safe, bounded report wherever the platform cannot measure
+// residency. The borrowed-snapshot machinery leans on both:
+// DynamicGraph::borrow reads the mapped bytes in place and the stats
+// tooling reports resident vs mapped, so these contracts get their own
+// tests instead of riding along in test_snapshot.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 
 namespace {
 
-using dmis::util::MapAdvice;
 using dmis::util::MmapFile;
 
 class MmapFileTest : public ::testing::Test {
@@ -66,28 +65,8 @@ TEST_F(MmapFileTest, BothPathsSeeIdenticalBytes) {
   }
 }
 
-TEST_F(MmapFileTest, AdviseSucceedsOnEveryPatternAndBothPaths) {
-  const std::string path = write_file("advice.bin", pattern(8 * 4096));
-  for (const bool force_read : {false, true}) {
-    MmapFile file;
-    std::string error;
-    ASSERT_TRUE(file.open(path, &error, force_read)) << error;
-    for (const MapAdvice advice :
-         {MapAdvice::kNormal, MapAdvice::kSequential, MapAdvice::kRandom,
-          MapAdvice::kWillNeed, MapAdvice::kDontNeed}) {
-      EXPECT_TRUE(file.advise(advice));
-    }
-    // Post-advice the bytes must still read back intact: the mapping is
-    // read-only MAP_PRIVATE, so even kDontNeed only drops *clean* pages,
-    // which re-fault from the file.
-    const auto bytes = pattern(8 * 4096);
-    EXPECT_EQ(std::memcmp(file.data(), bytes.data(), bytes.size()), 0);
-  }
-}
-
-TEST_F(MmapFileTest, AdviseOnClosedFileIsANoOp) {
+TEST_F(MmapFileTest, ClosedFileHasNothingResident) {
   MmapFile file;
-  EXPECT_TRUE(file.advise(MapAdvice::kSequential));
   EXPECT_EQ(file.resident_bytes(), 0U);
 }
 
@@ -115,28 +94,6 @@ TEST_F(MmapFileTest, FallbackReportsBufferFullyResident) {
   EXPECT_EQ(file.resident_bytes(), file.size());
 }
 
-TEST_F(MmapFileTest, DontNeedIsNonDestructiveOnTheMappedPath) {
-  const std::size_t n = 256 * 4096;
-  const std::string path = write_file("dontneed.bin", pattern(n));
-  MmapFile file;
-  std::string error;
-  ASSERT_TRUE(file.open(path, &error)) << error;
-  if (!file.is_mapped()) GTEST_SKIP() << "no mmap on this platform";
-  std::size_t sink = 0;
-  for (std::size_t i = 0; i < n; i += 4096) sink += file.data()[i];
-  ASSERT_EQ(file.resident_bytes(), file.size());
-  ASSERT_TRUE(file.advise(MapAdvice::kDontNeed));
-  // mincore on a file-backed mapping reports page-cache residency, and
-  // kDontNeed does not evict still-cached file pages (it only drops the
-  // process's private copies) — so residency may legitimately stay at
-  // size() here. What we can pin down: the call succeeds, the bound
-  // holds, and the data re-reads intact afterwards.
-  EXPECT_LE(file.resident_bytes(), file.size());
-  const auto bytes = pattern(n);
-  EXPECT_EQ(std::memcmp(file.data(), bytes.data(), n), 0);
-  (void)sink;
-}
-
 TEST_F(MmapFileTest, ZeroLengthFileOpensEmpty) {
   const std::string path = write_file("empty.bin", {});
   for (const bool force_read : {false, true}) {
@@ -145,7 +102,6 @@ TEST_F(MmapFileTest, ZeroLengthFileOpensEmpty) {
     ASSERT_TRUE(file.open(path, &error, force_read)) << error;
     EXPECT_EQ(file.size(), 0U);
     EXPECT_EQ(file.resident_bytes(), 0U);
-    EXPECT_TRUE(file.advise(MapAdvice::kRandom));
   }
 }
 

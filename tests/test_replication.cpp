@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/batch.hpp"
 #include "core/cascade_engine.hpp"
+#include "service/checkpoint.hpp"
 #include "service/recovery.hpp"
 #include "service/replication.hpp"
 #include "service/service.hpp"
@@ -473,6 +475,44 @@ TEST(Replication, PromoteWithNothingShippedServesFromEmpty) {
     ASSERT_TRUE(promoted->apply(batch, &error)) << error;
   expect_same(promoted->engine(), reference(batches, batches.size(), 7),
               "cold promoted service");
+}
+
+TEST(Replication, PromoteRemovesAPartialCheckpointShipment) {
+  TempDir leader_dir("ship_leader");
+  TempDir follower_dir("ship_follower");
+  std::string error;
+  auto leader = MisService::open(leader_config(leader_dir.path), &error);
+  ASSERT_TRUE(leader.has_value()) << error;
+  for (const core::Batch& batch : make_stream(811, 400, 8))
+    ASSERT_TRUE(leader->apply(batch, &error)) << error;
+  ASSERT_TRUE(leader->checkpoint(&error)) << error;
+  const std::uint64_t lsn = leader->lsn();
+  const std::vector<std::uint8_t> bytes =
+      test::read_bytes(service::checkpoint_path(leader_dir.path, lsn));
+  ASSERT_GT(bytes.size(), 2U);
+
+  // The link died mid-checkpoint: only the first half arrived, staged
+  // under the shipment suffix.
+  auto follower = FollowerService::open(follower_dir.path, follower_options(), &error);
+  ASSERT_TRUE(follower.has_value()) << error;
+  service::Shipment chunk;
+  chunk.kind = service::Shipment::Kind::kCheckpoint;
+  chunk.id = lsn;
+  chunk.file_size = bytes.size();
+  chunk.bytes.assign(bytes.begin(), bytes.begin() + static_cast<long>(bytes.size() / 2));
+  EXPECT_EQ(follower->receive(chunk).have, bytes.size() / 2);
+  const std::string partial =
+      service::checkpoint_path(follower_dir.path, lsn) + service::kShipSuffix;
+  ASSERT_TRUE(std::filesystem::exists(partial));
+
+  // The promoted service never reads the partial, so it must not keep it.
+  auto promoted = follower->promote(leader_config(follower_dir.path), &error);
+  ASSERT_TRUE(promoted.has_value()) << error;
+  EXPECT_EQ(promoted->lsn(), 0U);
+  EXPECT_FALSE(std::filesystem::exists(partial));
+  EXPECT_NE(promoted->recovery().detail.find("removed staging file: " + partial),
+            std::string::npos)
+      << promoted->recovery().detail;
 }
 
 }  // namespace

@@ -8,16 +8,15 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/async_mis.hpp"
 #include "core/batch.hpp"
 #include "core/cascade_engine.hpp"
 #include "core/dist_mis.hpp"
-#include "core/async_mis.hpp"
 #include "core/engine_snapshot.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
@@ -27,7 +26,6 @@
 #include "util/rng.hpp"
 #include "workload/batched.hpp"
 #include "workload/churn.hpp"
-#include "workload/distributed.hpp"
 #include "workload/trace.hpp"
 
 namespace {
@@ -127,12 +125,14 @@ TEST(Snapshot, DistributedEnginesFromSnapshot) {
   Snapshot snap;
   ASSERT_TRUE(snap.open(file.path));
 
+  // The distributed engines start from graphs only; a loaded snapshot
+  // graph stands in for the original exactly.
   const core::CascadeEngine oracle(g, 9);
-  core::DistMis dist(DynamicGraph::load(snap), snap, 9);
+  core::DistMis dist(DynamicGraph::load(snap), 9);
   dist.verify();
   EXPECT_TRUE(oracle.mis_set() == dist.mis_set());
 
-  core::AsyncMis async(DynamicGraph::load(snap), snap, 9, /*scheduler_seed=*/13);
+  core::AsyncMis async(DynamicGraph::load(snap), 9, /*scheduler_seed=*/13);
   async.verify();
   EXPECT_TRUE(oracle.mis_set() == async.mis_set());
 }
@@ -271,21 +271,19 @@ TEST(SnapshotV2, WarmStartEqualsColdRecomputeUnderContinuedChurn) {
   EXPECT_EQ(snap.mis_size(), source.mis_size());
   EXPECT_EQ(snap.priority_seed(), 7u);
 
-  // Warm twin trusts the persisted state; the cold twin recomputes the
-  // greedy MIS from the same persisted keys. They must be identical now and
-  // stay identical (against each other AND the original engine) under
-  // further mixed churn — including fresh priority draws, which all three
-  // take from the same seed and an unconsumed RNG.
+  // The warm engine trusts the persisted state. verify() shows the MIS
+  // invariant holds under the adopted keys, so by fixpoint uniqueness its
+  // membership is exactly what a greedy recompute over those keys yields;
+  // state_diff pins it to the saved engine (keys, membership, RNG). Both
+  // must hold now and under further mixed churn — including fresh priority
+  // draws, which both take from the same seed and an unconsumed RNG.
   core::CascadeEngine warm(DynamicGraph::load(snap), snap, 7, graph::SnapshotLoad::kWarm);
-  core::CascadeEngine cold(DynamicGraph::load(snap), snap, 7,
-                           graph::SnapshotLoad::kColdKeys);
   EXPECT_EQ(core::state_diff(warm, source), "");
-  EXPECT_EQ(core::state_diff(cold, source), "");
   warm.verify();
   // "Zero greedy-recompute work" made falsifiable: any priority draw during
   // construction would have advanced the restored generator past the
-  // persisted state (and both engines must agree with the original's RNG,
-  // which the identity checks above hold them to, and which is how the
+  // persisted state (and the engine must agree with the original's RNG,
+  // which the identity check above holds it to, and which is how the
   // continued-churn draws below line up).
   const util::Rng::State warm_rng = warm.priorities().rng_state();
   EXPECT_TRUE(std::equal(warm_rng.begin(), warm_rng.end(), snap.engine_ext().rng_state));
@@ -297,19 +295,14 @@ TEST(SnapshotV2, WarmStartEqualsColdRecomputeUnderContinuedChurn) {
     const workload::GraphOp op = gen->next();
     workload::apply(source, op);
     workload::apply(warm, op);
-    workload::apply(cold, op);
     ASSERT_EQ(warm.last_report().adjustments, source.last_report().adjustments)
-        << "warm twin diverged from the saved engine at op " << i;
-    ASSERT_EQ(cold.last_report().adjustments, source.last_report().adjustments)
-        << "cold twin diverged from the saved engine at op " << i;
+        << "warm engine diverged from the saved engine at op " << i;
   }
   EXPECT_EQ(core::state_diff(warm, source), "");
-  EXPECT_EQ(core::state_diff(cold, source), "");
   warm.verify();
-  cold.verify();
 }
 
-TEST(SnapshotV2, EveryEngineWarmStartsAndTracksAColdTwin) {
+TEST(SnapshotV2, AutoWarmStartTracksTheSavedEngineSingleOpAndBatched) {
   std::unique_ptr<workload::ChurnGenerator> gen;
   core::CascadeEngine source = churned_engine(250, 61, /*priority_seed=*/11,
                                               /*extra_ops=*/600, gen);
@@ -319,81 +312,30 @@ TEST(SnapshotV2, EveryEngineWarmStartsAndTracksAColdTwin) {
   Snapshot snap;
   ASSERT_TRUE(snap.open(file.path, &error)) << error;
 
-  // kAuto on a v2 snapshot warm-starts every engine flavor; the second
-  // cascade is fed batch-of-one apply_batch, the path MisService runs.
+  // kAuto on a v2 snapshot warm-starts; the second engine is fed
+  // batch-of-one apply_batch, the path MisService runs.
   core::CascadeEngine warm_cascade(DynamicGraph::load(snap), snap, 11);
   core::CascadeEngine warm_batched(DynamicGraph::load(snap), snap, 11);
-  core::DistMis warm_dist(DynamicGraph::load(snap), snap, 11);
-  core::AsyncMis warm_async(DynamicGraph::load(snap), snap, 11, /*scheduler_seed=*/13);
-  core::CascadeEngine cold(DynamicGraph::load(snap), snap, 11,
-                           graph::SnapshotLoad::kColdKeys);
-
-  const auto expect_all_equal_cold = [&](int step) {
-    cold.graph().for_each_node([&](NodeId v) {
-      const bool want = cold.in_mis(v);
-      ASSERT_EQ(warm_cascade.in_mis(v), want) << "cascade, step " << step;
-      ASSERT_EQ(warm_batched.in_mis(v), want) << "batched, step " << step;
-      ASSERT_EQ(warm_dist.in_mis(v), want) << "dist, step " << step;
-      ASSERT_EQ(warm_async.in_mis(v), want) << "async, step " << step;
-    });
-  };
-  expect_all_equal_cold(-1);
-  warm_dist.verify();   // distributed warm starts must be born stable
-  warm_async.verify();
+  EXPECT_EQ(core::state_diff(warm_cascade, source), "");
+  EXPECT_EQ(core::state_diff(warm_batched, source), "");
+  warm_cascade.verify();
 
   core::Batch batch;
   for (int i = 0; i < 250; ++i) {
     const workload::GraphOp op = gen->next();
-    workload::apply(cold, op);
+    workload::apply(source, op);
     workload::apply(warm_cascade, op);
     batch.clear();
     workload::append_op(batch, op);
     const core::BatchResult br = core::apply_batch(warm_batched, batch);
-    const workload::CostSample ds = workload::apply_with_cost(warm_dist, op);
-    const workload::CostSample as = workload::apply_with_cost(warm_async, op);
-    const std::uint64_t want = cold.last_report().adjustments;
+    const std::uint64_t want = source.last_report().adjustments;
     ASSERT_EQ(warm_cascade.last_report().adjustments, want) << "op " << i;
     ASSERT_EQ(br.report.adjustments, want) << "op " << i;
-    ASSERT_EQ(ds.cost.adjustments, want) << "op " << i;
-    ASSERT_EQ(as.cost.adjustments, want) << "op " << i;
   }
-  expect_all_equal_cold(250);
-  warm_dist.verify();
-  warm_async.verify();
+  EXPECT_EQ(core::state_diff(warm_cascade, source), "");
+  EXPECT_EQ(core::state_diff(warm_batched, source), "");
+  warm_cascade.verify();
   warm_batched.verify();
-}
-
-TEST(SnapshotV2, CrossEngineSaveAndWarmStartInterchange) {
-  // Engine state saved from any engine flavor warm-starts any other: the
-  // persisted keys + membership are the complete, engine-agnostic state.
-  const DynamicGraph g = churned_graph(220, 71, 880);
-  core::DistMis dist(g, 17);
-  core::AsyncMis async(g, 17, /*scheduler_seed=*/3);
-  const core::CascadeEngine oracle(g, 17);
-
-  for (const auto& [tag, save] :
-       {std::pair<const char*, std::function<bool(const std::string&, std::string*)>>{
-            "dist", [&](const std::string& p, std::string* e) {
-              return core::save_snapshot(dist, p, e);
-            }},
-        {"async", [&](const std::string& p, std::string* e) {
-           return core::save_snapshot(async, p, e);
-         }},
-        {"cascade", [&](const std::string& p, std::string* e) {
-           return core::save_snapshot(oracle, p, e);
-         }}}) {
-    TempFile file(std::string("v2_cross_") + tag + ".snap");
-    std::string error;
-    ASSERT_TRUE(save(file.path, &error)) << tag << ": " << error;
-    Snapshot snap;
-    ASSERT_TRUE(snap.open(file.path, &error)) << tag << ": " << error;
-    ASSERT_TRUE(snap.verify(&error)) << tag << ": " << error;
-    const core::CascadeEngine warm(DynamicGraph::load(snap), snap, 17,
-                                   graph::SnapshotLoad::kWarm);
-    EXPECT_EQ(warm.mis_size(), oracle.mis_size()) << tag;
-    EXPECT_TRUE(warm.mis_set() == oracle.mis_set()) << tag;
-    warm.verify();
-  }
 }
 
 TEST(SnapshotV2, V1FilesStillColdStartUnderAuto) {

@@ -137,8 +137,7 @@ void exercise(const std::string& path, std::uint64_t engine_seed) {
     EXPECT_EQ(warm.mis_size(), static_cast<std::size_t>(snap.mis_size()));
     if (verified) warm.verify();
   } else if (verified) {
-    const core::CascadeEngine cold(DynamicGraph::load(snap), snap, engine_seed,
-                                   graph::SnapshotLoad::kCold);
+    const core::CascadeEngine cold(DynamicGraph::load(snap), engine_seed);
     cold.verify();
   }
 }
@@ -649,7 +648,7 @@ TEST_F(SnapshotFuzz, NonFixpointMembershipRejectedByVerifyNotOpen) {
   state.membership = all_out;
   state.priority_seed = 7;
   TempFile file("nonfix.snap");
-  ASSERT_TRUE(graph::save_snapshot(g, state, file.path));
+  ASSERT_TRUE(graph::save_snapshot(g, state, file.path, util::FileFactory{}));
 
   Snapshot snap;
   std::string error;

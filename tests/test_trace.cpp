@@ -1,7 +1,5 @@
-// Unit tests for trace serialization and the per-engine apply dispatch.
+// Unit tests for trace materialization and the per-engine apply dispatch.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "graph/generators.hpp"
 #include "workload/churn.hpp"
@@ -16,38 +14,6 @@ TEST(Trace, GrowTraceRebuildsGraph) {
   const auto g = dmis::graph::erdos_renyi(25, 0.15, rng);
   const auto trace = grow_trace(g);
   EXPECT_TRUE(materialize(trace) == g);
-}
-
-TEST(Trace, WriteReadRoundTrip) {
-  Trace trace;
-  trace.push_back(GraphOp::add_node());
-  trace.push_back(GraphOp::add_node({0}));
-  trace.push_back(GraphOp::unmute_node({0, 1}));
-  trace.push_back(GraphOp::add_edge(0, 1));
-  trace.push_back(GraphOp::remove_edge(0, 1));
-  trace.push_back(GraphOp::remove_edge(0, 2, /*abrupt=*/true));
-  trace.push_back(GraphOp::remove_node(1));
-  trace.push_back(GraphOp::remove_node(2, /*abrupt=*/true));
-
-  std::stringstream ss;
-  write_trace(ss, trace);
-  const Trace back = read_trace(ss);
-  ASSERT_EQ(back.size(), trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(back[i].kind, trace[i].kind) << "op " << i;
-    EXPECT_EQ(back[i].u, trace[i].u);
-    EXPECT_EQ(back[i].v, trace[i].v);
-    EXPECT_EQ(back[i].neighbors, trace[i].neighbors);
-  }
-}
-
-TEST(Trace, CommentsIgnoredOnRead) {
-  std::stringstream ss("# a trace\nan\nan 0\nae 0 1\n");
-  const Trace trace = read_trace(ss);
-  ASSERT_EQ(trace.size(), 3U);
-  EXPECT_EQ(trace[0].kind, OpKind::kAddNode);
-  EXPECT_EQ(trace[1].neighbors, (std::vector<dmis::graph::NodeId>{0}));
-  EXPECT_EQ(trace[2].kind, OpKind::kAddEdge);
 }
 
 TEST(Trace, AllEnginePathsAcceptTheSameTrace) {
@@ -76,11 +42,6 @@ TEST(Trace, AllEnginePathsAcceptTheSameTrace) {
     EXPECT_EQ(cascade.in_mis(v), dist.in_mis(v));
     EXPECT_EQ(cascade.in_mis(v), async.in_mis(v));
   }
-}
-
-TEST(TraceDeath, MalformedOpRejected) {
-  std::stringstream ss("zz 1\n");
-  EXPECT_DEATH((void)read_trace(ss), "unknown trace op");
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -81,19 +80,6 @@ TEST(TraceFile, EmptyTraceRoundTrips) {
   ASSERT_TRUE(tf.open(file.path, &error)) << error;
   EXPECT_TRUE(tf.empty());
   EXPECT_TRUE(tf.verify(&error)) << error;
-}
-
-TEST(TraceFile, AgreesWithTextFormat) {
-  const Trace trace = rich_trace(120, 800, 6);
-  std::stringstream ss;
-  write_trace(ss, trace);
-  const Trace from_text = read_trace(ss);
-
-  TempFile file("trace_text.trc");
-  ASSERT_TRUE(TraceFile::save(file.path, trace));
-  TraceFile tf;
-  ASSERT_TRUE(tf.open(file.path));
-  expect_same_trace(from_text, tf.to_trace());
 }
 
 TEST(TraceFile, ReplayMatchesInMemoryReplay) {

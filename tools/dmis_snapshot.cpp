@@ -1,6 +1,6 @@
 // dmis_snapshot — the operator CLI for the binary snapshot + trace formats.
 //
-//   dmis_snapshot save    --out g.snap [--n N --deg D --seed S | --trace t]
+//   dmis_snapshot save    --out g.snap [--n N --deg D --seed S | --trace t.trc]
 //                         [--engine [--priority-seed P]]
 //   dmis_snapshot load    --in g.snap [--warm]   time mmap-open + bulk load
 //                         [--borrow]             (+ warm engine start on
@@ -12,24 +12,26 @@
 //   dmis_snapshot record  --out t.trc --n N --ops K [--deg D --seed S ...]
 //
 // `save` builds a graph — either G(n, m) at the requested average degree or
-// the graph a trace materializes (binary .trc via workload::TraceFile, any
-// other extension read as a text trace) — and writes it as a snapshot.
-// With `--engine` it additionally runs a CascadeEngine over the graph and
-// writes a version-2 snapshot carrying the engine state (priority keys +
-// membership), which `load --warm` restarts without recomputing the greedy
-// MIS. Version-3 files (written by older builds) still load; their shard
-// table is ignored. Warm loads print the engine fingerprint
-// (core/identity.hpp; borrowed and materialized loads of one file agree) so
-// two restarts of the same state can be diffed in one line. `record` emits
-// a self-contained binary churn trace: the grow history of the warm start
-// graph followed by `--ops` random churn ops, so replaying the whole file
-// from an empty engine reproduces the workload exactly (that replay is
-// bench_snapshot's rebuild comparator).
+// the graph a binary trace (workload::TraceFile, the only trace format)
+// materializes — and writes it as a snapshot. A trace file that fails
+// TraceFile's open validation is reported and exits 1. With `--engine` it
+// additionally runs a CascadeEngine over the graph and writes a version-2
+// snapshot carrying the engine state (priority keys + membership), which
+// `load --warm` restarts without recomputing the greedy MIS. Version-3
+// files (written by older builds) still load; their shard table is
+// ignored. Plain `load --borrow` times a shallow open; `--warm` always opens
+// with full validation first, because a warm start adopts the engine-state
+// sections, which only the full pass checks. Warm loads print the engine
+// fingerprint (core/identity.hpp; borrowed and materialized loads of one
+// file agree) so two restarts of the same state can be diffed in one line.
+// `record` emits a self-contained binary churn trace: the grow history of
+// the warm start graph followed by `--ops` random churn ops, so replaying
+// the whole file from an empty engine reproduces the workload exactly (that
+// replay is bench_snapshot's rebuild comparator).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,29 +63,18 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// Build the save input: either the materialization of a trace file or a
-/// fresh G(n, m) at the requested average degree.
+/// Build the save input: either the materialization of a binary trace file
+/// or a fresh G(n, m) at the requested average degree.
 bool build_graph(const std::string& trace_path, NodeId n, double deg,
                  std::uint64_t seed, graph::DynamicGraph& out) {
   if (!trace_path.empty()) {
-    workload::Trace trace;
-    if (ends_with(trace_path, ".trc")) {
-      workload::TraceFile tf;
-      std::string error;
-      if (!tf.open(trace_path, &error)) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return false;
-      }
-      trace = tf.to_trace();
-    } else {
-      std::ifstream is(trace_path);
-      if (!is) {
-        std::fprintf(stderr, "error: cannot open %s\n", trace_path.c_str());
-        return false;
-      }
-      trace = workload::read_trace(is);
+    workload::TraceFile tf;
+    std::string error;
+    if (!tf.open(trace_path, &error)) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
+      return false;
     }
-    out = workload::materialize(trace);
+    out = workload::materialize(tf.to_trace());
     return true;
   }
   util::Rng rng(seed);
@@ -94,7 +85,7 @@ bool build_graph(const std::string& trace_path, NodeId n, double deg,
 int cmd_save(util::Cli& cli) {
   const auto out = cli.flag_string("out", "graph.snap", "snapshot output path");
   const auto trace_path =
-      cli.flag_string("trace", "", "build from this trace (.trc binary, else text)");
+      cli.flag_string("trace", "", "build from this binary trace (.trc)");
   const auto n = static_cast<NodeId>(cli.flag_int("n", 100'000, "nodes (random graph)"));
   const auto deg = cli.flag_double("deg", 8.0, "average degree (random graph)");
   const auto seed = static_cast<std::uint64_t>(cli.flag_int("seed", 42, "rng seed"));
@@ -136,15 +127,19 @@ int cmd_load(util::Cli& cli) {
       "warm", false, "also warm-start a CascadeEngine from the persisted state (v2)");
   const bool borrow = cli.flag_bool(
       "borrow", false,
-      "borrow the graph in place (shallow open, zero-copy) instead of "
-      "materializing heap copies");
+      "borrow the graph in place (zero-copy; shallow open unless --warm) "
+      "instead of materializing heap copies");
   cli.finish();
 
   if (borrow) {
+    // A warm start adopts the engine-state sections, which only a full open
+    // validates; plain --borrow times the shallow open.
+    const auto validation =
+        warm ? graph::SnapshotValidation::kFull : graph::SnapshotValidation::kShallow;
     auto snap = std::make_shared<graph::Snapshot>();
     std::string error;
     const auto t0 = Clock::now();
-    if (!snap->open(in, &error, no_mmap, graph::SnapshotValidation::kShallow)) {
+    if (!snap->open(in, &error, no_mmap, validation)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
@@ -161,9 +156,9 @@ int cmd_load(util::Cli& cli) {
                 snap->node_count(),
                 static_cast<unsigned long long>(snap->edge_count()),
                 snap->is_mapped() ? "mmap" : "read fallback");
-    std::printf("shallow-open %.6fs  borrow+first-query %.6fs  resident %llu "
+    std::printf("%s %.6fs  borrow+first-query %.6fs  resident %llu "
                 "of %llu mapped bytes\n",
-                open_s, borrow_s,
+                warm ? "open" : "shallow-open", open_s, borrow_s,
                 static_cast<unsigned long long>(snap->resident_bytes()),
                 static_cast<unsigned long long>(snap->header().file_size));
     if (warm) {
