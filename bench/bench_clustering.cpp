@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
     dc.verify();  // incremental assignment == fresh pivot assignment
     const auto fresh_cost = clustering::correlation_cost(
         dc.graph(),
-        clustering::pivot_assignment(dc.graph(), dc.mis().engine().priorities(),
-                                     dc.mis().engine().membership()));
+        clustering::pivot_assignment(dc.graph(), dc.mis().priorities(),
+                                     dc.mis().membership()));
     dyn.row()
         .cell(static_cast<std::uint64_t>(n))
         .cell(static_cast<std::int64_t>(changes))

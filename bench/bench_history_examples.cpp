@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "baselines/natural_greedy.hpp"
-#include "core/dynamic_mis.hpp"
+#include "core/cascade_engine.hpp"
 #include "derived/dynamic_coloring.hpp"
 #include "derived/dynamic_matching.hpp"
 #include "derived/greedy_coloring.hpp"
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   for (const graph::NodeId n : {16U, 64U, 256U}) {
     OnlineStats size;
     for (int t = 0; t < trials; ++t) {
-      core::DynamicMIS mis(graph::star(n), 100 + static_cast<std::uint64_t>(t) * 3);
+      core::CascadeEngine mis(graph::star(n), 100 + static_cast<std::uint64_t>(t) * 3);
       size.add(static_cast<double>(mis.mis_size()));
     }
     // Natural greedy under the adversarial center-first construction.

@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "baselines/deterministic_mis.hpp"
-#include "core/dynamic_mis.hpp"
+#include "core/cascade_engine.hpp"
 #include "graph/generators.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
     OnlineStats rand_total;
     OnlineStats rand_per_change;
     for (int t = 0; t < trials; ++t) {
-      core::DynamicMIS mis(graph::complete_bipartite(k, k),
-                           1'000 + static_cast<std::uint64_t>(t) * 7);
+      core::CascadeEngine mis(graph::complete_bipartite(k, k),
+                             1'000 + static_cast<std::uint64_t>(t) * 7);
       std::uint64_t worst = 0;
       std::uint64_t total = 0;
       for (graph::NodeId v = 0; v < k; ++v) {
@@ -85,8 +85,8 @@ int main(int argc, char** argv) {
   util::Table tail({"quantile", "adjustments at quantile"});
   util::Histogram hist;
   for (int t = 0; t < trials * 5; ++t) {
-    core::DynamicMIS mis(graph::complete_bipartite(32, 32),
-                         9'000 + static_cast<std::uint64_t>(t));
+    core::CascadeEngine mis(graph::complete_bipartite(32, 32),
+                           9'000 + static_cast<std::uint64_t>(t));
     std::uint64_t worst = 0;
     for (graph::NodeId v = 0; v < 32; ++v) {
       mis.remove_node(v);

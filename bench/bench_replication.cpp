@@ -68,14 +68,6 @@ struct Result {
   std::uint64_t promoted_lsn = 0;
 };
 
-bool parse_policy(const std::string& name, service::FsyncPolicy& out) {
-  if (name == "everyop") out = service::FsyncPolicy::kEveryOp;
-  else if (name == "everybatch") out = service::FsyncPolicy::kEveryBatch;
-  else if (name == "interval") out = service::FsyncPolicy::kInterval;
-  else return false;
-  return true;
-}
-
 Result run_rep(const std::vector<core::Batch>& stream, const std::string& policy,
                NodeId n, std::uint64_t seed, const std::filesystem::path& dir,
                const core::CascadeEngine& want) {
@@ -92,7 +84,7 @@ Result run_rep(const std::vector<core::Batch>& stream, const std::string& policy
   service::ServiceConfig config;
   config.dir = leader_dir;
   config.priority_seed = seed;
-  if (!parse_policy(policy, config.fsync)) {
+  if (!service::parse_fsync_policy(policy, config.fsync)) {
     std::fprintf(stderr, "unknown policy %s\n", policy.c_str());
     std::exit(1);
   }

@@ -125,7 +125,7 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
   }
 
   // Headline comparator: the path every pre-snapshot consumer of a trace
-  // actually ran (and what `dmis_snapshot save --trace` still runs).
+  // actually ran.
   graph::DynamicGraph rebuilt;
   r.rebuild_s = min_seconds(reps, [&] {
     workload::TraceFile tf;

@@ -7,7 +7,7 @@ namespace dmis::clustering {
 NodeId DynamicClustering::compute_cluster(NodeId v) const {
   if (mis_.in_mis(v)) return v;
   NodeId pivot = graph::kInvalidNode;
-  const auto& priorities = mis_.engine().priorities();
+  const auto& priorities = mis_.priorities();
   for (const NodeId u : mis_.graph().neighbors(v)) {
     if (!mis_.in_mis(u)) continue;
     if (pivot == graph::kInvalidNode || priorities.before(u, pivot)) pivot = u;
@@ -65,7 +65,7 @@ void DynamicClustering::remove_node(NodeId v) {
 
 void DynamicClustering::verify() const {
   const std::vector<NodeId> fresh =
-      pivot_assignment(mis_.graph(), mis_.engine().priorities(), mis_.engine().membership());
+      pivot_assignment(mis_.graph(), mis_.priorities(), mis_.membership());
   for (const NodeId v : mis_.graph().nodes())
     DMIS_ASSERT_MSG(cluster_[v] == fresh[v],
                     "incremental cluster assignment diverged");

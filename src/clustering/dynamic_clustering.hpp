@@ -1,5 +1,6 @@
 // DynamicClustering — correlation clustering maintained under topology
-// changes on top of DynamicMIS.
+// changes on top of core::CascadeEngine, the dynamic MIS every derived
+// structure runs on.
 //
 // A node's cluster is a pure local function of its own MIS membership and
 // its neighbors' memberships/priorities, so after each update only the
@@ -13,7 +14,7 @@
 #include <vector>
 
 #include "clustering/correlation.hpp"
-#include "core/dynamic_mis.hpp"
+#include "core/cascade_engine.hpp"
 
 namespace dmis::clustering {
 
@@ -38,7 +39,7 @@ class DynamicClustering {
   [[nodiscard]] std::uint64_t cost() const {
     return correlation_cost(mis_.graph(), cluster_);
   }
-  [[nodiscard]] const core::DynamicMIS& mis() const noexcept { return mis_; }
+  [[nodiscard]] const core::CascadeEngine& mis() const noexcept { return mis_; }
   [[nodiscard]] const graph::DynamicGraph& graph() const { return mis_.graph(); }
 
   /// Nodes whose cluster was reassigned by the last update (after dedup).
@@ -56,7 +57,7 @@ class DynamicClustering {
   void refresh(std::vector<NodeId> seeds);
   [[nodiscard]] NodeId compute_cluster(NodeId v) const;
 
-  core::DynamicMIS mis_;
+  core::CascadeEngine mis_;
   std::vector<NodeId> cluster_;
   std::uint64_t last_reassigned_ = 0;
 };

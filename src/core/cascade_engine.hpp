@@ -5,10 +5,11 @@
 // "same" well-defined), but repairs the invariant with a min-priority-queue
 // cascade: affected nodes are re-evaluated in increasing π order, so each is
 // finalized the first time it is popped and the work per update is
-// O(Σ_{v ∈ touched} deg(v) · log). This is the engine the public DynamicMIS
-// facade and all derived structures (matching, coloring, clustering) run on;
-// it is also the paper's suggestion (§6) for the sequential dynamic setting,
-// where the O(Δ) neighbor-notification cost is inherent.
+// O(Σ_{v ∈ touched} deg(v) · log). This is the library's dynamic MIS: the
+// service, the examples and all derived structures (matching, coloring,
+// clustering) run on it directly; it is also the paper's suggestion (§6)
+// for the sequential dynamic setting, where the O(Δ) neighbor-notification
+// cost is inherent.
 //
 // One op path. Every update is one step — the op's topology change plus
 // the seeds §3 says it implies — and then one cascade, skipped when the op

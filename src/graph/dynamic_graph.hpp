@@ -290,16 +290,6 @@ class DynamicGraph {
     return out;
   }
 
-  /// The edge hash table, exposed read-only for callers that need the
-  /// serialized-table view (deep verifiers, tests). Materialized mode only —
-  /// a borrowed graph's table is split across the mapping and two deltas;
-  /// use merged_edge_set() (writers) or has_edge/for_each_edge (queries).
-  [[nodiscard]] const util::FlatSet& edge_set() const noexcept {
-    DMIS_ASSERT_MSG(!borrowed(),
-                    "edge_set() is materialized-mode only; use merged_edge_set()");
-    return edges_;
-  }
-
   // --- borrowed (zero-copy snapshot-backed) mode ---
 
   /// True when this graph reads its base state from a mapped snapshot.
@@ -313,15 +303,9 @@ class DynamicGraph {
   /// reading out of bounds. Defined in graph/snapshot.cpp.
   [[nodiscard]] static DynamicGraph borrow(std::shared_ptr<const Snapshot> snapshot);
 
-  /// Overlay footprint, for stats: heap-migrated adjacency records and the
-  /// two edge-delta sizes. All zero in materialized mode.
+  /// Overlay footprint: heap-migrated adjacency records (zero in
+  /// materialized mode).
   [[nodiscard]] std::size_t overlay_nodes() const noexcept { return dirty_.size(); }
-  [[nodiscard]] std::size_t overlay_added_edges() const noexcept {
-    return borrowed() ? edges_.size() : 0;
-  }
-  [[nodiscard]] std::size_t overlay_removed_edges() const noexcept {
-    return removed_edges_.size();
-  }
 
   /// The complete edge table for serialization: the materialized table
   /// itself, or — for a borrowed graph — the base table restored into

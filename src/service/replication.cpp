@@ -280,8 +280,7 @@ LogShipper::Pump LogShipper::ship(const Shipment& shipment, std::uint64_t* curso
   return Pump::kShipped;
 }
 
-LogShipper::Pump LogShipper::pump(std::string* error) {
-  (void)error;
+LogShipper::Pump LogShipper::pump() {
   if (backoff_remaining_ > 0) {
     --backoff_remaining_;
     ++stats_.backoff_ticks;
@@ -391,9 +390,7 @@ LogShipper::Pump LogShipper::pump(std::string* error) {
 
 bool LogShipper::drain(std::string* error, std::uint64_t max_ticks) {
   for (std::uint64_t tick = 0; tick < max_ticks; ++tick) {
-    const Pump state = pump(error);
-    if (state == Pump::kIdle) return true;
-    if (state == Pump::kError) return false;
+    if (pump() == Pump::kIdle) return true;
   }
   set_error(error, "log shipper did not reach idle within the tick budget");
   return false;

@@ -249,11 +249,11 @@ class LogShipper {
     kShipped,  ///< made progress (sent a chunk, advanced, or re-planned)
     kBackoff,  ///< waiting out a loss; call pump again next tick
     kIdle,     ///< everything on disk (up to the durable cursor) is shipped
-    kError,    ///< local read error (*error set)
   };
 
-  /// One tick: ship at most one chunk.
-  Pump pump(std::string* error);
+  /// One tick: ship at most one chunk. A local file that vanished or cannot
+  /// be read re-plans from the directory instead of failing.
+  Pump pump();
 
   /// Pump until idle (catch-up drain, e.g. after the leader died).
   /// `max_ticks` bounds a transport that drops everything forever.

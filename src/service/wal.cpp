@@ -24,6 +24,14 @@ void append_bytes(std::vector<std::uint8_t>& buf, const void* data, std::size_t 
 
 }  // namespace
 
+bool parse_fsync_policy(const std::string& name, FsyncPolicy& out) {
+  if (name == "everyop") out = FsyncPolicy::kEveryOp;
+  else if (name == "everybatch") out = FsyncPolicy::kEveryBatch;
+  else if (name == "interval") out = FsyncPolicy::kInterval;
+  else return false;
+  return true;
+}
+
 std::string segment_path(const std::string& dir, std::uint64_t seq) {
   char name[32];
   std::snprintf(name, sizeof(name), "wal-%020" PRIu64 ".seg", seq);

@@ -112,6 +112,10 @@ static_assert(sizeof(WalOpRecord) == 20 && alignof(WalOpRecord) == 4,
 
 enum class FsyncPolicy : std::uint32_t { kEveryOp = 0, kEveryBatch = 1, kInterval = 2 };
 
+/// The policy a CLI names "everyop", "everybatch" or "interval"; false (out
+/// untouched) for any other name.
+[[nodiscard]] bool parse_fsync_policy(const std::string& name, FsyncPolicy& out);
+
 [[nodiscard]] std::string segment_path(const std::string& dir, std::uint64_t seq);
 
 struct SegmentInfo {

@@ -25,8 +25,6 @@ class Table {
   /// "mean ± ci" cell used for statistical columns.
   Table& cell_pm(double mean, double halfwidth, int precision = 3);
 
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-
   /// Render as a markdown table with aligned columns.
   void print(std::ostream& os) const;
 

@@ -1,6 +1,7 @@
 #include "workload/trace.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace dmis::workload {
 
@@ -98,23 +99,45 @@ core::AsyncMis::ChangeResult apply(core::AsyncMis& engine, const OpView& op) {
   DMIS_ASSERT_MSG(false, "unknown op kind");
 }
 
-void apply(graph::DynamicGraph& g, const OpView& op) {
-  switch (batch_kind(op.kind)) {
+std::string apply_checked(graph::DynamicGraph& g, const OpView& op) {
+  const auto dead = [](NodeId v) { return "node " + std::to_string(v) + " is not live"; };
+  const auto edge = [&] {
+    return "edge {" + std::to_string(op.u) + ", " + std::to_string(op.v) + "}";
+  };
+  const core::BatchOp::Kind kind = batch_kind(op.kind);
+  switch (kind) {
     case core::BatchOp::Kind::kAddNode: {
+      // Check every neighbor before the node exists, so a neighbor list can
+      // never name the new id; a repeat then shows as a failed add_edge.
+      for (const NodeId u : op.neighbors)
+        if (!g.has_node(u)) return "add-node neighbor: " + dead(u);
       const NodeId v = g.add_node();
-      for (const NodeId u : op.neighbors) g.add_edge(v, u);
-      break;
+      for (const NodeId u : op.neighbors)
+        if (!g.add_edge(v, u)) return "add-node neighbor " + std::to_string(u) + " repeated";
+      return {};
     }
     case core::BatchOp::Kind::kAddEdge:
-      g.add_edge(op.u, op.v);
-      break;
     case core::BatchOp::Kind::kRemoveEdge:
-      g.remove_edge(op.u, op.v);
-      break;
+      if (!g.has_node(op.u)) return dead(op.u);
+      if (!g.has_node(op.v)) return dead(op.v);
+      if (op.u == op.v) return "self-loop on node " + std::to_string(op.u);
+      if (kind == core::BatchOp::Kind::kAddEdge) {
+        if (!g.add_edge(op.u, op.v)) return edge() + " already present";
+      } else if (!g.remove_edge(op.u, op.v)) {
+        return edge() + " absent";
+      }
+      return {};
     case core::BatchOp::Kind::kRemoveNode:
+      if (!g.has_node(op.u)) return "remove_node: " + dead(op.u);
       g.remove_node(op.u);
-      break;
+      return {};
   }
+  DMIS_ASSERT_MSG(false, "unknown op kind");
+}
+
+void apply(graph::DynamicGraph& g, const OpView& op) {
+  const std::string invalid = apply_checked(g, op);
+  DMIS_ASSERT_MSG(invalid.empty(), invalid.c_str());
 }
 
 graph::DynamicGraph materialize(const Trace& trace) {

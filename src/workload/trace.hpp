@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/async_mis.hpp"
@@ -89,7 +90,14 @@ void apply(core::CascadeEngine& engine, const OpView& op);
 void apply(core::TemplateEngine& engine, const OpView& op);
 core::DistMis::ChangeResult apply(core::DistMis& engine, const OpView& op);
 core::AsyncMis::ChangeResult apply(core::AsyncMis& engine, const OpView& op);
-/// Topology only, no MIS machinery.
+/// Topology only, no MIS machinery: the one graph dispatcher. apply_checked
+/// applies `op` and returns "" if it can apply to `g`, and otherwise why
+/// not — a dead or unknown node id, a self-loop, adding a present edge or
+/// removing an absent one, a dead or repeated add-node neighbor — leaving
+/// `g` to be discarded (it may hold part of an add-node op). apply aborts
+/// with that reason: an invalid op in an in-memory trace is a bug, while a
+/// trace read from outside goes through TraceFile::materialize.
+[[nodiscard]] std::string apply_checked(graph::DynamicGraph& g, const OpView& op);
 void apply(graph::DynamicGraph& g, const OpView& op);
 
 template <typename Engine>

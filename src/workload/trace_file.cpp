@@ -118,6 +118,19 @@ bool TraceFile::verify(std::string* error) const {
   return true;
 }
 
+bool TraceFile::materialize(graph::DynamicGraph& out, std::string* error) const {
+  graph::DynamicGraph g;
+  for (std::size_t i = 0; i < size(); ++i) {
+    const std::string reason = apply_checked(g, op(i));
+    if (!reason.empty()) {
+      set_error(error, "op " + std::to_string(i) + ": " + reason);
+      return false;
+    }
+  }
+  out = std::move(g);
+  return true;
+}
+
 Trace TraceFile::to_trace() const {
   Trace trace;
   trace.reserve(size());

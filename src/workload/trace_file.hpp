@@ -5,11 +5,14 @@
 // ChurnGenerator output round-trips to disk losslessly — abrupt-delete
 // markers, unmute ops and add-node neighbor lists included — and replays
 // straight from the mapping without materializing a workload::Trace. A
-// structurally invalid file is an error from open(), never an abort (the
-// ops' meaning — say, a duplicate edge — is not checked here). The layout
-// mirrors core::Batch's arena idiom: ops are fixed 24-byte PODs whose
-// add-node neighbor lists are (offset, count) views into one shared u32
-// arena, so a million-op trace is two flat arrays, not a million small
+// structurally invalid file is an error from open(), never an abort. The
+// ops' meaning — say, a duplicate edge — is checked by materialize(), the
+// checked replay the CLIs run on a file before building anything from it
+// (`dmis_snapshot save --trace` and `verify`, `dmis_ingest --verify`).
+//
+// The layout mirrors core::Batch's arena idiom: ops are fixed 24-byte PODs
+// whose add-node neighbor lists are (offset, count) views into one shared
+// u32 arena, so a million-op trace is two flat arrays, not a million small
 // vectors:
 //
 //   [TraceFileHeader]            fixed 64 bytes, validated on open
@@ -106,6 +109,13 @@ class TraceFile {
 
   /// Payload checksum check (full pass; open() validates structure only).
   [[nodiscard]] bool verify(std::string* error = nullptr) const;
+
+  /// The graph the trace builds, each op checked by workload::apply_checked
+  /// against the graph so far. Returns false at the first op that cannot
+  /// apply, with "op <i>: <reason>" in *error and `out` untouched, so a bad
+  /// file is reported instead of aborting in the graph.
+  [[nodiscard]] bool materialize(graph::DynamicGraph& out,
+                                 std::string* error = nullptr) const;
 
  private:
   [[nodiscard]] std::span<const TraceOpRecord> ops() const noexcept {

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/deterministic_mis.hpp"
-#include "core/dynamic_mis.hpp"
+#include "core/cascade_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_stats.hpp"
 
@@ -66,7 +66,7 @@ TEST(DeterministicMis, RandomizedAvoidsTheConcentratedFlip) {
   const NodeId k = 12;
   dmis::util::OnlineStats per_change;
   for (std::uint64_t seed = 0; seed < 60; ++seed) {
-    dmis::core::DynamicMIS mis(dmis::graph::complete_bipartite(k, k), seed);
+    dmis::core::CascadeEngine mis(dmis::graph::complete_bipartite(k, k), seed);
     for (NodeId v = 0; v < k; ++v) {
       mis.remove_node(v);
       per_change.add(static_cast<double>(mis.last_report().adjustments));

@@ -1,9 +1,9 @@
-// Unit tests for the DynamicMIS public facade.
+// Dynamic MIS end to end on core::CascadeEngine, the library's one dynamic
+// MIS: the quickstart flow, node removal keeping maximality, and same-seed
+// reproducibility.
 #include <gtest/gtest.h>
 
-#include <utility>
-
-#include "core/dynamic_mis.hpp"
+#include "core/cascade_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_stats.hpp"
 
@@ -12,71 +12,45 @@ namespace {
 using namespace dmis::core;
 
 TEST(DynamicMIS, QuickstartFlow) {
-  DynamicMIS mis(42);
-  const NodeId a = mis.add_node();
-  const NodeId b = mis.add_node();
-  EXPECT_TRUE(mis.in_mis(a));
-  EXPECT_TRUE(mis.in_mis(b));
-  mis.add_edge(a, b);
-  EXPECT_NE(mis.in_mis(a), mis.in_mis(b));
-  EXPECT_EQ(mis.mis_size(), 1U);
-  mis.remove_edge(a, b);
-  EXPECT_TRUE(mis.in_mis(a));
-  EXPECT_TRUE(mis.in_mis(b));
-  mis.verify();
-}
-
-TEST(DynamicMIS, ConstructFromGraph) {
-  dmis::util::Rng rng(1);
-  const auto g = dmis::graph::erdos_renyi(60, 0.08, rng);
-  DynamicMIS mis(g, 9);
-  EXPECT_TRUE(dmis::graph::is_maximal_independent_set(g, mis.mis_set()));
-  EXPECT_EQ(mis.update_count(), 0U);
-}
-
-TEST(DynamicMIS, LifetimeCountersAccumulate) {
-  DynamicMIS mis(3);
-  const NodeId a = mis.add_node();
-  const NodeId b = mis.add_node();
-  mis.add_edge(a, b);
-  EXPECT_EQ(mis.update_count(), 3U);
-  // Two isolated joins (+1 each) and one demotion (+1).
-  EXPECT_EQ(mis.lifetime_adjustments(), 3U);
-  EXPECT_EQ(mis.last_report().adjustments, 1U);
+  CascadeEngine engine(42);
+  const NodeId a = engine.add_node();
+  const NodeId b = engine.add_node();
+  EXPECT_TRUE(engine.in_mis(a));
+  EXPECT_TRUE(engine.in_mis(b));
+  engine.add_edge(a, b);
+  EXPECT_NE(engine.in_mis(a), engine.in_mis(b));
+  EXPECT_EQ(engine.mis_size(), 1U);
+  engine.remove_edge(a, b);
+  EXPECT_TRUE(engine.in_mis(a));
+  EXPECT_TRUE(engine.in_mis(b));
+  engine.verify();
 }
 
 TEST(DynamicMIS, RemoveNodeKeepsMaximality) {
   dmis::util::Rng rng(5);
   const auto g = dmis::graph::erdos_renyi(40, 0.15, rng);
-  DynamicMIS mis(g, 77);
-  auto nodes = mis.graph().nodes();
+  CascadeEngine engine(g, 77);
+  auto nodes = engine.graph().nodes();
   for (std::size_t i = 0; i < 20; ++i) {
-    mis.remove_node(nodes[i]);
-    mis.verify();
+    engine.remove_node(nodes[i]);
+    engine.verify();
     EXPECT_TRUE(
-        dmis::graph::is_maximal_independent_set(mis.graph(), mis.mis_set()));
+        dmis::graph::is_maximal_independent_set(engine.graph(), engine.mis_set()));
   }
 }
 
 TEST(DynamicMIS, SameSeedReproducible) {
   auto run = [] {
-    DynamicMIS mis(123);
+    CascadeEngine engine(123);
     std::vector<NodeId> ids;
     for (int i = 0; i < 20; ++i)
-      ids.push_back(mis.add_node(i > 0 ? std::vector<NodeId>{ids.back()}
-                                       : std::vector<NodeId>{}));
+      ids.push_back(engine.add_node(i > 0 ? std::vector<NodeId>{ids.back()}
+                                          : std::vector<NodeId>{}));
     std::vector<bool> membership;
-    for (const NodeId v : ids) membership.push_back(mis.in_mis(v));
+    for (const NodeId v : ids) membership.push_back(engine.in_mis(v));
     return membership;
   };
   EXPECT_EQ(run(), run());
-}
-
-TEST(DynamicMIS, EngineAccessorExposesInternals) {
-  DynamicMIS mis(7);
-  const NodeId a = mis.add_node();
-  EXPECT_TRUE(mis.engine().in_mis(a));
-  EXPECT_EQ(&std::as_const(mis).engine(), &mis.engine());
 }
 
 }  // namespace

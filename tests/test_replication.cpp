@@ -239,7 +239,7 @@ TEST(Replication, FollowerWarmedPastItsSegmentsJumpsAgain) {
   shipper.attach_durable_cursor(&*leader);
   // Ship the checkpoint but no segment yet, and warm from it: no local
   // segment holds the follower's lsn.
-  while (follower->stats().checkpoints_published == 0) (void)shipper.pump(&error);
+  while (follower->stats().checkpoints_published == 0) (void)shipper.pump();
   ASSERT_TRUE(follower->poll(&error)) << error;
   ASSERT_EQ(follower->stats().rewarms, 1U);
 
@@ -275,7 +275,7 @@ TEST(Replication, BothEndsRestartAndResumeFromHave) {
     ship_options.chunk_bytes = 512;
     LogShipper shipper(leader_dir.path, &transport, ship_options);
     shipper.attach_durable_cursor(&*leader);
-    for (int tick = 0; tick < 20; ++tick) (void)shipper.pump(&error);
+    for (int tick = 0; tick < 20; ++tick) (void)shipper.pump();
     ASSERT_TRUE(follower->poll(&error)) << error;
     persisted_before = follower->stats().bytes_persisted;
     // follower destroyed here: sink closed, partial files stay on disk

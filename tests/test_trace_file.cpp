@@ -1,7 +1,8 @@
 // Binary trace format tests: lossless round-trip of ChurnGenerator output
 // (abrupt-delete markers, unmutes, add-node neighbor lists), replay
-// equivalence against the in-memory trace path, batch chunking, and
-// truncated / corrupt-file rejection.
+// equivalence against the in-memory trace path, the checked replay's
+// rejection of ops that cannot apply, batch chunking, and truncated /
+// corrupt-file rejection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -114,6 +115,62 @@ TEST(TraceFile, ReplayIntoDistMisPreservesModes) {
   tf.replay(from_file);
   from_file.verify();
   EXPECT_TRUE(from_memory.mis_set() == from_file.mis_set());
+}
+
+TEST(TraceFile, MaterializeChecksEveryOp) {
+  // A recorded churn trace replays, checked, to the graph its in-memory
+  // twin builds.
+  const Trace trace = rich_trace(300, 2500, 9);
+  TempFile file("trace_checked.trc");
+  std::string error;
+  ASSERT_TRUE(TraceFile::save(file.path, trace, &error)) << error;
+  TraceFile recorded;
+  ASSERT_TRUE(recorded.open(file.path, &error)) << error;
+  graph::DynamicGraph replayed;
+  ASSERT_TRUE(recorded.materialize(replayed, &error)) << error;
+  EXPECT_TRUE(replayed == materialize(recorded.to_trace()));
+
+  // Each case is a structurally valid file (open() accepts it): nodes 0-2
+  // with edge {0, 1}, then ops of which the one at `bad` cannot apply.
+  const Trace prefix = {GraphOp::add_node(), GraphOp::add_node(), GraphOp::add_node(),
+                        GraphOp::add_edge(0, 1)};
+  struct Case {
+    const char* what;
+    Trace ops;
+    std::size_t bad;
+    const char* reason;
+  };
+  const Case cases[] = {
+      {"self-loop", {GraphOp::add_edge(0, 0)}, 4, "self-loop on node 0"},
+      {"self-loop removal", {GraphOp::remove_edge(1, 1)}, 4, "self-loop on node 1"},
+      {"unknown endpoint", {GraphOp::add_edge(0, 7)}, 4, "node 7 is not live"},
+      {"dead endpoint", {GraphOp::remove_node(2), GraphOp::add_edge(0, 2)}, 5,
+       "node 2 is not live"},
+      {"present edge added", {GraphOp::add_edge(1, 0)}, 4, "edge {1, 0} already present"},
+      {"absent edge removed", {GraphOp::remove_edge(1, 2, true)}, 4, "edge {1, 2} absent"},
+      {"unknown node removed", {GraphOp::remove_node(9)}, 4, "node 9 is not live"},
+      {"dead node removed", {GraphOp::remove_node(2), GraphOp::remove_node(2)}, 5,
+       "node 2 is not live"},
+      {"dead add-node neighbor", {GraphOp::remove_node(2), GraphOp::add_node({0, 2})}, 5,
+       "node 2 is not live"},
+      {"repeated add-node neighbor", {GraphOp::unmute_node({1, 0, 1})}, 4,
+       "neighbor 1 repeated"},
+  };
+  for (const Case& c : cases) {
+    Trace bad = prefix;
+    bad.insert(bad.end(), c.ops.begin(), c.ops.end());
+    ASSERT_TRUE(TraceFile::save(file.path, bad, &error)) << c.what << ": " << error;
+    TraceFile tf;
+    ASSERT_TRUE(tf.open(file.path, &error)) << c.what << ": " << error;
+    ASSERT_TRUE(tf.verify(&error)) << c.what << ": " << error;
+    graph::DynamicGraph out(5);
+    error.clear();
+    EXPECT_FALSE(tf.materialize(out, &error)) << c.what;
+    EXPECT_EQ(error.rfind("op " + std::to_string(c.bad) + ": ", 0), 0U)
+        << c.what << ": " << error;
+    EXPECT_NE(error.find(c.reason), std::string::npos) << c.what << ": " << error;
+    EXPECT_EQ(out.node_count(), 5U) << c.what << ": a rejected replay leaves out alone";
+  }
 }
 
 TEST(TraceFile, BatchChunkingMatchesChunkTrace) {

@@ -96,6 +96,19 @@ void flatten(const core::Batch& batch, std::vector<std::uint64_t>* flat) {
   }
 }
 
+TEST(Wal, ParseFsyncPolicyNamesEachPolicy) {
+  FsyncPolicy policy = FsyncPolicy::kEveryBatch;
+  ASSERT_TRUE(service::parse_fsync_policy("everyop", policy));
+  EXPECT_EQ(policy, FsyncPolicy::kEveryOp);
+  ASSERT_TRUE(service::parse_fsync_policy("interval", policy));
+  EXPECT_EQ(policy, FsyncPolicy::kInterval);
+  ASSERT_TRUE(service::parse_fsync_policy("everybatch", policy));
+  EXPECT_EQ(policy, FsyncPolicy::kEveryBatch);
+  EXPECT_FALSE(service::parse_fsync_policy("EveryOp", policy));
+  EXPECT_FALSE(service::parse_fsync_policy("", policy));
+  EXPECT_EQ(policy, FsyncPolicy::kEveryBatch);
+}
+
 TEST(Wal, RoundTripSingleSegment) {
   TempDir dir("roundtrip");
   WalWriter writer;

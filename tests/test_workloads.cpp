@@ -1,13 +1,12 @@
-// Unit tests for the workload generators (churn, sliding window,
-// adversarial sequences): every produced trace must be valid against the
-// evolving graph and reproduce the intended topology.
+// Unit tests for the workload generators (churn, adversarial sequences):
+// every produced trace must be valid against the evolving graph and
+// reproduce the intended topology.
 #include <gtest/gtest.h>
 
 #include "core/cascade_engine.hpp"
 #include "graph/generators.hpp"
 #include "workload/adversarial.hpp"
 #include "workload/churn.hpp"
-#include "workload/sliding_window.hpp"
 
 namespace {
 
@@ -49,27 +48,6 @@ TEST(Churn, MixRoughlyHonored) {
   ChurnGenerator gen(dmis::graph::DynamicGraph(20), config, 9);
   const Trace trace = gen.generate(50);
   for (const auto& op : trace) EXPECT_EQ(op.kind, OpKind::kAddEdge);
-}
-
-TEST(SlidingWindow, EdgesExpireAfterWindow) {
-  SlidingWindowStream stream(10, 5, 3);
-  for (int tick = 0; tick < 100; ++tick) {
-    (void)stream.tick();
-    EXPECT_LE(stream.graph().edge_count(), 5U);
-  }
-  // A long quiet run keeps the population at the window size (one in, one
-  // out per tick once warm).
-  EXPECT_GE(stream.graph().edge_count(), 4U);
-}
-
-TEST(SlidingWindow, TraceIsValidForEngine) {
-  SlidingWindowStream stream(15, 8, 11);
-  const Trace trace = stream.generate(200);
-  dmis::core::CascadeEngine engine(13);
-  for (int i = 0; i < 15; ++i) (void)engine.add_node();
-  replay(engine, trace);
-  engine.verify();
-  EXPECT_TRUE(engine.graph() == stream.graph());
 }
 
 TEST(Adversarial, BipartiteSequenceBuildsAndDeletes) {

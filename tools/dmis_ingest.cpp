@@ -10,10 +10,10 @@
 // first-appearance order, the graph's canonical grow history becomes the
 // trace prefix, and with --churn-ops an adversarial churn suffix is
 // appended so the real topology can be replayed *and then attacked* through
-// any engine (bench_skew, the fuzzer, dmis_snapshot save --trace all accept
-// the output). --verify re-opens the written file, checks its checksum and
-// materializes it back, confirming the round-trip reproduces the final
-// graph exactly.
+// any engine (`dmis_snapshot save --trace` and `verify` accept the output).
+// --verify re-opens the written file, checks its checksum, replays it
+// through TraceFile::materialize (every op checked) and requires the
+// result to equal the final graph.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -119,26 +119,14 @@ int main(int argc, char** argv) {
 
   if (verify) {
     workload::TraceFile tf;
-    if (!tf.open(out, &error) || !tf.verify(&error)) {
+    graph::DynamicGraph replayed;
+    if (!tf.open(out, &error) || !tf.verify(&error) || !tf.materialize(replayed, &error)) {
       std::fprintf(stderr, "FAIL: %s\n", error.c_str());
       return 1;
     }
-    const graph::DynamicGraph replayed = workload::materialize(tf.to_trace());
-    if (replayed.node_count() != final_graph.node_count() ||
-        replayed.edge_count() != final_graph.edge_count()) {
-      std::fprintf(stderr,
-                   "FAIL: round-trip mismatch — replayed %u nodes/%zu edges, "
-                   "expected %u/%zu\n",
-                   replayed.node_count(), replayed.edge_count(),
-                   final_graph.node_count(), final_graph.edge_count());
-      return 1;
-    }
-    bool edges_match = true;
-    replayed.for_each_edge([&](graph::NodeId u, graph::NodeId v) {
-      edges_match &= final_graph.has_edge(u, v);
-    });
-    if (!edges_match) {
-      std::fprintf(stderr, "FAIL: round-trip mismatch — edge sets differ\n");
+    if (replayed != final_graph) {
+      std::fprintf(stderr, "FAIL: round-trip mismatch — the replayed graph differs "
+                           "from the final graph\n");
       return 1;
     }
     std::printf("verify OK: checksum valid, replay reproduces the final graph\n");

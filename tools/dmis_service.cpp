@@ -164,14 +164,6 @@ int close_service(service::MisService& svc) {
   return 1;
 }
 
-bool parse_policy(const std::string& name, service::FsyncPolicy& out) {
-  if (name == "everyop") out = service::FsyncPolicy::kEveryOp;
-  else if (name == "everybatch") out = service::FsyncPolicy::kEveryBatch;
-  else if (name == "interval") out = service::FsyncPolicy::kInterval;
-  else return false;
-  return true;
-}
-
 int cmd_run(util::Cli& cli) {
   const auto dir = cli.flag_string("dir", "mis-service", "service directory");
   const Workload w = workload_flags(cli);
@@ -187,7 +179,7 @@ int cmd_run(util::Cli& cli) {
   config.dir = dir;
   config.priority_seed = w.priority_seed;
   config.checkpoint_interval_ops = checkpoint_interval;
-  if (!parse_policy(policy_name, config.fsync)) {
+  if (!service::parse_fsync_policy(policy_name, config.fsync)) {
     std::fprintf(stderr, "error: unknown --policy '%s'\n", policy_name.c_str());
     return 1;
   }
@@ -305,7 +297,7 @@ int cmd_serve(util::Cli& cli) {
   config.dir = dir;
   config.priority_seed = priority_seed;
   config.checkpoint_interval_ops = checkpoint_interval;
-  if (!parse_policy(policy_name, config.fsync)) {
+  if (!service::parse_fsync_policy(policy_name, config.fsync)) {
     std::fprintf(stderr, "error: unknown --policy '%s'\n", policy_name.c_str());
     return 1;
   }
@@ -474,12 +466,8 @@ int cmd_follow(util::Cli& cli) {
   std::uint64_t pumps = 0;
   bool idle = false;
   while (pumps < max_pumps) {
-    const auto state = shipper.pump(&error);
+    const auto state = shipper.pump();
     ++pumps;
-    if (state == service::LogShipper::Pump::kError) {
-      std::fprintf(stderr, "error: pump: %s\n", error.c_str());
-      return 1;
-    }
     if (!follower->poll(&error)) {
       std::fprintf(stderr, "error: poll: %s\n", error.c_str());
       return 1;

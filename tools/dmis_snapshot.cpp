@@ -7,14 +7,18 @@
 //                                                v2/v3); --borrow opens
 //                                                zero-copy
 //   dmis_snapshot verify  --in g.snap            checksum + deep consistency
-//                                                (v2: greedy-fixpoint check)
+//                                                (v2: greedy-fixpoint check;
+//                                                .trc: checksum + op replay)
 //   dmis_snapshot stats   --in g.snap            header, sections, degrees
 //   dmis_snapshot record  --out t.trc --n N --ops K [--deg D --seed S ...]
 //
 // `save` builds a graph — either G(n, m) at the requested average degree or
 // the graph a binary trace (workload::TraceFile, the only trace format)
 // materializes — and writes it as a snapshot. A trace file that fails
-// TraceFile's open validation is reported and exits 1. With `--engine` it
+// TraceFile's open validation, or holds an op that cannot apply where it
+// stands (TraceFile::materialize: a dead id, a self-loop, a duplicate or
+// missing edge), is reported as `op <i>: <reason>` and exits 1; `verify`
+// runs the same replay on a .trc after its checksum. With `--engine` it
 // additionally runs a CascadeEngine over the graph and writes a version-2
 // snapshot carrying the engine state (priority keys + membership), which
 // `load --warm` restarts without recomputing the greedy MIS. Version-3
@@ -74,7 +78,10 @@ bool build_graph(const std::string& trace_path, NodeId n, double deg,
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return false;
     }
-    out = workload::materialize(tf.to_trace());
+    if (!tf.materialize(out, &error)) {
+      std::fprintf(stderr, "error: %s: %s\n", trace_path.c_str(), error.c_str());
+      return false;
+    }
     return true;
   }
   util::Rng rng(seed);
@@ -227,8 +234,14 @@ int cmd_verify(util::Cli& cli) {
       std::fprintf(stderr, "FAIL: %s\n", error.c_str());
       return 1;
     }
-    std::printf("OK: %s — %zu ops, %zu arena slots, checksum valid\n", in.c_str(),
-                tf.size(), tf.arena_len());
+    graph::DynamicGraph g;
+    if (!tf.materialize(g, &error)) {
+      std::fprintf(stderr, "FAIL: %s: %s\n", in.c_str(), error.c_str());
+      return 1;
+    }
+    std::printf("OK: %s — %zu ops, %zu arena slots, checksum valid, every op "
+                "valid (replays to %u nodes, %zu edges)\n",
+                in.c_str(), tf.size(), tf.arena_len(), g.node_count(), g.edge_count());
     return 0;
   }
   graph::Snapshot snap;
