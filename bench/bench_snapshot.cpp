@@ -12,9 +12,10 @@
 //             mapped ops with the edge table pre-reserved (no caller ever
 //             ran this — it bounds how much of the speedup is zero-copy
 //             format vs. just avoiding Trace overhead),
-//   save      DynamicGraph::save (streamed sections + checksum),
+//   save      DynamicGraph::save (streamed v1 sections + checksum),
 //   load      Snapshot::open (mmap + structural validation pass) plus
-//             DynamicGraph::load (bulk memcpy + verbatim edge-table adopt).
+//             DynamicGraph::load of that v1 file (bulk memcpy + verbatim
+//             edge-table adopt).
 // Each phase runs --reps times and the minimum is reported (the page cache
 // is warm after rep 1 on both sides, so min compares compute, not I/O
 // luck). The loaded graph is compared to the original for equality outside
@@ -22,18 +23,20 @@
 // bar for the persistence layer is load >= 5x faster than rebuild at
 // n = 1e6.
 //
-// The engine columns quantify the v2 warm start: a version-2 snapshot
-// (persisted priority keys + membership) is saved from a CascadeEngine and
-// then, in the SAME process with cold/warm reps strictly interleaved (so
-// machine drift hits both sides equally — the ROADMAP's rule for perf
-// claims),
+// The engine columns quantify the warm start: a version-4 snapshot
+// (persisted priority keys + membership, no edge table) is saved from a
+// CascadeEngine and then, in the SAME process with cold/warm reps strictly
+// interleaved (so machine drift hits both sides equally — the ROADMAP's
+// rule for perf claims),
 //   engine_cold   Snapshot::open + DynamicGraph::load + the graph
 //                 constructor: bulk graph load, fresh priority draws, full
 //                 greedy recompute — the engine-ready path every snapshot
-//                 consumer paid before v2,
+//                 consumer paid before engine state was persisted,
 //   engine_warm   Snapshot::open + DynamicGraph::load + the snapshot
 //                 constructor (kWarm): bulk graph load + bulk
 //                 key/membership adoption, zero recompute.
+// Both load the v4 file, so both hash its edge set into a fresh table
+// (v4 stores none); load_s adopts the v1 file's stored table instead.
 // The acceptance bar for the warm start is warm_speedup >= 2 at n = 1e6.
 // Outside the timed region the warm engine must pass verify() and equal
 // the saved engine (core::state_diff).
@@ -240,16 +243,16 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
   r.snapshot_bytes = std::filesystem::file_size(snap_path);
   r.trace_bytes = std::filesystem::file_size(trace_path);
 
-  // Warm-vs-cold engine start off a v2 snapshot, reps strictly interleaved
+  // Warm-vs-cold engine start off a v4 snapshot, reps strictly interleaved
   // (cold then warm per rep) so the two columns share every machine-state
   // swing and their ratio is trustworthy within this one process.
-  const std::string v2_path =
-      (dir / ("bench_" + std::to_string(n) + "_v2.snap")).string();
+  const std::string engine_path =
+      (dir / ("bench_" + std::to_string(n) + "_engine.snap")).string();
   std::size_t sink = 0;  // consumed below so the engines cannot be elided
   {
     const core::CascadeEngine source(g, seed);
-    if (!core::save_snapshot(source, v2_path, &error)) {
-      std::fprintf(stderr, "v2 snapshot save failed: %s\n", error.c_str());
+    if (!core::save_snapshot(source, engine_path, &error)) {
+      std::fprintf(stderr, "engine snapshot save failed: %s\n", error.c_str());
       std::exit(1);
     }
     // Correctness pin outside the timed region: verify() shows the MIS
@@ -257,8 +260,8 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
     // warm membership is what a greedy recompute yields; state_diff pins
     // the warm engine to the saved one (graph, keys, membership, RNG).
     graph::Snapshot snap;
-    if (!snap.open(v2_path, &error)) {
-      std::fprintf(stderr, "v2 snapshot open failed: %s\n", error.c_str());
+    if (!snap.open(engine_path, &error)) {
+      std::fprintf(stderr, "engine snapshot open failed: %s\n", error.c_str());
       std::exit(1);
     }
     const core::CascadeEngine warm(graph::DynamicGraph::load(snap), snap, seed,
@@ -274,8 +277,8 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
     const auto t_cold = Clock::now();
     {
       graph::Snapshot snap;
-      if (!snap.open(v2_path, &error)) {
-        std::fprintf(stderr, "v2 snapshot open failed: %s\n", error.c_str());
+      if (!snap.open(engine_path, &error)) {
+        std::fprintf(stderr, "engine snapshot open failed: %s\n", error.c_str());
         std::exit(1);
       }
       const core::CascadeEngine cold(graph::DynamicGraph::load(snap), seed);
@@ -287,8 +290,8 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
     const auto t_warm = Clock::now();
     {
       graph::Snapshot snap;
-      if (!snap.open(v2_path, &error)) {
-        std::fprintf(stderr, "v2 snapshot open failed: %s\n", error.c_str());
+      if (!snap.open(engine_path, &error)) {
+        std::fprintf(stderr, "engine snapshot open failed: %s\n", error.c_str());
         std::exit(1);
       }
       const core::CascadeEngine warm(graph::DynamicGraph::load(snap), snap, seed,
@@ -303,7 +306,7 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
 
   std::filesystem::remove(trace_path);
   std::filesystem::remove(snap_path);
-  std::filesystem::remove(v2_path);
+  std::filesystem::remove(engine_path);
   return r;
 }
 

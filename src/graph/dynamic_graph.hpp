@@ -25,30 +25,32 @@
 //
 //   * Materialized (the default): everything lives in the heap vectors
 //     above. load() bulk-copies a snapshot into this form.
-//   * Borrowed (borrow()): the graph reads the CSR adjacency, alive bytes
-//     and edge table *in place* from a mapped graph::Snapshot and keeps only
-//     a dirty-region overlay on the heap. Opening is ~O(header) — no
-//     per-byte work until a page is actually touched — so graphs larger
-//     than RAM page on demand. Copy-on-write is at adjacency-record
-//     granularity: a node's record (and overflow list) migrates to the heap
-//     pool on first mutation and is found through the `dirty_` index from
-//     then on; clean nodes keep reading the mapping forever. The edge table
-//     is layered: a heap delta FlatSet (`edges_`) holds inserted keys, a
-//     second FlatSet (`removed_edges_`) holds deleted base keys, and the
-//     verbatim mapped table is probed zero-copy (FlatSet::probe_raw)
-//     underneath. Invariant: a key is in at most one of {delta, removed},
-//     and the delta never contains a key present in the base — so
-//     membership is `delta ∨ (base ∧ ¬removed)` and steady-state churn on a
-//     warmed overlay is allocation-free (tombstone reuse in both deltas,
-//     FlatMap hits in the dirty index). Checkpoint write-back merges the
-//     overlay onto the base (merged_edge_set + the public accessors), and
-//     copies of a borrowed graph share the mapping (shared_ptr base).
+//   * Borrowed (borrow()): the graph reads the CSR adjacency and alive
+//     bytes *in place* from a mapped graph::Snapshot and keeps only a
+//     dirty-region overlay on the heap. Opening is ~O(header) — no per-byte
+//     work until a page is actually touched — so graphs larger than RAM
+//     page on demand. Copy-on-write is at adjacency-record granularity: a
+//     node's record (and overflow list) migrates to the heap pool on first
+//     mutation and is found through the `dirty_` index from then on; clean
+//     nodes keep reading the mapping forever. The edge set is layered: a
+//     heap delta FlatSet (`edges_`) holds inserted keys, a second FlatSet
+//     (`removed_edges_`) holds deleted base keys, and base membership is a
+//     scan of the shorter endpoint's mapped CSR list (for every snapshot
+//     version — a stored edge table, where one exists, is never read).
+//     Invariant: a key is in at most one of {delta, removed}, and the delta
+//     never contains a key present in the base — so membership is
+//     `delta ∨ (base ∧ ¬removed)` and steady-state churn on a warmed overlay
+//     is allocation-free (tombstone reuse in both deltas, FlatMap hits in
+//     the dirty index). Checkpoint write-back streams clean records from the
+//     mapping and dirty ones from the pool (node_sections), and copies of a
+//     borrowed graph share the mapping (shared_ptr base).
 //
 // Node identifiers are dense indices assigned in insertion order and never
 // reused, so a NodeId is a stable handle for priorities, histories and
 // cross-structure maps (line graph, clique expansion) even across deletions.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -67,7 +69,7 @@ namespace dmis::graph {
 class Snapshot;  // graph/snapshot.hpp — mmap-backed binary snapshot view
 
 /// How CascadeEngine's snapshot constructor adopts a snapshot's persisted
-/// state (the v2 engine-state sections: per-node priority keys + MIS
+/// state (the engine-state sections: per-node priority keys + MIS
 /// membership; graph/snapshot.hpp). Defined here, next to the Snapshot
 /// forward declaration, so the engine header can take it in a constructor
 /// signature without pulling in the snapshot layout.
@@ -139,7 +141,7 @@ class DynamicGraph {
     if (borrowed()) {
       if (removed_edges_.contains(key)) {
         (void)removed_edges_.erase(key);  // re-adding a removed base edge
-      } else if (base_has_edge(key)) {
+      } else if (base_has_edge(u, v)) {
         return false;
       } else if (!edges_.insert(key)) {
         return false;
@@ -158,7 +160,7 @@ class DynamicGraph {
     if (borrowed()) {
       if (edges_.erase(key)) {
         // delta edge gone
-      } else if (!removed_edges_.contains(key) && base_has_edge(key)) {
+      } else if (!removed_edges_.contains(key) && base_has_edge(u, v)) {
         (void)removed_edges_.insert(key);  // shadow the base edge
       } else {
         return false;
@@ -182,7 +184,7 @@ class DynamicGraph {
     const std::uint64_t key = edge_key(u, v);
     if (edges_.contains(key)) return true;
     if (!borrowed()) return false;
-    return !removed_edges_.contains(key) && base_has_edge(key);
+    return !removed_edges_.contains(key) && base_has_edge(u, v);
   }
 
   [[nodiscard]] NodeId node_count() const noexcept { return node_count_; }
@@ -232,11 +234,13 @@ class DynamicGraph {
   template <typename F>
   void for_each_edge(F&& f) const {
     if (borrowed()) {
-      for (std::size_t i = 0; i < base_edge_capacity_; ++i) {
-        if (!util::FlatSet::is_full_slot(base_ctrl_[i])) continue;
-        const std::uint64_t key = base_keys_[i];
-        if (removed_edges_.contains(key)) continue;
-        f(static_cast<NodeId>(key >> 32), static_cast<NodeId>(key & 0xffffffffULL));
+      // Base edges from their lower endpoint's CSR list, minus the removed.
+      for (NodeId v = 0; v < base_bound_; ++v) {
+        check_base_node(v);
+        for (std::uint64_t i = base_offs_[v]; i < base_offs_[v + 1]; ++i) {
+          const NodeId u = base_nbrs_[i];
+          if (v < u && !removed_edges_.contains(edge_key(v, u))) f(v, u);
+        }
       }
     }
     edges_.for_each([&f](std::uint64_t key) {
@@ -244,30 +248,16 @@ class DynamicGraph {
     });
   }
 
-  /// Uniformly random present edge as (lo, hi) — O(1) expected via slot
-  /// sampling, no materialized edge vector. False iff edgeless. Borrowed
-  /// mode samples uniformly over the combined base + delta slot space with
-  /// rejection (removed base keys and non-full slots reject), mirroring
-  /// FlatSet::sample's bounded-attempts-then-linear-fallback shape.
+  /// Uniformly random present edge as (lo, hi) — O(1) expected via the edge
+  /// table's slot sampling, no materialized edge vector. False iff
+  /// edgeless. Materialized mode only: a borrowed graph has no table over
+  /// its base edges (the workload generators sample their own materialized
+  /// reference graph).
   template <typename RngT>
   [[nodiscard]] bool sample_edge(RngT& rng, NodeId& u, NodeId& v) const {
+    DMIS_ASSERT_MSG(!borrowed(), "sample_edge on a borrowed graph");
     std::uint64_t key = 0;
-    if (!borrowed()) {
-      if (!edges_.sample(rng, key)) return false;
-    } else {
-      if (edge_count() == 0) return false;
-      const std::uint64_t cap =
-          base_edge_capacity_ + static_cast<std::uint64_t>(edges_.capacity());
-      bool found = false;
-      for (int attempt = 0; attempt < 256 && !found; ++attempt)
-        found = accept_slot(static_cast<std::size_t>(rng.below(cap)), key);
-      if (!found) {
-        const std::uint64_t start = rng.below(cap);
-        for (std::uint64_t step = 0; step < cap && !found; ++step)
-          found = accept_slot(static_cast<std::size_t>((start + step) % cap), key);
-      }
-      if (!found) return false;  // unreachable: edge_count() > 0
-    }
+    if (!edges_.sample(rng, key)) return false;
     u = static_cast<NodeId>(key >> 32);
     v = static_cast<NodeId>(key & 0xffffffffULL);
     return true;
@@ -307,30 +297,26 @@ class DynamicGraph {
   /// materialized mode).
   [[nodiscard]] std::size_t overlay_nodes() const noexcept { return dirty_.size(); }
 
-  /// The complete edge table for serialization: the materialized table
-  /// itself, or — for a borrowed graph — the base table restored into
-  /// `scratch` with the overlay merged on top (removed keys erased, delta
-  /// keys inserted). The snapshot writer calls this, so checkpointing a
-  /// borrowed graph streams unchanged regions from the mapping and never
-  /// materializes adjacency. Note the merged table is *semantically* equal
-  /// to a materialized twin's, not byte-identical (tombstone placement
-  /// differs), so write-back equality checks must compare graphs, not bytes.
-  [[nodiscard]] const util::FlatSet& merged_edge_set(util::FlatSet& scratch) const {
-    if (!borrowed()) return edges_;
-    const bool restored = scratch.restore(
-        {base_ctrl_, base_edge_capacity_}, {base_keys_, base_edge_capacity_},
-        static_cast<std::size_t>(base_edge_count_), base_edge_occupied_);
-    DMIS_ASSERT_MSG(restored, "borrowed snapshot edge table fails validation");
-    removed_edges_.for_each([&scratch](std::uint64_t key) { (void)scratch.erase(key); });
-    edges_.for_each([&scratch](std::uint64_t key) { (void)scratch.insert(key); });
-    return scratch;
+  /// A materialized graph's edge table (a borrowed graph's holds only its
+  /// insert delta). The version-1 snapshot writer stores it verbatim.
+  [[nodiscard]] const util::FlatSet& edge_set() const {
+    DMIS_ASSERT_MSG(!borrowed(), "edge_set of a borrowed graph");
+    return edges_;
   }
 
+  /// The snapshot writer's per-node input, in one pass: alive[v] (0 or 1)
+  /// and neighbors[v] (left empty for dead ids) for every v < id_bound();
+  /// both spans are id_bound() long. A borrowed graph fills every base id
+  /// from the mapping, then lays its dirty records on top — one overlay
+  /// walk instead of an index probe per id. Defined in graph/snapshot.cpp.
+  void node_sections(std::span<std::uint8_t> alive,
+                     std::span<std::span<const NodeId>> neighbors) const;
+
   /// Bulk-rebuild a graph from a binary snapshot: adjacency records are
-  /// reassembled with memcpy from the CSR arrays and the edge table is
-  /// adopted verbatim — linear in bytes, no per-edge hashing. Defined in
-  /// graph/snapshot.cpp (needs the Snapshot layout); aborts on a snapshot
-  /// whose edge table fails FlatSet::restore validation.
+  /// reassembled with memcpy from the CSR arrays, and the edge table is
+  /// adopted verbatim (v1–v3) or hashed once per edge from the CSR (v4).
+  /// Defined in graph/snapshot.cpp (needs the Snapshot layout); aborts on a
+  /// v1–v3 snapshot whose edge table fails FlatSet::restore validation.
   [[nodiscard]] static DynamicGraph load(const Snapshot& snapshot);
 
   /// Serialize to a snapshot file (wrapper around graph::save_snapshot).
@@ -367,25 +353,17 @@ class DynamicGraph {
     return {rec.inline_slots, rec.size};
   }
 
-  /// Zero-copy probe of the mapped base edge table.
-  [[nodiscard]] bool base_has_edge(std::uint64_t key) const noexcept {
-    return util::FlatSet::probe_raw({base_ctrl_, base_edge_capacity_},
-                                    {base_keys_, base_edge_capacity_}, key);
-  }
-
-  /// sample_edge helper: slot i of the combined [base | delta] slot space;
-  /// accepts (filling `key`) iff it holds a currently-present edge.
-  [[nodiscard]] bool accept_slot(std::size_t i, std::uint64_t& key) const noexcept {
-    if (i < base_edge_capacity_) {
-      if (!util::FlatSet::is_full_slot(base_ctrl_[i])) return false;
-      if (removed_edges_.contains(base_keys_[i])) return false;
-      key = base_keys_[i];
-      return true;
-    }
-    const std::size_t j = i - base_edge_capacity_;
-    if (!util::FlatSet::is_full_slot(edges_.raw_ctrl()[j])) return false;
-    key = edges_.raw_keys()[j];
-    return true;
+  /// Base-edge membership: scan the shorter endpoint's mapped CSR list for
+  /// the other (ids past the base are overlay-only). Churn touches these
+  /// lines anyway, since the copy-on-write reads the same records.
+  [[nodiscard]] bool base_has_edge(NodeId u, NodeId v) const {
+    if (u >= base_bound_ || v >= base_bound_) return false;
+    check_base_node(u);
+    check_base_node(v);
+    if (base_offs_[u + 1] - base_offs_[u] > base_offs_[v + 1] - base_offs_[v])
+      std::swap(u, v);
+    const NodeId* end = base_nbrs_ + base_offs_[u + 1];
+    return std::find(base_nbrs_ + base_offs_[u], end, v) != end;
   }
 
   /// Heap record slot for v, for mutation: identity in materialized mode;
@@ -484,12 +462,8 @@ class DynamicGraph {
   const std::uint8_t* base_alive_ = nullptr;  // non-null iff borrowed
   const std::uint64_t* base_offs_ = nullptr;
   const NodeId* base_nbrs_ = nullptr;
-  const std::uint8_t* base_ctrl_ = nullptr;
-  const std::uint64_t* base_keys_ = nullptr;
   NodeId base_bound_ = 0;
   std::uint64_t base_edge_count_ = 0;
-  std::size_t base_edge_capacity_ = 0;
-  std::size_t base_edge_occupied_ = 0;
   util::FlatMap dirty_;          // node id → heap pool slot
   util::FlatSet removed_edges_;  // base keys shadowed by the overlay
   // One bit per base node; null when the base was deep-validated at open.

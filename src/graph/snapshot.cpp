@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "util/binary_io.hpp"
+#include "util/rng.hpp"
 
 namespace dmis::graph {
 
@@ -30,14 +31,15 @@ bool Snapshot::open(const std::string& path, std::string* error, bool force_read
     return fail("endianness mismatch (snapshot written on a different-endian host)");
   if (header_.version != kSnapshotVersion &&
       header_.version != kSnapshotVersionEngine &&
-      header_.version != kSnapshotVersionSharded)
+      header_.version != kSnapshotVersionSharded &&
+      header_.version != kSnapshotVersionTableFree)
     return fail("unsupported snapshot version " + std::to_string(header_.version));
   if (header_.file_size != file_.size())
     return fail("file size mismatch (truncated or trailing garbage)");
-  // v2 appends the engine-state extension header right after the frozen
-  // base header; v3 appends the shard table after that. Every section then
-  // starts past all the headers the claimed version carries.
-  const bool sharded = header_.version >= kSnapshotVersionSharded;
+  // v2 and v4 append the engine-state extension header right after the
+  // frozen base header; v3 appends the shard table after that. Every section
+  // then starts past all the headers the claimed version carries.
+  const bool sharded = header_.version == kSnapshotVersionSharded;
   const std::uint64_t header_end =
       sizeof(SnapshotHeader) +
       (has_engine_state() ? sizeof(SnapshotEngineExt) : std::uint64_t{0}) +
@@ -93,13 +95,21 @@ bool Snapshot::open(const std::string& path, std::string* error, bool force_read
     return fail("offsets section out of bounds");
   if (!section_ok(header_.neighbors_off, half_edges * sizeof(NodeId)))
     return fail("neighbors section out of bounds");
-  if (!section_ok(header_.edge_ctrl_off, header_.edge_capacity))
-    return fail("edge ctrl section out of bounds");
-  if (!section_ok(header_.edge_keys_off, header_.edge_capacity * 8))
-    return fail("edge keys section out of bounds");
-  if (header_.edge_count > header_.edge_occupied ||
-      header_.edge_occupied > header_.edge_capacity)
-    return fail("edge table counters inconsistent");
+  if (has_edge_table()) {
+    if (!section_ok(header_.edge_ctrl_off, header_.edge_capacity))
+      return fail("edge ctrl section out of bounds");
+    if (!section_ok(header_.edge_keys_off, header_.edge_capacity * 8))
+      return fail("edge keys section out of bounds");
+    if (header_.edge_count > header_.edge_occupied ||
+        header_.edge_occupied > header_.edge_capacity)
+      return fail("edge table counters inconsistent");
+  } else if (header_.edge_capacity != 0 || header_.edge_occupied != 0 ||
+             header_.edge_ctrl_off != 0 || header_.edge_keys_off != 0) {
+    // Zero, not merely empty: a v2 file relabeled v4 (same header end, so
+    // the alive pin passes) names a table and is rejected here, and a v4
+    // file relabeled v2 fails the table bounds above.
+    return fail("edge table fields not zero in a version-4 snapshot");
+  }
   if (has_engine_state()) {
     if (!section_ok(ext_.keys_off, bound * 8))
       return fail("priority key section out of bounds");
@@ -107,9 +117,9 @@ bool Snapshot::open(const std::string& path, std::string* error, bool force_read
       return fail("membership section out of bounds");
   }
   // O(1) edge-table capacity shape (full membership classification is the
-  // linear scan below): probe_raw and restore() both require a power-of-two
-  // capacity ≥ one group, and the occupancy ceiling is what bounds probe
-  // chains on a well-formed table.
+  // linear scan below): restore() requires a power-of-two capacity ≥ one
+  // group, and the occupancy ceiling is what bounds probe chains on a
+  // well-formed table. A v4 header passes trivially (all zero).
   if (header_.edge_capacity != 0 &&
       (header_.edge_capacity < 16 ||
        (header_.edge_capacity & (header_.edge_capacity - 1)) != 0))
@@ -157,7 +167,8 @@ bool Snapshot::open(const std::string& path, std::string* error, bool force_read
   // so load() cannot fail on any snapshot open() accepted: corrupt tables
   // are rejected with an error string instead of aborting inside the
   // engine constructors.
-  if (!util::FlatSet::validate_table_shape(
+  if (has_edge_table() &&
+      !util::FlatSet::validate_table_shape(
           edge_ctrl(), static_cast<std::size_t>(header_.edge_count),
           static_cast<std::size_t>(header_.edge_occupied)))
     return fail("edge table fails structural validation");
@@ -166,101 +177,93 @@ bool Snapshot::open(const std::string& path, std::string* error, bool force_read
 }
 
 bool Snapshot::verify(std::string* error) const {
-  if (!is_open()) {
-    set_error(error, "snapshot is not open");
+  const auto fail = [error](const char* message) {
+    set_error(error, message);
     return false;
-  }
-  const std::uint64_t checksum = util::fnv1a64(
-      file_.data() + sizeof(SnapshotHeader), file_.size() - sizeof(SnapshotHeader));
-  if (checksum != header_.payload_checksum) {
-    set_error(error, "payload checksum mismatch (corrupt snapshot)");
-    return false;
-  }
-  // Adopt the serialized edge table, then check it against the CSR: every
-  // adjacency pair must be a table hit with a reciprocal neighbor entry, and
-  // the table must contain nothing else (size == edge_count, each directed
-  // pair counted once per side).
-  util::FlatSet edges;
-  if (!edges.restore(edge_ctrl(), edge_keys(), static_cast<std::size_t>(edge_count()),
-                     static_cast<std::size_t>(edge_occupied()))) {
-    set_error(error, "edge table fails structural validation");
-    return false;
-  }
-  // Linear-time undirectedness check (a per-entry scan of the other
-  // endpoint's list would be quadratic on hubs). Each table key can only be
-  // produced by its two endpoints, so with the totals already validated at
-  // open (2·edge_count entries, edge_count table keys) it suffices that
-  // every entry's key is in the table and no node lists the same neighbor
-  // twice: each key then accounts for exactly two entries, one per side —
-  // i.e. the adjacency is symmetric.
+  };
+  if (!is_open()) return fail("snapshot is not open");
+  if (util::fnv1a64(file_.data() + sizeof(SnapshotHeader),
+                    file_.size() - sizeof(SnapshotHeader)) != header_.payload_checksum)
+    return fail("payload checksum mismatch (corrupt snapshot)");
+  // v1–v3 store the edge set twice; adopt the table so every adjacency
+  // pair can be checked against it (open() already pinned its size to
+  // edge_count).
+  util::FlatSet table;
+  if (has_edge_table() &&
+      !table.restore(edge_ctrl(), edge_keys(), static_cast<std::size_t>(edge_count()),
+                     static_cast<std::size_t>(edge_occupied())))
+    return fail("edge table fails structural validation");
+  // One sequential pass over the CSR checks structure, then semantics.
+  //
+  // Structure: an undirected simple graph. With no duplicate entry per
+  // list, the v<u entries and the v>u entries are two sets of edge keys;
+  // the CSR is symmetric iff they are equal, which the pass checks by their
+  // sizes (edge_count each, since open() pinned the total at 2·edge_count)
+  // and by equal sums of a 64-bit mix of the keys. Unequal sets pass only
+  // on a 64-bit collision — the odds the payload checksum already accepts —
+  // and a per-entry search of the other endpoint's list would be quadratic
+  // on hubs.
+  //
+  // Semantics (engine state): the persisted membership must be the greedy
+  // fixpoint of the persisted keys: v is a member iff no earlier-ordered
+  // live neighbor is. Greedy's output is the *unique* membership with that
+  // property (paper §3), so this proves the engine state equals what a
+  // cold start would recompute — the warm-start contract. The order
+  // mirrors core::priority_before (the strict total order on (key, id)
+  // pairs); the graph layer cannot include core, and the tie rule is part
+  // of the frozen format semantics now.
   const auto offs = csr_offsets();
   const auto nbrs = csr_neighbors();
+  const std::uint64_t* keys = has_engine_state() ? priority_keys().data() : nullptr;
+  const std::uint8_t* member = has_engine_state() ? membership_bytes().data() : nullptr;
+  const auto before = [keys](NodeId a, NodeId b) noexcept {
+    return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
+  };
   std::vector<NodeId> last_lister(id_bound(), kInvalidNode);
+  std::uint64_t lower_entries = 0;
+  std::uint64_t lower_sum = 0;
+  std::uint64_t upper_sum = 0;
+  bool off_fixpoint = false;
   for (NodeId v = 0; v < id_bound(); ++v) {
+    bool blocked = false;
     for (std::uint64_t i = offs[v]; i < offs[v + 1]; ++i) {
       const NodeId u = nbrs[static_cast<std::size_t>(i)];
-      if (u == v) {
-        set_error(error, "self-loop in adjacency");
-        return false;
-      }
-      if (!alive(u) || !edges.contains(edge_key(u, v))) {
-        set_error(error, "adjacency entry without a matching edge-table key");
-        return false;
-      }
-      if (last_lister[u] == v) {
-        set_error(error, "duplicate adjacency entry");
-        return false;
-      }
+      if (u == v) return fail("self-loop in adjacency");
+      if (!alive(u)) return fail("adjacency entry names a dead node");
+      if (last_lister[u] == v) return fail("duplicate adjacency entry");
       last_lister[u] = v;
+      std::uint64_t key = edge_key(u, v);
+      if (has_edge_table() && !table.contains(key))
+        return fail("adjacency entry without a matching edge-table key");
+      lower_entries += v < u ? 1 : 0;
+      (v < u ? lower_sum : upper_sum) += util::splitmix64(key);
+      if (member != nullptr) blocked |= member[u] != 0 && before(u, v);
     }
+    if (member != nullptr && alive(v)) off_fixpoint |= (member[v] != 0) == blocked;
   }
-  if (has_engine_state()) {
-    // The persisted membership must be the greedy fixpoint of the persisted
-    // keys: v is a member iff no earlier-ordered live neighbor is. Greedy's
-    // output is the *unique* membership with that property (paper §3), so
-    // this one O(n + m) pass proves the engine state equals what a cold
-    // start would recompute — the warm-start contract.
-    const auto keys = priority_keys();
-    const auto member = membership_bytes();
-    // Mirrors core::priority_before (the strict total order on (key, id)
-    // pairs); the graph layer cannot include core, and the tie rule is part
-    // of the frozen format semantics now.
-    const auto before = [](std::uint64_t ka, NodeId a, std::uint64_t kb,
-                           NodeId b) noexcept {
-      return ka != kb ? ka < kb : a < b;
-    };
-    for (NodeId v = 0; v < id_bound(); ++v) {
-      if (!alive(v)) continue;
-      bool blocked = false;
-      for (const NodeId u : neighbors(v))
-        blocked |= member[u] != 0 && before(keys[u], u, keys[v], v);
-      if ((member[v] != 0) == blocked) {
-        set_error(error,
-                  "persisted membership is not the greedy fixpoint of the "
-                  "persisted priority keys");
-        return false;
-      }
-    }
-  }
+  if (lower_entries != edge_count() || lower_sum != upper_sum)
+    return fail("adjacency is not symmetric");
+  if (off_fixpoint)
+    return fail(
+        "persisted membership is not the greedy fixpoint of the persisted priority keys");
   return true;
 }
 
 namespace {
 
-/// Compute the header (and, for v2, the extension header) a save will
+/// Compute the header (and, for v4, the extension header) a save will
 /// write: section offsets, counts, file size — everything except the
 /// payload checksum, which only exists once the payload has streamed.
-void layout_snapshot(const DynamicGraph& g, const util::FlatSet& edges,
+/// Exactly one of `edges` (v1: the table to store) and `state` (v4) is set.
+void layout_snapshot(const DynamicGraph& g, const util::FlatSet* edges,
                      const EngineStateView* state, SnapshotHeader* header,
                      SnapshotEngineExt* ext) {
   std::memcpy(header->magic, kSnapshotMagic, sizeof(kSnapshotMagic));
-  header->version = state == nullptr ? kSnapshotVersion : kSnapshotVersionEngine;
+  header->version = state == nullptr ? kSnapshotVersion : kSnapshotVersionTableFree;
   header->endian_tag = kSnapshotEndianTag;
   header->id_bound = g.id_bound();
   header->node_count = g.node_count();
   header->edge_count = g.edge_count();
-  header->edge_capacity = edges.capacity();
-  header->edge_occupied = edges.occupied();
 
   if (state != nullptr) {
     DMIS_ASSERT_MSG(state->keys.size() <= header->id_bound &&
@@ -280,10 +283,14 @@ void layout_snapshot(const DynamicGraph& g, const util::FlatSet& edges,
   off = pad8(off + (static_cast<std::uint64_t>(header->id_bound) + 1) * 8);
   header->neighbors_off = off;
   off = pad8(off + 2 * header->edge_count * sizeof(NodeId));
-  header->edge_ctrl_off = off;
-  off = pad8(off + header->edge_capacity);
-  header->edge_keys_off = off;
-  off = pad8(off + header->edge_capacity * 8);
+  if (edges != nullptr) {
+    header->edge_capacity = edges->capacity();
+    header->edge_occupied = edges->occupied();
+    header->edge_ctrl_off = off;
+    off = pad8(off + header->edge_capacity);
+    header->edge_keys_off = off;
+    off = pad8(off + header->edge_capacity * 8);
+  }
   if (state != nullptr) {
     ext->keys_off = off;
     off = pad8(off + static_cast<std::uint64_t>(header->id_bound) * 8);
@@ -293,10 +300,9 @@ void layout_snapshot(const DynamicGraph& g, const util::FlatSet& edges,
   header->file_size = off;
 }
 
-/// The graph's per-node sections, read once per save: a borrowed graph
-/// answers each per-node query through its overlay index, and both passes
-/// of util::save_staged walk every node. 17 bytes per id, freed when the
-/// save returns.
+/// The graph's per-node sections, read once per save (DynamicGraph::
+/// node_sections): both passes of util::save_staged walk every node. 17
+/// bytes per id, freed when the save returns.
 struct NodeSections {
   std::vector<std::uint8_t> alive;
   std::vector<std::span<const NodeId>> neighbors;  // empty for dead ids
@@ -305,7 +311,7 @@ struct NodeSections {
 /// Stream the checksummed payload (everything after SnapshotHeader) through
 /// `w` — either pass of util::save_staged.
 template <class Sink>
-bool stream_snapshot_payload(const NodeSections& nodes, const util::FlatSet& edges,
+bool stream_snapshot_payload(const NodeSections& nodes, const util::FlatSet* edges,
                              const SnapshotHeader& header,
                              const SnapshotEngineExt* ext,
                              const EngineStateView* state, Sink& w) {
@@ -323,8 +329,11 @@ bool stream_snapshot_payload(const NodeSections& nodes, const util::FlatSet& edg
   for (std::size_t v = 0; ok && v < nodes.neighbors.size(); ++v)
     ok = w.write(nodes.neighbors[v].data(), nodes.neighbors[v].size_bytes());
   ok = ok && w.align8();
-  ok = ok && w.write(edges.raw_ctrl().data(), edges.raw_ctrl().size()) && w.align8();
-  ok = ok && w.write(edges.raw_keys().data(), edges.raw_keys().size_bytes()) && w.align8();
+  if (edges != nullptr) {
+    ok = ok && w.write(edges->raw_ctrl().data(), edges->raw_ctrl().size()) && w.align8();
+    ok = ok && w.write(edges->raw_keys().data(), edges->raw_keys().size_bytes()) &&
+         w.align8();
+  }
   if (state != nullptr) {
     // Zero-pad short spans to id_bound: a trailing id without an entry is a
     // dead id that never drew a priority (see EngineStateView).
@@ -343,23 +352,28 @@ bool stream_snapshot_payload(const NodeSections& nodes, const util::FlatSet& edg
 }
 
 /// The writer body of every overload: version 1 when `state` is null,
-/// version 2 otherwise, published crash-safe by util::save_staged.
+/// version 4 otherwise, published crash-safe by util::save_staged.
 bool write_snapshot(const DynamicGraph& g, const EngineStateView* state,
                     const std::string& path, const util::FileFactory& factory,
                     std::string* error) {
+  // Only the frozen v1 layout stores an edge table: a materialized graph's
+  // own, referenced with no copy, or — a borrowed graph holds only deltas
+  // over its base CSR — one built from its edges.
+  util::FlatSet built;
+  const util::FlatSet* edges = nullptr;
+  if (state == nullptr && g.borrowed()) {
+    built.reserve(g.edge_count());
+    g.for_each_edge([&built](NodeId u, NodeId v) { (void)built.insert(edge_key(u, v)); });
+    edges = &built;
+  } else if (state == nullptr) {
+    edges = &g.edge_set();
+  }
   SnapshotHeader header{};
   SnapshotEngineExt ext{};
-  // A borrowed graph's edge table is merged (base + overlay) into the
-  // scratch here; a materialized graph's is referenced directly, no copy.
-  util::FlatSet merged_scratch;
-  const util::FlatSet& edges = g.merged_edge_set(merged_scratch);
   layout_snapshot(g, edges, state, &header, &ext);
   NodeSections nodes{std::vector<std::uint8_t>(g.id_bound(), 0),
                      std::vector<std::span<const NodeId>>(g.id_bound())};
-  g.for_each_node([&](NodeId v) {
-    nodes.alive[v] = 1;
-    nodes.neighbors[v] = g.neighbors(v);
-  });
+  g.node_sections(nodes.alive, nodes.neighbors);
   return util::save_staged(
       path, header,
       [&](auto& w) { return stream_snapshot_payload(nodes, edges, header, &ext, state, w); },
@@ -388,10 +402,13 @@ DynamicGraph DynamicGraph::load(const Snapshot& snapshot) {
   // Raw-pointer walk of the mapped arrays (open() already bounds-checked
   // them). Records are assembled in a stack-resident cache line and pushed
   // once — resize() + patch would zero all 64 MB/million nodes first and
-  // then rewrite most of it, and this loop runs at memory bandwidth.
+  // then rewrite most of it. A v4 file stores no edge table, so the same
+  // walk hashes each edge once, from its lower endpoint's list.
   const std::uint64_t* offs = snapshot.csr_offsets().data();
   const NodeId* nbrs = snapshot.csr_neighbors().data();
   const std::uint8_t* alive = snapshot.alive_bytes().data();
+  const bool rebuild = !snapshot.has_edge_table();
+  if (rebuild) g.edges_.reserve(static_cast<std::size_t>(snapshot.edge_count()));
   for (NodeId v = 0; v < bound; ++v) {
     AdjRecord rec;
     const std::uint64_t begin = offs[v];
@@ -405,13 +422,18 @@ DynamicGraph DynamicGraph::load(const Snapshot& snapshot) {
       std::memcpy(rec.inline_slots, nbrs + begin, deg * sizeof(NodeId));
     }
     g.adjacency_.push_back(rec);
+    if (rebuild)
+      for (std::uint64_t i = begin; i < begin + deg; ++i)
+        if (v < nbrs[i]) (void)g.edges_.insert(edge_key(v, nbrs[i]));
   }
   g.bound_ = bound;
-  const bool restored = g.edges_.restore(
-      snapshot.edge_ctrl(), snapshot.edge_keys(),
-      static_cast<std::size_t>(snapshot.edge_count()),
-      static_cast<std::size_t>(snapshot.edge_occupied()));
-  DMIS_ASSERT_MSG(restored, "snapshot edge table fails validation");
+  if (!rebuild) {
+    const bool restored = g.edges_.restore(
+        snapshot.edge_ctrl(), snapshot.edge_keys(),
+        static_cast<std::size_t>(snapshot.edge_count()),
+        static_cast<std::size_t>(snapshot.edge_occupied()));
+    DMIS_ASSERT_MSG(restored, "snapshot edge table fails validation");
+  }
   return g;
 }
 
@@ -424,13 +446,9 @@ DynamicGraph DynamicGraph::borrow(std::shared_ptr<const Snapshot> snapshot) {
   g.base_alive_ = s.alive_bytes().data();
   g.base_offs_ = s.csr_offsets().data();
   g.base_nbrs_ = s.csr_neighbors().data();
-  g.base_ctrl_ = s.edge_ctrl().data();
-  g.base_keys_ = s.edge_keys().data();
   g.base_bound_ = s.id_bound();
   g.bound_ = s.id_bound();
   g.base_edge_count_ = s.edge_count();
-  g.base_edge_capacity_ = s.edge_ctrl().size();
-  g.base_edge_occupied_ = static_cast<std::size_t>(s.edge_occupied());
   g.node_count_ = s.node_count();
   if (!s.deep_validated() && g.base_bound_ > 0) {
     // Shallow-opened base: arm the lazy per-node CSR guards (one bit per
@@ -440,6 +458,30 @@ DynamicGraph DynamicGraph::borrow(std::shared_ptr<const Snapshot> snapshot) {
     g.base_checked_.reset(new std::atomic<std::uint64_t>[words]());
   }
   return g;
+}
+
+void DynamicGraph::node_sections(std::span<std::uint8_t> alive,
+                                 std::span<std::span<const NodeId>> neighbors) const {
+  DMIS_ASSERT(alive.size() == bound_ && neighbors.size() == bound_);
+  if (!borrowed()) {
+    for (NodeId v = 0; v < bound_; ++v) {
+      alive[v] = adjacency_[v].alive;
+      if (alive[v] != 0) neighbors[v] = record_span(v);
+    }
+    return;
+  }
+  for (NodeId v = 0; v < base_bound_; ++v) {
+    alive[v] = base_alive_[v];
+    if (alive[v] == 0) continue;
+    check_base_node(v);
+    const std::uint64_t begin = base_offs_[v];
+    neighbors[v] = {base_nbrs_ + begin, static_cast<std::size_t>(base_offs_[v + 1] - begin)};
+  }
+  dirty_.for_each([&](std::uint64_t v, std::uint64_t slot) {
+    alive[v] = adjacency_[static_cast<std::size_t>(slot)].alive;
+    neighbors[v] = alive[v] != 0 ? record_span(static_cast<std::size_t>(slot))
+                                 : std::span<const NodeId>{};
+  });
 }
 
 bool DynamicGraph::save(const std::string& path, std::string* error) const {

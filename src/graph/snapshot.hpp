@@ -6,34 +6,32 @@
 // mmap + a handful of bulk copies, so Theorem 7-scale workloads become
 // reproducible on-disk artifacts that CI can afford to load. The format is
 // CSR-style and mirrors DynamicGraph's in-memory layout closely enough that
-// DynamicGraph::load is pure linear memcpy work:
+// DynamicGraph::load is linear work over the mapped arrays:
 //
 //   [SnapshotHeader]                fixed 104 bytes, validated on open
 //   [SnapshotEngineExt]             fixed 64 bytes, version >= 2 only
-//   [SnapshotShardExt]              fixed 128 bytes, version >= 3 only
+//   [SnapshotShardExt]              fixed 128 bytes, version 3 only
 //   [alive]     id_bound  × u8     1 = live node, 0 = deleted id
 //   [offsets]   id_bound+1 × u64   CSR offsets into [neighbors]; off[0] = 0,
 //                                  off[id_bound] = 2·edge_count, monotone
 //   [neighbors] 2·edge_count × u32 concatenated adjacency lists
-//   [edge ctrl] edge_capacity × u8 util::FlatSet control bytes, verbatim
-//   [edge keys] edge_capacity × u64 util::FlatSet key slots, verbatim
+//   [edge ctrl] edge_capacity × u8 v1–v3: util::FlatSet control bytes
+//   [edge keys] edge_capacity × u64 v1–v3: util::FlatSet key slots
 //   [prio keys] id_bound × u64     version >= 2: per-node priority keys
 //   [membership] id_bound × u8     version >= 2: 1 = MIS member
 //
-// Version 1 (graph-only) is frozen; version 2 appends the engine-state
+// Version 1 (graph-only) is frozen; version 2 appended the engine-state
 // sections — per-node 64-bit priority keys plus the MIS membership bytes —
 // located by offsets in the SnapshotEngineExt header that immediately
 // follows the frozen 104-byte base header. Because the greedy-by-priority
 // MIS is the unique fixpoint of the node priorities (paper §3), those two
 // arrays ARE the complete engine state: a CascadeEngine that adopts them
 // warm (its snapshot constructor, graph::SnapshotLoad) restarts with zero
-// greedy-recompute work. v2 readers cold-start v1 files; v1 readers reject
-// v2 files because they need the base-header version check to vouch for
-// the bytes they map (see docs/FORMATS.md for the negotiation rules).
-// Version 3 inserts one more fixed header (SnapshotShardExt) carrying a
-// node-range shard table; every section's contents stay byte-identical to
-// v2. v3 is read-only: open() still accepts and validates it, no writer
-// emits it, and nothing consumes the shard table.
+// greedy-recompute work. Version 3 inserted a node-range shard table
+// (SnapshotShardExt). Version 4 is v2 without the edge table, which only
+// repeated the CSR's edge set (47% of a v2 file). The graph-only save
+// writes v1 and every engine save v4; v2 and v3 are read-only (see
+// docs/FORMATS.md for the negotiation rules).
 //
 // Sections are 8-byte aligned (writer pads with zeros) so the reader can
 // hand out properly aligned spans straight into the mapped file. All
@@ -42,10 +40,11 @@
 // docs/FORMATS.md for the full rules). Open validates structure — magic,
 // version, endianness, section bounds, CSR monotonicity, alive/node-count
 // agreement, membership bytes boolean and zero on dead ids — in one cheap
-// pass; verify() additionally checks the payload checksum, the adjacency ↔
-// edge-table consistency, and (v2) that the persisted membership is the
-// greedy fixpoint of the persisted keys (the deep check the dmis_snapshot
-// CLI runs).
+// pass; verify() additionally checks the payload checksum, that the CSR
+// describes an undirected simple graph (and, for v1–v3, the same edge set
+// as the stored table), and (engine state) that the persisted membership is
+// the greedy fixpoint of the persisted keys (the deep check recovery and
+// the dmis_snapshot CLI run).
 //
 // Every save_snapshot overload publishes through util::save_staged
 // (util/binary_io.hpp): a crash mid-save leaves the old file plus at most
@@ -67,14 +66,16 @@ inline constexpr char kSnapshotMagic[8] = {'D', 'M', 'I', 'S', 'S', 'N', 'A', 'P
 /// Graph-only layout (frozen).
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 /// Graph + engine-state layout (v1 sections + SnapshotEngineExt + keys +
-/// membership). save_snapshot without engine state still writes version 1,
-/// byte-identical to the frozen format.
+/// membership). Read-only: accepted and validated, no longer written.
 inline constexpr std::uint32_t kSnapshotVersionEngine = 2;
 /// v2 + SnapshotShardExt: a node-range shard table once used for parallel
 /// warm loads (section contents are byte-identical to v2 — the shard table
 /// only inserts a third fixed header, per the FORMATS.md append-only
 /// versioning rules). Read-only: accepted and validated, never written.
 inline constexpr std::uint32_t kSnapshotVersionSharded = 3;
+/// v2 without the edge table (edge_capacity, edge_occupied, edge_ctrl_off
+/// and edge_keys_off all 0): what every engine save writes.
+inline constexpr std::uint32_t kSnapshotVersionTableFree = 4;
 /// Upper bound on v3 shard counts (the shard table is fixed-size).
 inline constexpr std::uint32_t kSnapshotMaxShards = 16;
 /// Written as the native u32 0x01020304; a reader on a different-endian host
@@ -101,7 +102,7 @@ struct SnapshotHeader {
 };
 static_assert(sizeof(SnapshotHeader) == 104, "snapshot header layout is frozen");
 
-/// Version-2 extension header, immediately after the frozen base header.
+/// Engine-state extension header (v2–v4), after the frozen base header.
 /// Part of the checksummed payload (payload_checksum covers [104, file_size)
 /// in every version). New engine-state fields append here — bump the version
 /// and grow this struct rather than touching SnapshotHeader.
@@ -131,7 +132,7 @@ struct SnapshotShardExt {
 };
 static_assert(sizeof(SnapshotShardExt) == 128, "shard header layout is frozen");
 
-/// Engine state handed to the v2 writer: spans sized at most id_bound
+/// Engine state handed to the v4 writer: spans sized at most id_bound
 /// (shorter spans are zero-padded — trailing ids then carry key 0 and
 /// membership 0, which only ever happens for dead ids that never drew a
 /// priority). core/engine_snapshot.hpp builds these from live engines.
@@ -145,8 +146,8 @@ struct EngineStateView {
 /// How much of a snapshot open() validates before accepting it.
 enum class SnapshotValidation : std::uint8_t {
   /// Header + section bounds + one linear pass over the CSR/alive/membership
-  /// arrays + edge-table shape scan (the default, and the only mode fuzzed
-  /// inputs should ever get): every accessor is then memory-safe and
+  /// arrays + (v1–v3) edge-table shape scan (the default, and the only mode
+  /// fuzzed inputs should ever get): every accessor is then memory-safe and
   /// DynamicGraph::load cannot be driven out of bounds.
   kFull,
   /// O(1) checks only — header fields, section bounds, the CSR end-pins and
@@ -223,7 +224,7 @@ class Snapshot {
   }
   [[nodiscard]] const SnapshotHeader& header() const noexcept { return header_; }
 
-  /// True when the snapshot carries the v2 engine-state sections (persisted
+  /// True when the snapshot carries the engine-state sections (persisted
   /// priority keys + membership). The accessors below require it.
   [[nodiscard]] bool has_engine_state() const noexcept {
     return header_.version >= kSnapshotVersionEngine;
@@ -249,19 +250,29 @@ class Snapshot {
   /// Shard count of a v3 file's (validated, otherwise unused) shard table;
   /// pre-v3 snapshots report a single shard.
   [[nodiscard]] std::uint32_t shard_count() const noexcept {
-    return header_.version >= kSnapshotVersionSharded
+    return header_.version == kSnapshotVersionSharded
                ? static_cast<std::uint32_t>(shard_.shard_count)
                : 1U;
   }
 
-  /// Deep integrity check (full pass over the file): payload checksum, edge
-  /// table ↔ CSR agreement (every adjacency pair present in the table with a
-  /// reciprocal neighbor entry, table size == edge_count), degree sanity,
-  /// and — when engine state is present — that the persisted membership is
-  /// exactly the greedy fixpoint of the persisted priority keys (a warm
-  /// start from a verified snapshot therefore needs zero repair work).
-  /// open() already guarantees structural safety; this guarantees the data
-  /// actually describes an undirected graph (+ a valid engine state).
+  /// True for versions 1–3, which store the edge set a second time as a
+  /// verbatim util::FlatSet image; a v4 file's edge set is its CSR alone.
+  [[nodiscard]] bool has_edge_table() const noexcept {
+    return header_.version != kSnapshotVersionTableFree;
+  }
+
+  /// Deep integrity check, one sequential pass over the file: payload
+  /// checksum; an undirected simple CSR (no self-loops, no entries naming
+  /// dead nodes, no duplicate entries, and the v<u entries — edge_count of
+  /// them — are the v>u entries mirrored, checked by equal sums of a 64-bit
+  /// mix of edge_key on both sides, so an asymmetric CSR passes only on a
+  /// 64-bit collision, the odds the checksum already accepts); for v1–v3,
+  /// every adjacency pair present in the stored table; and — when engine
+  /// state is present — that the persisted membership is exactly the greedy
+  /// fixpoint of the persisted priority keys (a warm start from a verified
+  /// snapshot therefore needs zero repair work). open() already guarantees
+  /// structural safety; this guarantees the data actually describes an
+  /// undirected graph (+ a valid engine state).
   [[nodiscard]] bool verify(std::string* error = nullptr) const;
 
  private:
@@ -273,7 +284,7 @@ class Snapshot {
   util::MmapFile file_;
   SnapshotHeader header_{};
   SnapshotEngineExt ext_{};    // zero unless header_.version >= 2
-  SnapshotShardExt shard_{};   // zero unless header_.version >= 3
+  SnapshotShardExt shard_{};   // zero unless header_.version == 3
   bool deep_validated_ = false;
 };
 
@@ -282,7 +293,7 @@ class Snapshot {
 bool save_snapshot(const DynamicGraph& g, const std::string& path,
                    std::string* error = nullptr);
 
-/// Write `g` plus engine state as a version-2 snapshot. The engine calls
+/// Write `g` plus engine state as a version-4 snapshot. The engine calls
 /// this through core::save_snapshot (core/engine_snapshot.hpp), which
 /// extracts the spans; the writer zero-pads short spans to id_bound and
 /// computes mis_size itself. The staging file is opened through `factory`

@@ -1,4 +1,4 @@
-// Checkpointer — periodic v2 engine snapshots that bound the WAL tail.
+// Checkpointer — periodic v4 engine snapshots that bound the WAL tail.
 //
 // A checkpoint at lsn L is a complete engine state (graph + priority keys
 // + membership + RNG state — the greedy fixpoint property makes those

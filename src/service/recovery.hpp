@@ -2,17 +2,18 @@
 // and the log-shipping follower (service/replication.hpp) both rebuild a
 // CascadeEngine from a directory the same way, and the result is
 // *differentially identical* to the leader's engine at the same lsn: same
-// graph, membership and priority keys, and — because the v2 snapshot
+// graph, membership and priority keys, and — because an engine snapshot
 // persists the priority RNG state and warm start draws nothing — the same
 // draw stream for every future add-node. A recovered replica or promoted
 // follower behaves bit-for-bit like a process that never crashed
 // (tests/test_kill9_recovery.cpp, tests/test_replication.cpp).
 //
 // Checkpoint ladder (warm): checkpoints past the applied lsn, newest
-// first; the first that opens, has engine state (v2+) and passes the
-// payload checksum wins, each reject is logged. It is borrowed (graph
-// reads the mapping in place) or loaded, then adopted with
-// SnapshotLoad::kWarm — zero recompute. No checkpoint: cold, lsn 0.
+// first; the first that opens, has engine state (v2+) and passes
+// verify() (payload checksum, undirected CSR, greedy fixpoint) wins, each
+// reject is logged. It is borrowed (graph reads the mapping in place) or
+// loaded, then adopted with SnapshotLoad::kWarm — zero recompute. No
+// checkpoint: cold, lsn 0.
 //
 // WAL chain (catch_up): open the segment holding the applied lsn (highest
 // base_lsn ≤ lsn, ties to the higher seq) and apply every later record

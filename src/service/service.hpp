@@ -3,7 +3,7 @@
 //
 // This is the serving shape the ROADMAP's first open item names (WAL +
 // snapshot log-shipping with measured recovery), and it closes the loop
-// the durability PRs opened: snapshot v2 is a complete engine checkpoint,
+// the durability PRs opened: an engine snapshot is a complete checkpoint,
 // the WAL is the op stream between checkpoints, and opening a service
 // directory *is* recovery — there is no separate "clean open" path whose
 // bugs only surface after a crash.

@@ -2,7 +2,7 @@
 // half of the crash-safe dynamic-MIS service (service/service.hpp,
 // docs/FORMATS.md "Write-ahead log").
 //
-// Why a WAL at all: a v2 snapshot (graph/snapshot.hpp) is a complete
+// Why a WAL at all: an engine snapshot (graph/snapshot.hpp) is a complete
 // engine checkpoint, but writing one per update would cost O(n) per op.
 // The paper's whole point is expected O(1) adjustments per change, so the
 // durability path must be O(change) too: append the op itself, fsync, ack.

@@ -184,51 +184,17 @@ class FlatSet {
     return false;  // unreachable: size_ > 0
   }
 
-  // --- verbatim (de)serialization, used by the graph snapshot format ---
-  // The table layout is a pure function of its control/key arrays, so a
-  // snapshot stores both verbatim and restore() adopts them with no
+  // --- verbatim (de)serialization, used by snapshot versions 1–3 ---
+  // The table layout is a pure function of its control/key arrays, so those
+  // snapshot versions store both verbatim and restore() adopts them with no
   // rehashing: loading a million-edge table is two memcpys, not a million
-  // hashed inserts. raw_ctrl()/raw_keys() expose the arrays for the writer.
+  // hashed inserts. raw_ctrl()/raw_keys() expose the arrays for the v1
+  // writer.
 
   [[nodiscard]] std::span<const std::uint8_t> raw_ctrl() const noexcept { return ctrl_; }
   [[nodiscard]] std::span<const std::uint64_t> raw_keys() const noexcept { return keys_; }
   /// Full + tombstone slots (the 7/8 occupancy invariant's left-hand side).
   [[nodiscard]] std::size_t occupied() const noexcept { return occupied_; }
-
-  /// True when a raw control byte marks a key-bearing slot (public so a
-  /// serialized table can be scanned in place — borrowed-mode DynamicGraph
-  /// iterates a snapshot's mapped edge table without adopting it).
-  [[nodiscard]] static constexpr bool is_full_slot(std::uint8_t c) noexcept {
-    return is_full(c);
-  }
-
-  /// Membership probe over a *serialized* table (raw_ctrl/raw_keys pair)
-  /// without adopting it — the zero-copy read path for a mapped snapshot's
-  /// edge table. Identical probe sequence to contains(), but the group scan
-  /// is bounded by the group count, so a corrupt control array (no empty
-  /// slot anywhere) terminates with "absent" instead of spinning; callers
-  /// that validated the table with validate_table_shape() never hit the
-  /// bound. `ctrl`/`keys` must be same-length with a capacity shape
-  /// accepted by validate_table_shape (power of two ≥ 16, or empty).
-  [[nodiscard]] static bool probe_raw(std::span<const std::uint8_t> ctrl,
-                                      std::span<const std::uint64_t> keys,
-                                      std::uint64_t key) noexcept {
-    if (ctrl.empty()) return false;
-    const std::size_t group_mask = ctrl.size() / kGroupSize - 1;
-    const std::uint64_t h = mix(key);
-    const std::uint8_t h2 = to_h2(h);
-    std::size_t g = (static_cast<std::size_t>(h >> 7)) & group_mask;
-    for (std::size_t scanned = 0; scanned <= group_mask; ++scanned) {
-      const std::uint8_t* group = ctrl.data() + g * kGroupSize;
-      for (std::uint64_t m = match(group, h2); m != 0; m &= m - 1) {
-        const std::size_t i = g * kGroupSize + slot_of(m);
-        if (keys[i] == key) return true;
-      }
-      if (match(group, kEmpty) != 0) return false;
-      g = (g + 1) & group_mask;
-    }
-    return false;  // corrupt table: no empty slot on the whole probe ring
-  }
 
   /// Validate a serialized control array without adopting it: capacity
   /// shape (0, or a power of two >= kGroupSize), the 7/8 occupancy ceiling
@@ -238,8 +204,8 @@ class FlatSet {
   /// side; graph::Snapshot::open() calls it so a snapshot it accepts can
   /// never fail restore() later. Whether the keys are the *right* keys is
   /// a consistency question the caller owns (graph::Snapshot::verify()
-  /// cross-checks every adjacency pair against the adopted table and the
-  /// payload checksum).
+  /// checks every adjacency pair against the adopted table, and the payload
+  /// checksum).
   [[nodiscard]] static bool validate_table_shape(std::span<const std::uint8_t> ctrl,
                                                  std::size_t expected_size,
                                                  std::size_t expected_occupied) noexcept {

@@ -92,6 +92,15 @@ GraphOp TraceGenerator::emit_remove_edge(NodeId u, NodeId v, bool abrupt) {
 }
 
 GraphOp ChurnGenerator::next() {
+  // A drawn kind that cannot apply here is re-drawn, so at least one kind
+  // with weight must be able to apply, or the loop would never return.
+  const std::uint64_t n = g_.node_count();
+  DMIS_ASSERT_MSG(config_.p_add_node > 0 || (config_.p_remove_node > 0 && n > 1) ||
+                      (config_.p_remove_edge > 0 && g_.edge_count() > 0) ||
+                      (config_.p_add_edge > 0 && g_.edge_count() < n * (n - 1) / 2),
+                  "ChurnGenerator: no op kind in the mix can apply to the graph");
+  const double edge_ops = config_.p_add_edge + config_.p_remove_edge;
+  const double total = edge_ops + config_.p_add_node + config_.p_remove_node;
   for (;;) {
     const double roll = rng_.real01();
     if (roll < config_.p_add_edge) {
@@ -100,13 +109,13 @@ GraphOp ChurnGenerator::next() {
       if (!random_non_edge(u, v)) continue;
       return emit_add_edge(u, v);
     }
-    if (roll < config_.p_add_edge + config_.p_remove_edge) {
+    if (roll < edge_ops) {
       NodeId u = 0;
       NodeId v = 0;
       if (!random_edge(u, v)) continue;
       return emit_remove_edge(u, v, rng_.chance(config_.p_abrupt));
     }
-    if (roll < config_.p_add_edge + config_.p_remove_edge + config_.p_add_node) {
+    if (roll < edge_ops + config_.p_add_node) {
       std::vector<NodeId> neighbors;
       for (std::uint32_t i = 0; i < config_.attach_degree && live_count() > 0; ++i) {
         const NodeId candidate = random_node();
@@ -116,6 +125,8 @@ GraphOp ChurnGenerator::next() {
       }
       return emit_add_node(std::move(neighbors), rng_.chance(config_.p_unmute));
     }
+    // Past the mix total (a mix summing below 1): draw again.
+    if (roll >= total) continue;
     if (g_.node_count() <= 1) continue;  // keep the graph non-trivial
     // Two rng_ draws: sequence them explicitly (argument evaluation order
     // would be unspecified) so the draw stream — and with it every committed

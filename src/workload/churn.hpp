@@ -109,6 +109,10 @@ class TraceGenerator {
   std::vector<std::size_t> pos_;  // id → position in live_
 };
 
+/// The op mix. Each op draws a kind with these weights; a draw past their
+/// sum (a mix summing below 1) and a kind that cannot apply (no edge to
+/// remove, no non-edge found, one node left to remove) are drawn again, and
+/// next() aborts when no kind with weight can apply at all.
 struct ChurnConfig {
   double p_add_edge = 0.35;
   double p_remove_edge = 0.35;

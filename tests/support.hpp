@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -23,6 +25,8 @@
 #include "core/cascade_engine.hpp"
 #include "core/identity.hpp"
 #include "graph/generators.hpp"
+#include "graph/snapshot.hpp"
+#include "util/binary_io.hpp"
 #include "util/rng.hpp"
 #include "workload/batched.hpp"
 #include "workload/churn.hpp"
@@ -62,6 +66,53 @@ inline void write_bytes(const std::string& path, const std::vector<std::uint8_t>
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os.write(reinterpret_cast<const char*>(bytes.data()),
            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Recompute a snapshot's payload checksum (FNV-1a 64 over [104, size),
+/// stored at header offset 96) after an edit, so only the structural checks
+/// of open() and verify() can reject it.
+inline void reseal_snapshot(std::vector<std::uint8_t>& bytes) {
+  const std::size_t header = sizeof(graph::SnapshotHeader);
+  const std::uint64_t sum = util::fnv1a64(bytes.data() + header, bytes.size() - header);
+  std::memcpy(bytes.data() + offsetof(graph::SnapshotHeader, payload_checksum), &sum,
+              sizeof sum);
+}
+
+/// Redirect one adjacency entry of the snapshot at `path` — the first entry
+/// of the first live node from id_bound / 2 on that has one — to the
+/// lowest live id the node is not adjacent to, and reseal the checksum.
+/// open() accepts the result (every id stays in range); only verify()'s
+/// symmetry check can reject it.
+inline void redirect_one_neighbor(const std::string& path) {
+  std::vector<std::uint8_t> bytes = read_bytes(path);
+  graph::SnapshotHeader h{};
+  std::memcpy(&h, bytes.data(), sizeof h);
+  const auto offset = [&](graph::NodeId v) {
+    std::uint64_t off = 0;
+    std::memcpy(&off, bytes.data() + h.offsets_off + 8 * std::uint64_t{v}, sizeof off);
+    return off;
+  };
+  const auto entry = [&](std::uint64_t i) { return h.neighbors_off + 4 * i; };
+  const auto live = [&](graph::NodeId v) { return bytes[h.alive_off + v] != 0; };
+  graph::NodeId victim = h.id_bound / 2;
+  while (victim < h.id_bound && (!live(victim) || offset(victim + 1) == offset(victim)))
+    ++victim;
+  ASSERT_LT(victim, h.id_bound) << path << ": no live node with a neighbor";
+  const auto adjacent = [&](graph::NodeId w) {
+    for (std::uint64_t i = offset(victim); i < offset(victim + 1); ++i) {
+      graph::NodeId u = 0;
+      std::memcpy(&u, bytes.data() + entry(i), sizeof u);
+      if (u == w) return true;
+    }
+    return false;
+  };
+  graph::NodeId target = 0;
+  while (target < h.id_bound && (target == victim || !live(target) || adjacent(target)))
+    ++target;
+  ASSERT_LT(target, h.id_bound) << path << ": node " << victim << " is adjacent to all";
+  std::memcpy(bytes.data() + entry(offset(victim)), &target, sizeof target);
+  reseal_snapshot(bytes);
+  write_bytes(path, bytes);
 }
 
 /// The service suites' drill stream (workload::drill_stream at n = 120).

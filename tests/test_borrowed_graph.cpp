@@ -6,16 +6,20 @@
 // DynamicGraph::load materializes from the same file, under every query and
 // under arbitrary further mutation (the copy-on-write overlay). The checks
 // are differential: drive a borrowed graph and its materialized twin through
-// the same seeded op stream and require equality throughout, then push the
-// state through write-back (save of a borrowed graph streams the base table
-// from the mapping and merges the overlay) and require the round-tripped
+// the same seeded op stream and require equality throughout — over a v1
+// base (stored edge table, which only the materialized load reads) and a v4
+// base (no table; the load hashes the CSR), since a borrowed graph answers
+// edge queries from the CSR either way — then push the state through
+// write-back (save of a borrowed graph streams clean records from the
+// mapping and dirty ones from the overlay) and require the round-tripped
 // file to load back equal. Engine-level transparency gets the same
 // treatment across every engine: an engine built on a borrowed graph
-// (CascadeEngine warm-started from a v2 snapshot, the distributed engines
+// (CascadeEngine warm-started from a v4 snapshot, the distributed engines
 // from the graph alone) must track a materialized twin bit for bit
 // (membership, MIS size, priority-RNG state) through churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -45,16 +49,23 @@ using test::churned_graph;
 using test::TempFile;
 
 /// Full observational equality, both directions: counts, liveness, every
-/// edge, and the per-node views (degree + neighbor multiset as a sorted
-/// copy — borrowed and materialized adjacency may order neighbors
-/// differently only if something is wrong; both derive from the same
-/// insertion order, so exact order must match for clean AND dirty nodes).
+/// edge (and the sorted for_each_edge lists), and the per-node views
+/// (degree + neighbor multiset as a sorted copy — borrowed and materialized
+/// adjacency may order neighbors differently only if something is wrong;
+/// both derive from the same insertion order, so exact order must match
+/// for clean AND dirty nodes).
 void expect_same(const DynamicGraph& borrowed, const DynamicGraph& materialized) {
   ASSERT_EQ(borrowed.node_count(), materialized.node_count());
   ASSERT_EQ(borrowed.edge_count(), materialized.edge_count());
   ASSERT_EQ(borrowed.id_bound(), materialized.id_bound());
   ASSERT_TRUE(borrowed == materialized);
   ASSERT_TRUE(materialized == borrowed);
+  // for_each_edge as a list, so an edge enumerated twice cannot hide.
+  auto be = borrowed.edges();
+  auto me = materialized.edges();
+  std::sort(be.begin(), be.end());
+  std::sort(me.begin(), me.end());
+  ASSERT_EQ(be, me);
   for (NodeId v = 0; v < borrowed.id_bound(); ++v) {
     ASSERT_EQ(borrowed.has_node(v), materialized.has_node(v)) << "node " << v;
     if (!borrowed.has_node(v)) continue;
@@ -65,6 +76,15 @@ void expect_same(const DynamicGraph& borrowed, const DynamicGraph& materialized)
     for (std::size_t i = 0; i < bn.size(); ++i)
       ASSERT_EQ(bn[i], mn[i]) << "node " << v << " slot " << i;
   }
+}
+
+/// Write `g` as the base a borrowed graph reads: a v1 graph snapshot, or
+/// the v4 engine snapshot of a CascadeEngine over it.
+void save_base(const DynamicGraph& g, bool v4, const std::string& path) {
+  if (v4)
+    ASSERT_TRUE(core::save_snapshot(core::CascadeEngine(g, /*priority_seed=*/5), path));
+  else
+    ASSERT_TRUE(g.save(path));
 }
 
 TEST(BorrowedGraph, BorrowEqualsLoadOnOpen) {
@@ -116,8 +136,7 @@ TEST(BorrowedGraph, ShallowOpenBorrowEqualsFullOpenBorrow) {
 void fuzz_pair(DynamicGraph& borrowed, DynamicGraph& materialized,
                std::uint64_t seed, int ops) {
   util::Rng rng(seed);
-  util::Rng sample_rng_b(seed + 1);  // separate streams: borrowed sampling
-  util::Rng sample_rng_m(seed + 2);  // consumes different draw counts
+  util::Rng sample_rng(seed + 1);
   for (int i = 0; i < ops; ++i) {
     const std::uint64_t what = rng.next_u64() % 100;
     const NodeId bound = borrowed.id_bound();
@@ -161,19 +180,13 @@ void fuzz_pair(DynamicGraph& borrowed, DynamicGraph& materialized,
         ASSERT_TRUE(borrowed.has_edge(u, v));
       }
     } else {
-      // sample_edge draws differently per mode (different slot spaces), so
-      // require validity, not equality: each sampled edge must be present
-      // in BOTH graphs.
+      // Edge probe: an edge sampled from the materialized twin (only a
+      // materialized graph has a table to sample) must be present in the
+      // borrowed graph too.
       NodeId u = 0, v = 0;
-      const bool bs = borrowed.sample_edge(sample_rng_b, u, v);
-      ASSERT_EQ(bs, borrowed.edge_count() > 0);
-      if (bs) {
-        EXPECT_TRUE(borrowed.has_edge(u, v));
-        EXPECT_TRUE(materialized.has_edge(u, v));
-      }
-      const bool ms = materialized.sample_edge(sample_rng_m, u, v);
-      ASSERT_EQ(ms, bs);
-      if (ms) {
+      const bool sampled = materialized.sample_edge(sample_rng, u, v);
+      ASSERT_EQ(sampled, borrowed.edge_count() > 0);
+      if (sampled) {
         EXPECT_TRUE(borrowed.has_edge(u, v));
       }
     }
@@ -183,18 +196,71 @@ void fuzz_pair(DynamicGraph& borrowed, DynamicGraph& materialized,
 }
 
 TEST(BorrowedGraph, DifferentialChurnMatchesMaterializedTwin) {
-  for (const std::uint64_t seed : {3ULL, 29ULL, 71ULL}) {
-    const DynamicGraph original = churned_graph(250, seed, 750);
-    TempFile file("fuzz.snap");
-    ASSERT_TRUE(original.save(file.path));
-    auto snap = std::make_shared<Snapshot>();
-    std::string error;
-    ASSERT_TRUE(snap->open(file.path, &error)) << error;
-    DynamicGraph borrowed = DynamicGraph::borrow(snap);
-    DynamicGraph materialized = DynamicGraph::load(*snap);
-    fuzz_pair(borrowed, materialized, seed * 13 + 5, 2000);
-    EXPECT_GT(borrowed.overlay_nodes(), 0U);  // the fuzz must have dirtied some
+  for (const bool v4 : {false, true}) {
+    for (const std::uint64_t seed : {3ULL, 29ULL, 71ULL}) {
+      const DynamicGraph original = churned_graph(250, seed, 750);
+      TempFile file("fuzz.snap");
+      save_base(original, v4, file.path);
+      auto snap = std::make_shared<Snapshot>();
+      std::string error;
+      ASSERT_TRUE(snap->open(file.path, &error)) << error;
+      ASSERT_EQ(snap->has_edge_table(), !v4);
+      DynamicGraph borrowed = DynamicGraph::borrow(snap);
+      DynamicGraph materialized = DynamicGraph::load(*snap);
+      expect_same(borrowed, materialized);
+      fuzz_pair(borrowed, materialized, seed * 13 + 5, 2000);
+      EXPECT_GT(borrowed.overlay_nodes(), 0U);  // the fuzz must have dirtied some
+    }
   }
+}
+
+TEST(BorrowedGraph, EdgeQueriesBetweenSpilledNodesOnV4Base) {
+  // Base membership scans the shorter endpoint's CSR list. Two hubs past
+  // the 14 inline slots, adjacent to each other and sharing neighbors,
+  // exercise it where both lists are long, before and after churn.
+  DynamicGraph original(60);
+  const NodeId a = 0;
+  const NodeId b = 1;
+  const NodeId c = 2;  // a third hub, adjacent to neither a nor b
+  ASSERT_TRUE(original.add_edge(a, b));
+  for (NodeId v = 3; v < 25; ++v) {
+    ASSERT_TRUE(original.add_edge(a, v));
+    ASSERT_TRUE(original.add_edge(b, v + 10));
+  }
+  for (NodeId v = 30; v < 50; ++v) ASSERT_TRUE(original.add_edge(c, v));
+  ASSERT_GT(original.degree(a), DynamicGraph::kInlineNeighbors);
+  ASSERT_GT(original.degree(b), DynamicGraph::kInlineNeighbors);
+  ASSERT_GT(original.degree(c), DynamicGraph::kInlineNeighbors);
+  TempFile file("hubs.snap");
+  save_base(original, /*v4=*/true, file.path);
+  auto snap = std::make_shared<Snapshot>();
+  std::string error;
+  ASSERT_TRUE(snap->open(file.path, &error)) << error;
+  DynamicGraph borrowed = DynamicGraph::borrow(snap);
+  DynamicGraph materialized = DynamicGraph::load(*snap);
+  const auto check_hubs = [&](bool ab, bool ac) {
+    for (const auto& [x, y] : {std::pair{a, b}, std::pair{b, a}}) {
+      EXPECT_EQ(borrowed.has_edge(x, y), ab);
+      EXPECT_EQ(materialized.has_edge(x, y), ab);
+    }
+    EXPECT_EQ(borrowed.has_edge(a, c), ac);
+    EXPECT_FALSE(borrowed.has_edge(c, b));
+    expect_same(borrowed, materialized);
+  };
+  check_hubs(/*ab=*/true, /*ac=*/false);
+  for (DynamicGraph* g : {&borrowed, &materialized}) {
+    ASSERT_TRUE(g->remove_edge(b, a));  // base edge between two hubs
+    ASSERT_TRUE(g->add_edge(a, c));     // new edge between two hubs
+    ASSERT_FALSE(g->add_edge(c, a));
+  }
+  check_hubs(/*ab=*/false, /*ac=*/true);
+  for (DynamicGraph* g : {&borrowed, &materialized}) {
+    ASSERT_TRUE(g->add_edge(a, b));  // the removed base edge comes back
+    ASSERT_FALSE(g->add_edge(b, a));
+    g->remove_node(c);
+  }
+  check_hubs(/*ab=*/true, /*ac=*/false);
+  EXPECT_GT(borrowed.overlay_nodes(), 0U);
 }
 
 TEST(BorrowedGraph, SpillBoundaryCrossingUnderCow) {
@@ -225,11 +291,12 @@ TEST(BorrowedGraph, SpillBoundaryCrossingUnderCow) {
   EXPECT_EQ(borrowed.degree(0), 0U);
 }
 
-TEST(BorrowedGraph, WriteBackRoundTripsThroughMergedEdgeSet) {
-  // Checkpointing a borrowed graph goes through merged_edge_set (base table
-  // restored from the mapping, overlay merged on top). The resulting file
-  // must load back semantically equal to the churned state — the twin saved
-  // from materialized mode pins the expectation.
+TEST(BorrowedGraph, WriteBackRoundTripsThroughAV1Save) {
+  // A v1 save of a borrowed graph builds the edge table it stores from the
+  // graph's edges (base CSR minus removed, plus the insert delta). The
+  // resulting file must load back semantically equal to the churned state —
+  // the twin saved from materialized mode pins the expectation; the tables
+  // differ in tombstone placement, so the check compares graphs, not bytes.
   const DynamicGraph original = churned_graph(220, 41, 660);
   TempFile base("wb_base.snap");
   ASSERT_TRUE(original.save(base.path));

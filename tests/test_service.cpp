@@ -244,36 +244,49 @@ TEST(Service, AutoCheckpointsAtConfiguredInterval) {
 }
 
 TEST(Service, CorruptCheckpointFallsBackToFullReplay) {
-  TempDir dir("badckpt");
-  const auto batches = make_stream(707, 600, 8);
-  const std::size_t half = batches.size() / 2;
-  std::string error;
-  std::uint64_t checkpoint_lsn = 0;
-  {
-    // One big segment: truncation never removes it (it is the active one),
-    // so the full log from lsn 0 stays available as the fallback.
+  // Two corruptions: a flipped byte, and a checksum-valid v4 checkpoint
+  // with one adjacency entry redirected, which only verify()'s symmetry
+  // check can see.
+  for (const bool structural : {false, true}) {
+    TempDir dir(structural ? "badckpt_struct" : "badckpt");
+    const auto batches = make_stream(707, 600, 8);
+    const std::size_t half = batches.size() / 2;
+    std::string error;
+    std::uint64_t checkpoint_lsn = 0;
+    {
+      // One big segment: truncation never removes it (it is the active
+      // one), so the full log from lsn 0 stays available as the fallback.
+      auto service = MisService::open(config_for(dir.path), &error);
+      ASSERT_TRUE(service.has_value()) << error;
+      for (std::size_t i = 0; i < half; ++i)
+        ASSERT_TRUE(service->apply(batches[i], &error)) << error;
+      ASSERT_TRUE(service->checkpoint(&error)) << error;
+      checkpoint_lsn = service->last_checkpoint_lsn();
+      for (std::size_t i = half; i < batches.size(); ++i)
+        ASSERT_TRUE(service->apply(batches[i], &error)) << error;
+      ASSERT_TRUE(service->close(&error)) << error;
+    }
+    // verify() (or open()) must reject the checkpoint and recovery must
+    // rebuild from lsn 0 instead of trusting it.
+    const std::string cp = service::checkpoint_path(dir.path, checkpoint_lsn);
+    if (structural)
+      test::redirect_one_neighbor(cp);
+    else
+      flip_byte(cp, static_cast<std::int64_t>(std::filesystem::file_size(cp)) - 9);
     auto service = MisService::open(config_for(dir.path), &error);
     ASSERT_TRUE(service.has_value()) << error;
-    for (std::size_t i = 0; i < half; ++i)
-      ASSERT_TRUE(service->apply(batches[i], &error)) << error;
-    ASSERT_TRUE(service->checkpoint(&error)) << error;
-    checkpoint_lsn = service->last_checkpoint_lsn();
-    for (std::size_t i = half; i < batches.size(); ++i)
-      ASSERT_TRUE(service->apply(batches[i], &error)) << error;
+    EXPECT_EQ(service->recovery().checkpoints_rejected, 1U);
+    EXPECT_EQ(service->recovery().checkpoint_lsn, 0U);
+    EXPECT_EQ(service->recovery().replayed_ops, total_ops(batches));
+    if (structural) {
+      EXPECT_NE(service->recovery().detail.find("not symmetric"), std::string::npos)
+          << service->recovery().detail;
+    }
+    expect_same(service->engine(), reference(batches, batches.size(), 7),
+                structural ? "fallback past a resealed bad checkpoint"
+                           : "fallback full replay");
     ASSERT_TRUE(service->close(&error)) << error;
   }
-  // Flip one byte deep in the checkpoint: verify() (or open()) must reject
-  // it and recovery must rebuild from lsn 0 instead of trusting it.
-  const std::string cp = service::checkpoint_path(dir.path, checkpoint_lsn);
-  flip_byte(cp, static_cast<std::int64_t>(std::filesystem::file_size(cp)) - 9);
-  auto service = MisService::open(config_for(dir.path), &error);
-  ASSERT_TRUE(service.has_value()) << error;
-  EXPECT_EQ(service->recovery().checkpoints_rejected, 1U);
-  EXPECT_EQ(service->recovery().checkpoint_lsn, 0U);
-  EXPECT_EQ(service->recovery().replayed_ops, total_ops(batches));
-  expect_same(service->engine(), reference(batches, batches.size(), 7),
-              "fallback full replay");
-  ASSERT_TRUE(service->close(&error)) << error;
 }
 
 TEST(Service, MissingCheckpointAfterTruncationIsAHardError) {

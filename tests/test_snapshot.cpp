@@ -389,10 +389,11 @@ TEST(Snapshot, ChecksumCatchesPayloadBitFlips) {
 }
 
 // ---------------------------------------------------------------------------
-// Frozen bytes: FNV-1a 64 over whole files for fixed seeds, recorded from
-// the stdio writer that util::save_staged replaced. The layouts are frozen
-// (docs/FORMATS.md), so every writer must reproduce them byte for byte; the
-// snapshot_bytes bench gates pin only sizes.
+// Frozen bytes: FNV-1a 64 over whole files for fixed seeds. The v1 pin was
+// recorded from the stdio writer that util::save_staged replaced, the v4
+// pins from the first v4 writer. The layouts are frozen (docs/FORMATS.md),
+// so every writer must reproduce them byte for byte; the snapshot_bytes
+// bench gates pin only sizes.
 // ---------------------------------------------------------------------------
 
 std::uint64_t file_fnv1a(const std::string& path) {
@@ -406,19 +407,20 @@ TEST(SnapshotBytes, V1GraphMatchesFrozenHash) {
   EXPECT_EQ(file_fnv1a(file.path), 0x52a3e58d4ce2a722ULL);
 }
 
-TEST(SnapshotBytes, V2EngineMatchesFrozenHash) {
+TEST(SnapshotBytes, V4EngineMatchesFrozenHash) {
   std::unique_ptr<workload::ChurnGenerator> gen;
   const core::CascadeEngine engine = churned_engine(400, 2017, /*priority_seed=*/7,
                                                     /*extra_ops=*/900, gen);
-  TempFile file("pin_v2.snap");
+  TempFile file("pin_v4.snap");
   ASSERT_TRUE(core::save_snapshot(engine, file.path));
-  EXPECT_EQ(file_fnv1a(file.path), 0x35b0d44b5abed1d3ULL);
+  EXPECT_EQ(file_fnv1a(file.path), 0x725a4ae29cac25ebULL);
 }
 
-TEST(SnapshotBytes, V2BorrowedAfterChurnMatchesFrozenHash) {
-  // Saving a borrowed graph merges the mapped base edge table with the
-  // overlay (DynamicGraph::merged_edge_set): the same sections from a
-  // different source.
+TEST(SnapshotBytes, V4BorrowedAfterChurnMatchesFrozenHash) {
+  // Saving a borrowed graph streams clean records from the mapping and
+  // dirty ones from the overlay: the same sections from a different source.
+  // Its materialized twin, driven by the same ops, writes the same bytes —
+  // v4 stores no hash-table image whose tombstones could tell them apart.
   std::unique_ptr<workload::ChurnGenerator> gen;
   const core::CascadeEngine source = churned_engine(400, 2018, /*priority_seed=*/7,
                                                     /*extra_ops=*/300, gen);
@@ -428,11 +430,47 @@ TEST(SnapshotBytes, V2BorrowedAfterChurnMatchesFrozenHash) {
   std::string error;
   ASSERT_TRUE(snap->open(base.path, &error)) << error;
   core::CascadeEngine live(DynamicGraph::borrow(snap), *snap, 7);
+  core::CascadeEngine twin(DynamicGraph::load(*snap), *snap, 7);
   ASSERT_TRUE(live.graph().borrowed());
-  for (int i = 0; i < 600; ++i) workload::apply(live, gen->next());
+  for (int i = 0; i < 600; ++i) {
+    const workload::GraphOp op = gen->next();
+    workload::apply(live, op);
+    workload::apply(twin, op);
+  }
   TempFile file("pin_borrowed.snap");
+  TempFile twin_file("pin_twin.snap");
   ASSERT_TRUE(core::save_snapshot(live, file.path, &error)) << error;
-  EXPECT_EQ(file_fnv1a(file.path), 0x87781e24bafc75aeULL);
+  ASSERT_TRUE(core::save_snapshot(twin, twin_file.path, &error)) << error;
+  EXPECT_EQ(file_fnv1a(file.path), 0x6f349ca609b8a499ULL);
+  EXPECT_EQ(read_bytes(file.path), read_bytes(twin_file.path));
+}
+
+// The committed v2 fixture: the V2 frozen-hash engine (churned_engine(400,
+// 2017, 7, 900)) as the retired v2 writer saved it, FNV-1a
+// 0x35b0d44b5abed1d3. It pins the v2 reader now that nothing writes v2.
+std::string v2_fixture_path() {
+  return std::string(DMIS_TEST_DATA_DIR) + "/v2_engine.snap";
+}
+
+TEST(SnapshotV2Fixture, OpensVerifiesAndWarmStartsLoadedAndBorrowed) {
+  ASSERT_EQ(file_fnv1a(v2_fixture_path()), 0x35b0d44b5abed1d3ULL);
+  std::unique_ptr<workload::ChurnGenerator> gen;
+  const core::CascadeEngine saved = churned_engine(400, 2017, /*priority_seed=*/7,
+                                                   /*extra_ops=*/900, gen);
+  auto snap = std::make_shared<Snapshot>();
+  std::string error;
+  ASSERT_TRUE(snap->open(v2_fixture_path(), &error)) << error;
+  EXPECT_EQ(snap->header().version, graph::kSnapshotVersionEngine);
+  EXPECT_TRUE(snap->has_edge_table());
+  ASSERT_TRUE(snap->verify(&error)) << error;
+  const core::CascadeEngine loaded(DynamicGraph::load(*snap), *snap, 7,
+                                   graph::SnapshotLoad::kWarm);
+  const core::CascadeEngine borrowed(DynamicGraph::borrow(snap), *snap, 7,
+                                     graph::SnapshotLoad::kWarm);
+  EXPECT_EQ(core::state_diff(loaded, saved), "");
+  EXPECT_EQ(core::state_diff(borrowed, saved), "");
+  loaded.verify();
+  borrowed.verify();
 }
 
 // ---------------------------------------------------------------------------

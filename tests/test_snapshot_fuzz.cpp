@@ -1,8 +1,9 @@
 // Snapshot corruption fuzz: byte/bit flips, truncations and section swaps
-// over version-1 (graph-only), version-2 (engine-state) and version-3
-// (shard-partitioned) snapshot files. No writer emits v3 any more, so the v3
-// corpus is the committed fixture tests/data/v3_shards4.snap; readers must
-// keep accepting and validating it.
+// over version-1 (graph-only), version-2 (engine-state), version-3
+// (shard-partitioned) and version-4 (engine-state, no edge table) snapshot
+// files. No writer emits v2 or v3 any more, so their corpora are the
+// committed fixtures tests/data/v2_engine.snap and v3_shards4.snap; readers
+// must keep accepting and validating them.
 //
 // The contract under test is the format's safety ladder (docs/FORMATS.md):
 // whatever the bytes, Snapshot::open either rejects the file or yields a
@@ -11,6 +12,9 @@
 // file — and Snapshot::verify additionally vouches for semantic integrity
 // (checksum + undirectedness + greedy-fixpoint engine state), so an engine
 // built from a verify-accepted file must satisfy the full MIS invariant.
+// Checksum-resealed structural mutants of a v4 file (a redirected, a
+// duplicate, a self-loop and a dead-node adjacency entry; membership off
+// the fixpoint) pin that verify() needs no stored table to reject them.
 // "Never crash" is enforced for real by the ASan+UBSan CI job, which re-runs
 // this suite with bounds checking on every mapped access.
 //
@@ -45,8 +49,15 @@ std::string v3_fixture_path() {
   return std::string(DMIS_TEST_DATA_DIR) + "/v3_shards4.snap";
 }
 
+/// The committed v2 fixture (churned_engine(400, 2017, 7, 900) in
+/// test_snapshot.cpp, written by the retired v2 writer).
+std::string v2_fixture_path() {
+  return std::string(DMIS_TEST_DATA_DIR) + "/v2_engine.snap";
+}
+
 using test::churned_graph;
 using test::read_bytes;
+using test::reseal_snapshot;
 using test::TempFile;
 using test::write_bytes;
 
@@ -76,28 +87,18 @@ void exercise(const std::string& path, std::uint64_t engine_seed) {
     if (snap.alive(v))
       for (const NodeId u : snap.neighbors(v)) degree_sum += u < snap.id_bound();
   EXPECT_EQ(degree_sum, 2 * snap.edge_count());
-  // Borrowed twin: every query view over the mapped bytes must be safe and
-  // must agree with the materialized graph. Open-accepted mutants may be
-  // internally inconsistent (CSR vs edge table can disagree if flips
-  // conspire past the structural counters — verify() exists to catch
-  // that), so the claims here are strictly differential: borrowed answers
-  // == materialized answers, never cross-structure consistency.
+  const bool verified = snap.verify(&error);
+  // Borrowed twin: every query view over the mapped bytes must be safe.
+  // Both modes read one CSR, so the node views agree on any open-accepted
+  // file. The edge views need not: a borrowed graph answers edge queries
+  // from the CSR, a loaded one from the stored table (v1–v3) or from the
+  // CSR's lower-endpoint entries (v4), and on a mutant those can disagree
+  // (a CSR that is not symmetric, a table key that is not in it). They
+  // describe one edge set exactly when verify() vouches for the file, so
+  // only verified files are held to edge equality.
   {
     DynamicGraph borrowed = DynamicGraph::borrow(shared);
     EXPECT_EQ(borrowed.node_count(), g.node_count());
-    EXPECT_EQ(borrowed.edge_count(), g.edge_count());
-    // Same edge enumeration (slot order differs only if a mode walks the
-    // wrong bytes) and the same membership answer for every enumerated
-    // edge — even when a conspired flip left a key probe-unreachable, both
-    // modes must fail to find it identically.
-    auto be = borrowed.edges();
-    auto me = g.edges();
-    std::sort(be.begin(), be.end());
-    std::sort(me.begin(), me.end());
-    ASSERT_EQ(be, me);
-    for (const auto& [eu, ev] : be)
-      EXPECT_EQ(borrowed.has_edge(eu, ev), g.has_edge(eu, ev))
-          << "(" << eu << "," << ev << ")";
     for (NodeId v = 0; v < snap.id_bound(); ++v) {
       ASSERT_EQ(borrowed.has_node(v), g.has_node(v));
       if (!borrowed.has_node(v)) continue;
@@ -107,27 +108,38 @@ void exercise(const std::string& path, std::uint64_t engine_seed) {
       for (std::size_t i = 0; i < bn.size(); ++i)
         EXPECT_EQ(bn[i], mn[i]) << "node " << v << " slot " << i;
     }
+    auto be = borrowed.edges();
+    auto me = g.edges();
+    std::sort(be.begin(), be.end());
+    std::sort(me.begin(), me.end());
+    for (const auto* list : {&be, &me})
+      for (const auto& [eu, ev] : *list) {
+        const bool agree = borrowed.has_edge(eu, ev) == g.has_edge(eu, ev);
+        EXPECT_TRUE(agree || !verified) << "(" << eu << "," << ev << ")";
+      }
+    if (verified) {
+      EXPECT_EQ(borrowed.edge_count(), g.edge_count());
+      EXPECT_EQ(be, me);
+    }
     // A churn touch (COW a record, route the key through the deltas) must
-    // net to zero. Endpoints must be live toggleable nodes under BOTH
-    // views before mutation is legal at all, and the edge must sit in both
-    // adjacency records too: on a mutant the edge table and the CSR can
-    // disagree, and removing an edge one of them lacks is a caller bug.
+    // net to zero. The edge is sampled from the loaded twin (only a
+    // materialized graph has a table to sample); its endpoints must be live
+    // under the borrowed view, and it must sit in both adjacency records
+    // too, since removing an edge a record lacks is a caller bug.
     NodeId u = 0, w = 0;
     util::Rng sample_rng(engine_seed);
     const auto lists = [&](NodeId a, NodeId b) {
       const auto nbrs = borrowed.neighbors(a);
       return std::find(nbrs.begin(), nbrs.end(), b) != nbrs.end();
     };
-    if (borrowed.sample_edge(sample_rng, u, w) && u != w &&
-        borrowed.has_node(u) && borrowed.has_node(w) &&
-        borrowed.has_edge(u, w) && g.has_edge(u, w) && lists(u, w) && lists(w, u)) {
+    if (g.sample_edge(sample_rng, u, w) && u != w && borrowed.has_node(u) &&
+        borrowed.has_node(w) && borrowed.has_edge(u, w) && lists(u, w) && lists(w, u)) {
       EXPECT_TRUE(borrowed.remove_edge(u, w));
       EXPECT_FALSE(borrowed.has_edge(u, w));
       EXPECT_TRUE(borrowed.add_edge(u, w));
       EXPECT_TRUE(borrowed.has_edge(u, w));
     }
   }
-  const bool verified = snap.verify(&error);
   if (snap.has_engine_state()) {
     // Warm construction must be safe on any open-accepted file (open
     // validated the membership bytes and mis_size agreement); the MIS
@@ -148,20 +160,24 @@ struct Corpus {
   std::vector<std::uint8_t> pristine;
 };
 
-/// Build the three seed files: a v1 graph snapshot and a v2 engine snapshot
-/// of a churned graph (dead ids, spilled records, tombstones), plus a
-/// scratch copy of the v3 fixture (mutations never touch the committed
-/// file).
-void build_corpus(Corpus& v1, Corpus& v2, Corpus& v3, NodeId n, std::uint64_t seed) {
+/// Build the four seed files: a v1 graph snapshot and a v4 engine snapshot
+/// of a churned graph (dead ids, spilled records, tombstones), plus scratch
+/// copies of the v2 and v3 fixtures (mutations never touch the committed
+/// files).
+void build_corpus(Corpus& v1, Corpus& v2, Corpus& v3, Corpus& v4, NodeId n,
+                  std::uint64_t seed) {
   const DynamicGraph g = churned_graph(n, seed, 3 * n);
   ASSERT_TRUE(g.save(v1.file.path));
   const core::CascadeEngine engine(g, seed * 3 + 1);
-  ASSERT_TRUE(core::save_snapshot(engine, v2.file.path));
+  ASSERT_TRUE(core::save_snapshot(engine, v4.file.path));
   v1.pristine = read_bytes(v1.file.path);
-  v2.pristine = read_bytes(v2.file.path);
-  v3.pristine = read_bytes(v3_fixture_path());
-  ASSERT_FALSE(v3.pristine.empty()) << "missing fixture " << v3_fixture_path();
-  write_bytes(v3.file.path, v3.pristine);
+  v4.pristine = read_bytes(v4.file.path);
+  for (auto [corpus, fixture] : {std::pair{&v2, v2_fixture_path()},
+                                 std::pair{&v3, v3_fixture_path()}}) {
+    corpus->pristine = read_bytes(fixture);
+    ASSERT_FALSE(corpus->pristine.empty()) << "missing fixture " << fixture;
+    write_bytes(corpus->file.path, corpus->pristine);
+  }
 }
 
 void fuzz_bit_flips(Corpus& c, std::uint64_t seed, int iterations) {
@@ -198,7 +214,7 @@ void fuzz_truncations(Corpus& c, std::uint64_t seed, int iterations) {
 
 void fuzz_section_swaps(Corpus& c, std::uint64_t seed) {
   // Swap every pair of section-offset fields in the base header (and, for
-  // v2 files, the extension header): the file then claims sections live
+  // engine files, the extension header): the file then claims sections live
   // where other sections' bytes are. open() must reject or the downstream
   // consumers must digest the misdirected bytes without crashing.
   graph::SnapshotHeader header{};
@@ -255,28 +271,37 @@ class SnapshotFuzz : public ::testing::Test {
     v1_ = std::make_unique<Corpus>("v1.snap");
     v2_ = std::make_unique<Corpus>("v2.snap");
     v3_ = std::make_unique<Corpus>("v3.snap");
-    build_corpus(*v1_, *v2_, *v3_, /*n=*/250, /*seed=*/29);
+    v4_ = std::make_unique<Corpus>("v4.snap");
+    build_corpus(*v1_, *v2_, *v3_, *v4_, /*n=*/250, /*seed=*/29);
     // Sanity: the pristine corpus opens, verifies and warm-starts.
-    exercise(v1_->file.path, 1);
-    exercise(v2_->file.path, 1);
-    exercise(v3_->file.path, 1);
+    for (const Corpus* c : {v1_.get(), v2_.get(), v3_.get(), v4_.get()}) {
+      Snapshot snap;
+      std::string error;
+      ASSERT_TRUE(snap.open(c->file.path, &error)) << error;
+      ASSERT_TRUE(snap.verify(&error)) << error;
+      exercise(c->file.path, 1);
+    }
   }
   std::unique_ptr<Corpus> v1_;
   std::unique_ptr<Corpus> v2_;
   std::unique_ptr<Corpus> v3_;
+  std::unique_ptr<Corpus> v4_;
 };
 
 TEST_F(SnapshotFuzz, BitFlipsNeverCrashV1) { fuzz_bit_flips(*v1_, 0xF00D, 200); }
 TEST_F(SnapshotFuzz, BitFlipsNeverCrashV2) { fuzz_bit_flips(*v2_, 0xBEEF, 200); }
 TEST_F(SnapshotFuzz, BitFlipsNeverCrashV3) { fuzz_bit_flips(*v3_, 0xC0DE, 200); }
+TEST_F(SnapshotFuzz, BitFlipsNeverCrashV4) { fuzz_bit_flips(*v4_, 0xD00D, 200); }
 
 TEST_F(SnapshotFuzz, TruncationsAlwaysRejectedV1) { fuzz_truncations(*v1_, 0xACE1, 60); }
 TEST_F(SnapshotFuzz, TruncationsAlwaysRejectedV2) { fuzz_truncations(*v2_, 0xACE2, 60); }
 TEST_F(SnapshotFuzz, TruncationsAlwaysRejectedV3) { fuzz_truncations(*v3_, 0xACE3, 60); }
+TEST_F(SnapshotFuzz, TruncationsAlwaysRejectedV4) { fuzz_truncations(*v4_, 0xACE4, 60); }
 
 TEST_F(SnapshotFuzz, SectionSwapsNeverCrashV1) { fuzz_section_swaps(*v1_, 0x51AB); }
 TEST_F(SnapshotFuzz, SectionSwapsNeverCrashV2) { fuzz_section_swaps(*v2_, 0x51AC); }
 TEST_F(SnapshotFuzz, SectionSwapsNeverCrashV3) { fuzz_section_swaps(*v3_, 0x51AD); }
+TEST_F(SnapshotFuzz, SectionSwapsNeverCrashV4) { fuzz_section_swaps(*v4_, 0x51AE); }
 
 TEST_F(SnapshotFuzz, VersionRelabelingRejected) {
   // The version field lives OUTSIDE the checksummed payload, so relabeling
@@ -303,6 +328,33 @@ TEST_F(SnapshotFuzz, VersionRelabelingRejected) {
   write_bytes(v2_->file.path, v2_->pristine);
 }
 
+TEST_F(SnapshotFuzz, V4VersionRelabelingRejected) {
+  // v2 and v4 share the header end (168), so the alive pin alone cannot
+  // tell them apart; the edge-table fields do. A v4 file relabeled v2 names
+  // a table at offset 0, inside the headers; a v2 file relabeled v4 names a
+  // table where v4 requires zeros. Relabeling v4 as v1 (header end 104)
+  // trips the alive pin; as v3, its alive bytes read as a shard table.
+  const auto relabeled_rejected = [&](Corpus& c, std::uint8_t from, std::uint8_t to,
+                                      const std::string& want) {
+    std::vector<std::uint8_t> bytes = c.pristine;
+    ASSERT_EQ(bytes[8], from);
+    bytes[8] = to;
+    write_bytes(c.file.path, bytes);
+    Snapshot snap;
+    std::string error;
+    EXPECT_FALSE(snap.open(c.file.path, &error)) << "v" << int(from) << " as v" << int(to);
+    EXPECT_FALSE(error.empty());
+    EXPECT_NE(error.find(want), std::string::npos) << error;
+    write_bytes(c.file.path, c.pristine);
+  };
+  relabeled_rejected(*v4_, 4, 2, "edge ctrl section out of bounds");
+  relabeled_rejected(*v4_, 4, 1, "header end");
+  relabeled_rejected(*v4_, 4, 3, "");
+  relabeled_rejected(*v2_, 2, 4, "edge table fields not zero");
+  relabeled_rejected(*v3_, 3, 4, "header end");
+  relabeled_rejected(*v1_, 1, 4, "header end");
+}
+
 TEST_F(SnapshotFuzz, V3VersionNegotiation) {
   // Downgrade relabelings of a v3 file: the alive section starts at 296, so
   // claiming v2 (header end 168) or v1 (104) must trip the header-end pin —
@@ -320,7 +372,7 @@ TEST_F(SnapshotFuzz, V3VersionNegotiation) {
   }
   // Upgrade relabelings: a v2 file claiming v3 must be rejected (its bytes
   // at [168, 296) are alive bytes, not a shard table, and its alive section
-  // does not start at 296); a claimed version 4 is from a future writer and
+  // does not start at 296); a claimed version 5 is from a future writer and
   // an old validator — this one — must reject it cleanly by number.
   bytes = v2_->pristine;
   bytes[8] = 3;
@@ -328,7 +380,7 @@ TEST_F(SnapshotFuzz, V3VersionNegotiation) {
   EXPECT_FALSE(snap.open(v2_->file.path, &error));
   EXPECT_FALSE(error.empty());
   bytes = v3_->pristine;
-  bytes[8] = 4;
+  bytes[8] = 5;
   write_bytes(v3_->file.path, bytes);
   EXPECT_FALSE(snap.open(v3_->file.path, &error));
   EXPECT_NE(error.find("unsupported snapshot version"), std::string::npos) << error;
@@ -348,11 +400,12 @@ TEST_F(SnapshotFuzz, V3VersionNegotiation) {
   EXPECT_EQ(snap.shard_count(), 4U);
 }
 
-TEST(SnapshotV3Fixture, OpensVerifiesAndRoundTripsThroughV2) {
+TEST(SnapshotV3Fixture, OpensVerifiesAndRoundTripsThroughV4) {
   // The fixture pins the v3 reader: it must open, deep-verify and
-  // warm-start, and re-saving that engine (as v2, the only engine format
+  // warm-start, and re-saving that engine (as v4, the only engine format
   // still written) must reproduce the same graph, keys, membership and RNG
-  // state — the shard table is the only thing a v3 file adds.
+  // state — the shard table and the edge table are the only things a v3
+  // file adds.
   Snapshot v3;
   std::string error;
   ASSERT_TRUE(v3.open(v3_fixture_path(), &error)) << error;
@@ -371,33 +424,32 @@ TEST(SnapshotV3Fixture, OpensVerifiesAndRoundTripsThroughV2) {
   const core::CascadeEngine warm(DynamicGraph::load(v3), v3, v3.priority_seed(),
                                  graph::SnapshotLoad::kWarm);
   warm.verify();
-  TempFile file("fixture_v2.snap");
+  TempFile file("fixture_v4.snap");
   ASSERT_TRUE(core::save_snapshot(warm, file.path, &error)) << error;
-  Snapshot v2;
-  ASSERT_TRUE(v2.open(file.path, &error)) << error;
-  ASSERT_TRUE(v2.verify(&error)) << error;
-  EXPECT_EQ(v2.header().version, graph::kSnapshotVersionEngine);
+  Snapshot v4;
+  ASSERT_TRUE(v4.open(file.path, &error)) << error;
+  ASSERT_TRUE(v4.verify(&error)) << error;
+  EXPECT_EQ(v4.header().version, graph::kSnapshotVersionTableFree);
+  EXPECT_FALSE(v4.has_edge_table());
 
-  EXPECT_TRUE(DynamicGraph::load(v2) == DynamicGraph::load(v3));
+  EXPECT_TRUE(DynamicGraph::load(v4) == DynamicGraph::load(v3));
   const auto same = [](auto a, auto b) {
     return std::equal(a.begin(), a.end(), b.begin(), b.end());
   };
-  EXPECT_TRUE(same(v2.priority_keys(), v3.priority_keys()));
-  EXPECT_TRUE(same(v2.membership_bytes(), v3.membership_bytes()));
-  EXPECT_EQ(v2.mis_size(), v3.mis_size());
-  EXPECT_EQ(v2.priority_seed(), v3.priority_seed());
-  EXPECT_TRUE(std::equal(std::begin(v2.engine_ext().rng_state),
-                         std::end(v2.engine_ext().rng_state),
+  EXPECT_TRUE(same(v4.priority_keys(), v3.priority_keys()));
+  EXPECT_TRUE(same(v4.membership_bytes(), v3.membership_bytes()));
+  EXPECT_EQ(v4.mis_size(), v3.mis_size());
+  EXPECT_EQ(v4.priority_seed(), v3.priority_seed());
+  EXPECT_TRUE(std::equal(std::begin(v4.engine_ext().rng_state),
+                         std::end(v4.engine_ext().rng_state),
                          std::begin(v3.engine_ext().rng_state)));
-  // Section contents are byte-identical across the two versions.
-  EXPECT_TRUE(same(v2.alive_bytes(), v3.alive_bytes()));
-  EXPECT_TRUE(same(v2.csr_offsets(), v3.csr_offsets()));
-  EXPECT_TRUE(same(v2.csr_neighbors(), v3.csr_neighbors()));
-  EXPECT_TRUE(same(v2.edge_ctrl(), v3.edge_ctrl()));
-  EXPECT_TRUE(same(v2.edge_keys(), v3.edge_keys()));
+  // The sections both versions carry are byte-identical.
+  EXPECT_TRUE(same(v4.alive_bytes(), v3.alive_bytes()));
+  EXPECT_TRUE(same(v4.csr_offsets(), v3.csr_offsets()));
+  EXPECT_TRUE(same(v4.csr_neighbors(), v3.csr_neighbors()));
 
-  // The reopened v2 file restarts the same engine, future draws included.
-  core::CascadeEngine again(DynamicGraph::load(v2), v2, v2.priority_seed(),
+  // The reopened v4 file restarts the same engine, future draws included.
+  core::CascadeEngine again(DynamicGraph::load(v4), v4, v4.priority_seed(),
                             graph::SnapshotLoad::kWarm);
   core::CascadeEngine twin(DynamicGraph::load(v3), v3, v3.priority_seed(),
                            graph::SnapshotLoad::kWarm);
@@ -472,7 +524,7 @@ void truncate_at_boundaries(Corpus& c) {
     cuts.push_back(static_cast<std::size_t>(ext.keys_off));
     cuts.push_back(static_cast<std::size_t>(ext.membership_off));
   }
-  if (header.version >= graph::kSnapshotVersionSharded) {
+  if (header.version == graph::kSnapshotVersionSharded) {
     // The v3 header end (shard table included) — the boundary every v3
     // section offset is pinned against.
     cuts.push_back(sizeof(graph::SnapshotHeader) + sizeof(graph::SnapshotEngineExt) +
@@ -506,6 +558,9 @@ TEST_F(SnapshotFuzz, SectionBoundaryTruncationsRejectedV2) {
 }
 TEST_F(SnapshotFuzz, SectionBoundaryTruncationsRejectedV3) {
   truncate_at_boundaries(*v3_);
+}
+TEST_F(SnapshotFuzz, SectionBoundaryTruncationsRejectedV4) {
+  truncate_at_boundaries(*v4_);
 }
 
 TEST_F(SnapshotFuzz, FailedSaveLeavesExistingSnapshotIntact) {
@@ -655,6 +710,75 @@ TEST_F(SnapshotFuzz, NonFixpointMembershipRejectedByVerifyNotOpen) {
   ASSERT_TRUE(snap.open(file.path, &error)) << error;
   EXPECT_FALSE(snap.verify(&error));
   EXPECT_NE(error.find("fixpoint"), std::string::npos) << error;
+}
+
+TEST_F(SnapshotFuzz, ResealedStructuralMutantsRejectedByVerifyNotOpenV4) {
+  // Each mutant keeps every id in range and the checksum valid, so open()
+  // accepts it and only verify()'s table-free pass can reject it.
+  graph::SnapshotHeader header{};
+  std::memcpy(&header, v4_->pristine.data(), sizeof(header));
+  graph::SnapshotEngineExt ext{};
+  std::memcpy(&ext, v4_->pristine.data() + sizeof(header), sizeof(ext));
+  Snapshot pristine;
+  std::string error;
+  ASSERT_TRUE(pristine.open(v4_->file.path, &error)) << error;
+  NodeId victim = graph::kInvalidNode;  // a live node with >= 2 neighbors
+  NodeId dead = graph::kInvalidNode;
+  NodeId stranger = graph::kInvalidNode;  // live, not adjacent to victim
+  for (NodeId v = 0; v < pristine.id_bound(); ++v) {
+    if (!pristine.alive(v)) {
+      if (dead == graph::kInvalidNode) dead = v;
+    } else if (victim == graph::kInvalidNode && pristine.degree(v) >= 2) {
+      victim = v;
+    }
+  }
+  ASSERT_NE(victim, graph::kInvalidNode);
+  ASSERT_NE(dead, graph::kInvalidNode);
+  const auto nbrs = pristine.neighbors(victim);
+  for (NodeId v = 0; v < pristine.id_bound() && stranger == graph::kInvalidNode; ++v)
+    if (v != victim && pristine.alive(v) &&
+        std::find(nbrs.begin(), nbrs.end(), v) == nbrs.end())
+      stranger = v;
+  ASSERT_NE(stranger, graph::kInvalidNode);
+  const std::size_t first_entry = static_cast<std::size_t>(
+      header.neighbors_off + sizeof(NodeId) * pristine.csr_offsets()[victim]);
+  const NodeId second_neighbor = nbrs[1];
+  pristine = Snapshot();  // release the mapping before rewriting the file
+
+  const auto rejected = [&](const std::string& what, const std::string& want,
+                            const auto& mutate) {
+    std::vector<std::uint8_t> bytes = v4_->pristine;
+    mutate(bytes);
+    reseal_snapshot(bytes);
+    write_bytes(v4_->file.path, bytes);
+    Snapshot snap;
+    std::string err;
+    ASSERT_TRUE(snap.open(v4_->file.path, &err)) << what << ": " << err;
+    EXPECT_FALSE(snap.verify(&err)) << what;
+    EXPECT_NE(err.find(want), std::string::npos) << what << ": " << err;
+    exercise(v4_->file.path, 7);
+  };
+  const auto set_first_neighbor = [&](NodeId id) {
+    return [&, id](std::vector<std::uint8_t>& bytes) {
+      std::memcpy(bytes.data() + first_entry, &id, sizeof id);
+    };
+  };
+  rejected("redirected neighbor id", "not symmetric", set_first_neighbor(stranger));
+  rejected("duplicate entry", "duplicate adjacency entry",
+           set_first_neighbor(second_neighbor));
+  rejected("self-loop", "self-loop", set_first_neighbor(victim));
+  rejected("entry naming a dead node", "dead node", set_first_neighbor(dead));
+  rejected("membership off the fixpoint", "fixpoint", [&](std::vector<std::uint8_t>& bytes) {
+    // Flip the victim's membership and keep mis_size consistent with it,
+    // so open()'s popcount check passes.
+    std::uint8_t& member = bytes[static_cast<std::size_t>(ext.membership_off) + victim];
+    member ^= 1U;
+    std::uint64_t mis_size = ext.mis_size;
+    mis_size = member != 0 ? mis_size + 1 : mis_size - 1;
+    std::memcpy(bytes.data() + sizeof(header) + offsetof(graph::SnapshotEngineExt, mis_size),
+                &mis_size, sizeof mis_size);
+  });
+  write_bytes(v4_->file.path, v4_->pristine);
 }
 
 }  // namespace

@@ -50,6 +50,32 @@ TEST(Churn, MixRoughlyHonored) {
   for (const auto& op : trace) EXPECT_EQ(op.kind, OpKind::kAddEdge);
 }
 
+TEST(Churn, EdgeOnlyMixNeverRemovesNodes) {
+  // The default edge weights with both node weights zeroed sum to 0.7:
+  // rolls past 0.7 are drawn again, never taken as node removals.
+  ChurnConfig config;
+  config.p_add_node = 0.0;
+  config.p_remove_node = 0.0;
+  ChurnGenerator gen(dmis::graph::DynamicGraph(1000), config, 11);
+  const Trace trace = gen.generate(10'000);
+  ASSERT_EQ(trace.size(), 10'000U);
+  for (const auto& op : trace)
+    ASSERT_TRUE(op.kind == OpKind::kAddEdge || op.kind == OpKind::kRemoveEdgeGraceful ||
+                op.kind == OpKind::kRemoveEdgeAbrupt);
+  EXPECT_EQ(gen.graph().node_count(), 1000U);
+}
+
+TEST(ChurnDeathTest, MixWithNoApplicableKindAborts) {
+  // Only edge removals on an edgeless graph: nothing can ever apply.
+  ChurnConfig config;
+  config.p_add_edge = 0.0;
+  config.p_remove_edge = 1.0;
+  config.p_add_node = 0.0;
+  config.p_remove_node = 0.0;
+  ChurnGenerator gen(dmis::graph::DynamicGraph(5), config, 3);
+  EXPECT_DEATH((void)gen.next(), "no op kind in the mix can apply");
+}
+
 TEST(Adversarial, BipartiteSequenceBuildsAndDeletes) {
   const auto seq = bipartite_deletion_sequence(4);
   const auto built = materialize(seq.build);

@@ -4,11 +4,12 @@
 //                         [--engine [--priority-seed P]]
 //   dmis_snapshot load    --in g.snap [--warm]   time mmap-open + bulk load
 //                         [--borrow]             (+ warm engine start on
-//                                                v2/v3); --borrow opens
+//                                                v2–v4); --borrow opens
 //                                                zero-copy
 //   dmis_snapshot verify  --in g.snap            checksum + deep consistency
-//                                                (v2: greedy-fixpoint check;
-//                                                .trc: checksum + op replay)
+//                                                (v2–v4: greedy-fixpoint
+//                                                check; .trc: checksum + op
+//                                                replay)
 //   dmis_snapshot stats   --in g.snap            header, sections, degrees
 //   dmis_snapshot record  --out t.trc --n N --ops K [--deg D --seed S ...]
 //
@@ -19,11 +20,11 @@
 // stands (TraceFile::materialize: a dead id, a self-loop, a duplicate or
 // missing edge), is reported as `op <i>: <reason>` and exits 1; `verify`
 // runs the same replay on a .trc after its checksum. With `--engine` it
-// additionally runs a CascadeEngine over the graph and writes a version-2
-// snapshot carrying the engine state (priority keys + membership), which
-// `load --warm` restarts without recomputing the greedy MIS. Version-3
-// files (written by older builds) still load; their shard table is
-// ignored. Plain `load --borrow` times a shallow open; `--warm` always opens
+// additionally runs a CascadeEngine over the graph and writes a version-4
+// snapshot carrying the engine state (priority keys + membership, no edge
+// table), which `load --warm` restarts without recomputing the greedy MIS.
+// Version-2 and version-3 files (written by older builds) still load; a v3
+// shard table is ignored. Plain `load --borrow` times a shallow open; `--warm` always opens
 // with full validation first, because a warm start adopts the engine-state
 // sections, which only the full pass checks. Warm loads print the engine
 // fingerprint (core/identity.hpp; borrowed and materialized loads of one
@@ -97,7 +98,7 @@ int cmd_save(util::Cli& cli) {
   const auto deg = cli.flag_double("deg", 8.0, "average degree (random graph)");
   const auto seed = static_cast<std::uint64_t>(cli.flag_int("seed", 42, "rng seed"));
   const bool engine =
-      cli.flag_bool("engine", false, "persist engine state too (version-2 snapshot)");
+      cli.flag_bool("engine", false, "persist engine state too (version-4 snapshot)");
   const auto priority_seed = static_cast<std::uint64_t>(
       cli.flag_int("priority-seed", 42, "priority seed for --engine"));
   cli.finish();
@@ -112,7 +113,7 @@ int cmd_save(util::Cli& cli) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
-    std::printf("saved %s (v2): %u nodes, %zu edges, |MIS| %zu in %.3fs\n",
+    std::printf("saved %s (v4): %u nodes, %zu edges, |MIS| %zu in %.3fs\n",
                 out.c_str(), e.graph().node_count(), e.graph().edge_count(),
                 e.mis_size(), seconds_since(t0));
     return 0;
@@ -131,7 +132,7 @@ int cmd_load(util::Cli& cli) {
   const bool no_mmap =
       cli.flag_bool("no-mmap", false, "force the read fallback instead of mmap");
   const bool warm = cli.flag_bool(
-      "warm", false, "also warm-start a CascadeEngine from the persisted state (v2)");
+      "warm", false, "also warm-start a CascadeEngine from the persisted state (v2+)");
   const bool borrow = cli.flag_bool(
       "borrow", false,
       "borrow the graph in place (zero-copy; shallow open unless --warm) "
@@ -287,17 +288,21 @@ int cmd_stats(util::Cli& cli) {
   std::printf("  id bound         %u\n", h.id_bound);
   std::printf("  live nodes       %u\n", h.node_count);
   std::printf("  edges            %llu\n", static_cast<unsigned long long>(h.edge_count));
-  std::printf("  edge table       %llu/%llu slots occupied (%llu live)\n",
-              static_cast<unsigned long long>(h.edge_occupied),
-              static_cast<unsigned long long>(h.edge_capacity),
-              static_cast<unsigned long long>(h.edge_count));
-  std::printf("  sections         alive@%llu offsets@%llu neighbors@%llu "
-              "ctrl@%llu keys@%llu\n",
+  if (snap.has_edge_table())
+    std::printf("  edge table       %llu/%llu slots occupied (%llu live)\n",
+                static_cast<unsigned long long>(h.edge_occupied),
+                static_cast<unsigned long long>(h.edge_capacity),
+                static_cast<unsigned long long>(h.edge_count));
+  else
+    std::printf("  edge table: none (v4)\n");
+  std::printf("  sections         alive@%llu offsets@%llu neighbors@%llu",
               static_cast<unsigned long long>(h.alive_off),
               static_cast<unsigned long long>(h.offsets_off),
-              static_cast<unsigned long long>(h.neighbors_off),
-              static_cast<unsigned long long>(h.edge_ctrl_off),
-              static_cast<unsigned long long>(h.edge_keys_off));
+              static_cast<unsigned long long>(h.neighbors_off));
+  if (snap.has_edge_table())
+    std::printf(" ctrl@%llu keys@%llu", static_cast<unsigned long long>(h.edge_ctrl_off),
+                static_cast<unsigned long long>(h.edge_keys_off));
+  std::printf("\n");
   if (snap.has_engine_state()) {
     const auto& ext = snap.engine_ext();
     std::printf("  engine state     prio-keys@%llu membership@%llu\n",
@@ -307,7 +312,7 @@ int cmd_stats(util::Cli& cli) {
                 static_cast<unsigned long long>(ext.mis_size),
                 static_cast<unsigned long long>(ext.priority_seed));
   }
-  if (h.version >= graph::kSnapshotVersionSharded)
+  if (h.version == graph::kSnapshotVersionSharded)
     std::printf("  shard table      %u shards (v3, validated and ignored)\n",
                 snap.shard_count());
 
