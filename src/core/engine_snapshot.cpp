@@ -1,7 +1,5 @@
 #include "core/engine_snapshot.hpp"
 
-#include "graph/snapshot.hpp"
-
 namespace dmis::core {
 
 bool save_snapshot(const CascadeEngine& engine, const std::string& path,
@@ -11,6 +9,11 @@ bool save_snapshot(const CascadeEngine& engine, const std::string& path,
 
 bool save_snapshot(const CascadeEngine& engine, const std::string& path,
                    const util::FileFactory& factory, std::string* error) {
+  graph::SnapshotImage image = capture_snapshot(engine);
+  return util::publish_staged(path, image, factory, error);
+}
+
+graph::SnapshotImage capture_snapshot(const CascadeEngine& engine) {
   const graph::DynamicGraph& g = engine.graph();
   const PriorityMap& priorities = engine.priorities();
   graph::EngineStateView state;
@@ -25,7 +28,7 @@ bool save_snapshot(const CascadeEngine& engine, const std::string& path,
   state.priority_seed = priorities.seed();
   const util::Rng::State rng = priorities.rng_state();
   for (int w = 0; w < 4; ++w) state.rng_state[w] = rng[static_cast<std::size_t>(w)];
-  return graph::save_snapshot(g, state, path, factory, error);
+  return graph::capture_snapshot(g, state);
 }
 
 }  // namespace dmis::core

@@ -301,15 +301,21 @@ void layout_snapshot(const DynamicGraph& g, const util::FlatSet* edges,
 }
 
 /// The graph's per-node sections, read once per save (DynamicGraph::
-/// node_sections): both passes of util::save_staged walk every node. 17
-/// bytes per id, freed when the save returns.
+/// node_sections) and walked by each pass over the payload: both of a v1
+/// save's, the one of a v4 capture. 17 bytes per id, freed when the save
+/// returns.
 struct NodeSections {
   std::vector<std::uint8_t> alive;
   std::vector<std::span<const NodeId>> neighbors;  // empty for dead ids
+
+  explicit NodeSections(const DynamicGraph& g)
+      : alive(g.id_bound(), 0), neighbors(g.id_bound()) {
+    g.node_sections(alive, neighbors);
+  }
 };
 
 /// Stream the checksummed payload (everything after SnapshotHeader) through
-/// `w` — either pass of util::save_staged.
+/// `w`: either pass of util::save_staged (v1) or util::capture_staged (v4).
 template <class Sink>
 bool stream_snapshot_payload(const NodeSections& nodes, const util::FlatSet* edges,
                              const SnapshotHeader& header,
@@ -351,45 +357,37 @@ bool stream_snapshot_payload(const NodeSections& nodes, const util::FlatSet* edg
   return ok;
 }
 
-/// The writer body of every overload: version 1 when `state` is null,
-/// version 4 otherwise, published crash-safe by util::save_staged.
-bool write_snapshot(const DynamicGraph& g, const EngineStateView* state,
-                    const std::string& path, const util::FileFactory& factory,
-                    std::string* error) {
-  // Only the frozen v1 layout stores an edge table: a materialized graph's
-  // own, referenced with no copy, or — a borrowed graph holds only deltas
-  // over its base CSR — one built from its edges.
-  util::FlatSet built;
-  const util::FlatSet* edges = nullptr;
-  if (state == nullptr && g.borrowed()) {
-    built.reserve(g.edge_count());
-    g.for_each_edge([&built](NodeId u, NodeId v) { (void)built.insert(edge_key(u, v)); });
-    edges = &built;
-  } else if (state == nullptr) {
-    edges = &g.edge_set();
-  }
-  SnapshotHeader header{};
-  SnapshotEngineExt ext{};
-  layout_snapshot(g, edges, state, &header, &ext);
-  NodeSections nodes{std::vector<std::uint8_t>(g.id_bound(), 0),
-                     std::vector<std::span<const NodeId>>(g.id_bound())};
-  g.node_sections(nodes.alive, nodes.neighbors);
-  return util::save_staged(
-      path, header,
-      [&](auto& w) { return stream_snapshot_payload(nodes, edges, header, &ext, state, w); },
-      factory, error);
-}
-
 }  // namespace
 
 bool save_snapshot(const DynamicGraph& g, const std::string& path, std::string* error) {
-  return write_snapshot(g, nullptr, path, {}, error);
+  // The frozen v1 layout stores an edge table: a materialized graph's own,
+  // referenced with no copy, or — a borrowed graph holds only deltas over
+  // its base CSR — one built from its edges.
+  util::FlatSet built;
+  if (g.borrowed()) {
+    built.reserve(g.edge_count());
+    g.for_each_edge([&built](NodeId u, NodeId v) { (void)built.insert(edge_key(u, v)); });
+  }
+  const util::FlatSet* edges = g.borrowed() ? &built : &g.edge_set();
+  SnapshotHeader header{};
+  layout_snapshot(g, edges, nullptr, &header, nullptr);
+  const NodeSections nodes(g);
+  return util::save_staged(
+      path, header,
+      [&](auto& w) {
+        return stream_snapshot_payload(nodes, edges, header, nullptr, nullptr, w);
+      },
+      {}, error);
 }
 
-bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
-                   const std::string& path, const util::FileFactory& factory,
-                   std::string* error) {
-  return write_snapshot(g, &state, path, factory, error);
+SnapshotImage capture_snapshot(const DynamicGraph& g, const EngineStateView& state) {
+  SnapshotHeader header{};
+  SnapshotEngineExt ext{};
+  layout_snapshot(g, nullptr, &state, &header, &ext);
+  const NodeSections nodes(g);
+  return util::capture_staged(header, [&](auto& w) {
+    return stream_snapshot_payload(nodes, nullptr, header, &ext, &state, w);
+  });
 }
 
 DynamicGraph DynamicGraph::load(const Snapshot& snapshot) {

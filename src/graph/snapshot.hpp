@@ -46,9 +46,10 @@
 // the greedy fixpoint of the persisted keys (the deep check recovery and
 // the dmis_snapshot CLI run).
 //
-// Every save_snapshot overload publishes through util::save_staged
-// (util/binary_io.hpp): a crash mid-save leaves the old file plus at most
-// `<path>.tmp`, never a torn file at `path`.
+// The v1 save streams through util::save_staged; a v4 image is captured in
+// memory (capture_snapshot) and written by util::publish_staged
+// (util/binary_io.hpp). Both publish the same way: a crash mid-save leaves
+// the old file plus at most `<path>.tmp`, never a torn file at `path`.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +58,7 @@
 #include <string>
 
 #include "graph/dynamic_graph.hpp"
-#include "util/fault_file.hpp"  // util::FileFactory (fault-injectable saves)
+#include "util/binary_io.hpp"  // util::StagedImage
 #include "util/mmap_file.hpp"
 
 namespace dmis::graph {
@@ -293,15 +294,17 @@ class Snapshot {
 bool save_snapshot(const DynamicGraph& g, const std::string& path,
                    std::string* error = nullptr);
 
-/// Write `g` plus engine state as a version-4 snapshot. The engine calls
-/// this through core::save_snapshot (core/engine_snapshot.hpp), which
-/// extracts the spans; the writer zero-pads short spans to id_bound and
-/// computes mis_size itself. The staging file is opened through `factory`
-/// (empty means util::open_writable) — the seam the Checkpointer's fault
-/// tests fail a save through, at any byte or at the fsync, to prove the
-/// previously published snapshot survives.
-bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
-                   const std::string& path, const util::FileFactory& factory,
-                   std::string* error = nullptr);
+/// A version-4 snapshot held in memory: every byte of the file, the
+/// payload checksum excepted, which util::publish_staged computes when it
+/// writes the image out.
+using SnapshotImage = util::StagedImage<SnapshotHeader>;
+
+/// Capture `g` plus engine state as a version-4 image — the one v4 byte
+/// emitter. The engine calls this through core::capture_snapshot
+/// (core/engine_snapshot.hpp), which extracts the spans; the writer
+/// zero-pads short spans to id_bound and computes mis_size itself. The
+/// image borrows nothing from `g`, so `g` may change as soon as this
+/// returns.
+SnapshotImage capture_snapshot(const DynamicGraph& g, const EngineStateView& state);
 
 }  // namespace dmis::graph

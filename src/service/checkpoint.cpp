@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
+#include <functional>
 #include <system_error>
+#include <utility>
 
 #include "service/wal.hpp"
 #include "util/assert.hpp"
@@ -40,21 +43,73 @@ std::vector<CheckpointInfo> list_checkpoints(const std::string& dir,
   return checkpoints;
 }
 
+void Checkpointer::publish(graph::SnapshotImage image, const std::string& dir,
+                           const util::FileFactory& factory, Publish& p) {
+  try {
+    p.published =
+        util::publish_staged(checkpoint_path(dir, p.lsn), image, factory, &p.error);
+    image.bytes.reset();  // on this thread: a serving caller never pays the unmap
+    // Steps 4–5 — pure garbage collection; a published checkpoint is
+    // durable regardless of whether this succeeds.
+    p.ok = p.published && truncate(dir, p.lsn, &p.error);
+  } catch (const std::exception& e) {  // must not escape a thread's entry
+    p.ok = false;
+    p.error = "checkpoint publish: " + std::string(e.what());
+  }
+  p.done.store(true, std::memory_order_release);
+}
+
 bool Checkpointer::checkpoint(const core::CascadeEngine& engine, std::uint64_t lsn,
                               std::string* error) {
+  if (!finish(/*block=*/true, error)) return false;
+  start(engine, lsn, /*background=*/false);
+  return finish(/*block=*/true, error);
+}
+
+void Checkpointer::checkpoint_in_background(const core::CascadeEngine& engine,
+                                            std::uint64_t lsn) {
+  start(engine, lsn, /*background=*/true);
+}
+
+void Checkpointer::start(const core::CascadeEngine& engine, std::uint64_t lsn,
+                         bool background) {
   DMIS_ASSERT_MSG(!dir_.empty(), "Checkpointer used before construction");
-  const std::string path = checkpoint_path(dir_, lsn);
-  // Step 1 — the only step that creates state. core::save_snapshot writes
-  // temp + fsync + rename (util::save_staged), so the published path only
-  // ever holds a complete checkpoint.
-  if (!core::save_snapshot(engine, path, file_factory_, error)) return false;
+  DMIS_ASSERT_MSG(publish_ == nullptr, "a checkpoint publish is already in flight");
+  graph::SnapshotImage image = core::capture_snapshot(engine);  // step 2
+  publish_ = std::make_unique<Publish>();
+  Publish& p = *publish_;
+  p.lsn = lsn;
+  p.bytes = image.header.file_size;
+  p.previous_lsn = last_lsn_;
   ++taken_;
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (!ec) bytes_ += size;
-  // Steps 2–3 — pure garbage collection; the new checkpoint is durable
-  // regardless of whether this succeeds.
-  return truncate(dir_, lsn, error);
+  bytes_ += p.bytes;
+  last_lsn_ = lsn;
+  if (!background) {
+    publish(std::move(image), dir_, file_factory_, p);
+    return;
+  }
+  try {
+    p.thread = std::thread(publish, std::move(image), dir_, file_factory_, std::ref(p));
+  } catch (const std::system_error& e) {
+    p.error = "checkpoint publisher thread: " + std::string(e.what());
+    p.done.store(true, std::memory_order_release);
+  }
+}
+
+bool Checkpointer::finish(bool block, std::string* error) {
+  if (publish_ == nullptr) return true;
+  if (!block && !publish_->done.load(std::memory_order_acquire)) return true;
+  const std::unique_ptr<Publish> p = std::move(publish_);
+  if (p->thread.joinable()) p->thread.join();
+  if (!p->published) {
+    // The previous checkpoint is still the newest, so the next is due now.
+    --taken_;
+    bytes_ -= p->bytes;
+    last_lsn_ = p->previous_lsn;
+  }
+  if (p->ok) return true;
+  util::set_error(error, p->error);
+  return false;
 }
 
 bool Checkpointer::truncate(const std::string& dir, std::uint64_t keep_lsn,

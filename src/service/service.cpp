@@ -61,6 +61,14 @@ std::optional<MisService> MisService::adopt(ServiceConfig config,
 
 bool MisService::apply(const core::Batch& batch, std::string* error) {
   if (batch.empty()) return true;
+  const bool checkpoint_due =
+      config_.checkpoint_interval_ops > 0 &&
+      lsn_ + batch.size() - checkpointer_.last_lsn() >= config_.checkpoint_interval_ops;
+  // A failed background publish surfaces here, before the batch is logged,
+  // so the lsn does not move. A checkpoint this batch makes due waits for
+  // the publish in flight rather than skipping it: skipping would let the
+  // WAL tail, and with it recovery, grow without bound on a slow disk.
+  if (!checkpointer_.finish(/*block=*/checkpoint_due, error)) return false;
   // Durability before application: the op must be on the log (and synced,
   // per policy) before the engine acts on it — the WAL may run ahead of
   // the engine across a crash (replay is idempotent from the checkpoint),
@@ -75,24 +83,28 @@ bool MisService::apply(const core::Batch& batch, std::string* error) {
   core::apply_batch(engine_, batch, result_);
   lsn_ += batch.size();
   DMIS_ASSERT(lsn_ == wal_.next_lsn());
-  if (config_.checkpoint_interval_ops > 0 &&
-      lsn_ - last_checkpoint_lsn_ >= config_.checkpoint_interval_ops)
-    return checkpoint(error);
+  if (!checkpoint_due) return true;
+  // Sync first, as checkpoint() does; the capture is then all this thread
+  // pays, and the publisher thread writes and truncates.
+  if (!wal_.sync(error)) return false;
+  checkpointer_.checkpoint_in_background(engine_, lsn_);
   return true;
 }
 
-bool MisService::sync(std::string* error) { return wal_.sync(error); }
+bool MisService::sync(std::string* error) {
+  return checkpointer_.finish(/*block=*/true, error) && wal_.sync(error);
+}
 
 bool MisService::checkpoint(std::string* error) {
   // Sync first so durable_lsn() is monotone through a checkpoint: the
   // snapshot makes ops ≤ lsn durable by itself, but the WAL behind it must
   // be complete before truncation may delete segments.
-  if (!wal_.sync(error)) return false;
-  if (!checkpointer_.checkpoint(engine_, lsn_, error)) return false;
-  last_checkpoint_lsn_ = lsn_;
-  return true;
+  return wal_.sync(error) && checkpointer_.checkpoint(engine_, lsn_, error);
 }
 
-bool MisService::close(std::string* error) { return wal_.close(error); }
+bool MisService::close(std::string* error) {
+  const bool published = checkpointer_.finish(/*block=*/true, error);
+  return wal_.close(published ? error : nullptr) && published;
+}
 
 }  // namespace dmis::service

@@ -13,10 +13,20 @@
 //      kEveryOp) and fsync per policy — durability first;
 //   2. apply the batch to the engine (single-cascade batch repair,
 //      core/batch.hpp);
-//   3. every checkpoint_interval_ops ops: fsync, snapshot, truncate.
+//   3. every checkpoint_interval_ops ops: fsync the WAL and capture the
+//      engine as an in-memory v4 image; a publisher thread then writes,
+//      syncs and renames the checkpoint and truncates behind it
+//      (service/checkpoint.hpp). At most one publish is in flight: a
+//      checkpoint that comes due during one waits for it.
 // apply() returning true is the ack: under kEveryOp / kEveryBatch the
 // batch is then durable; under kInterval it is durable within
 // fsync_interval_records records (durable_lsn() says exactly).
+//
+// A failed background publish is reported exactly once, as false, by the
+// first of: the next apply() (before its batch is logged, so the lsn does
+// not move), sync(), checkpoint() or close(). The previous checkpoint and
+// the WAL behind it stay intact, last_checkpoint_lsn() falls back to that
+// checkpoint, and the next auto-checkpoint is due at once.
 //
 // Steady state allocates nothing: the WAL serialization buffer, the batch
 // result, and every engine scratch reuse owned capacity; only segment
@@ -56,7 +66,7 @@ struct ServiceConfig {
   util::FileFactory file_factory;
   /// Separate seam for checkpoint temp files, so a WAL fault schedule's
   /// shared nth-file counter is not perturbed by checkpoint opens (and
-  /// vice versa).
+  /// vice versa). An auto-checkpoint calls it on the publisher thread.
   util::FileFactory checkpoint_file_factory;
 };
 
@@ -88,19 +98,25 @@ class MisService {
   MisService(MisService&&) = default;
   MisService& operator=(MisService&&) = default;
 
-  /// Log, sync (per policy), apply, maybe checkpoint. False on I/O
+  /// Log, sync (per policy), apply, maybe start a checkpoint. False on I/O
   /// failure — the engine then still matches the durable log prefix, but
-  /// the service must be reopened (recovered) before further writes.
+  /// the service must be reopened (recovered) before further writes — or
+  /// when it reports a failed background publish (header comment), which
+  /// leaves the service serving.
   bool apply(const core::Batch& batch, std::string* error);
 
-  /// Fsync the WAL now (advances durable_lsn to lsn).
+  /// Wait for the checkpoint publish in flight, then fsync the WAL
+  /// (advances durable_lsn to lsn): afterwards every checkpoint taken so
+  /// far is on disk, or its failure has been reported here.
   bool sync(std::string* error);
 
-  /// Snapshot the engine at the current lsn and truncate the WAL.
+  /// Snapshot the engine at the current lsn and truncate the WAL, on this
+  /// thread, after the publish in flight.
   bool checkpoint(std::string* error);
 
-  /// Seal the active segment and close the WAL. Further apply() calls
-  /// fail; the directory reopens cleanly.
+  /// Wait for the publish in flight, then seal the active segment and
+  /// close the WAL. Further apply() calls fail; the directory reopens
+  /// cleanly. The destructor also waits for the publish.
   bool close(std::string* error);
 
   [[nodiscard]] const core::CascadeEngine& engine() const noexcept { return engine_; }
@@ -110,8 +126,10 @@ class MisService {
   [[nodiscard]] std::uint64_t durable_lsn() const noexcept {
     return wal_.durable_lsn();
   }
+  /// Lsn of the newest checkpoint captured whose publish has not failed
+  /// (it may still be in flight: sync() waits for it).
   [[nodiscard]] std::uint64_t last_checkpoint_lsn() const noexcept {
-    return last_checkpoint_lsn_;
+    return checkpointer_.last_lsn();
   }
   /// Report of the last apply()'s batch repair.
   [[nodiscard]] const core::BatchResult& last_result() const noexcept {
@@ -144,10 +162,10 @@ class MisService {
       : config_(std::move(config)),
         engine_(std::move(engine)),
         wal_(std::move(wal)),
-        checkpointer_(config_.dir, config_.checkpoint_file_factory),
+        checkpointer_(config_.dir, config_.checkpoint_file_factory,
+                      recovery.checkpoint_lsn),
         recovery_(std::move(recovery)),
-        lsn_(recovery_.recovered_lsn),
-        last_checkpoint_lsn_(recovery_.checkpoint_lsn) {}
+        lsn_(recovery_.recovered_lsn) {}
 
   ServiceConfig config_;
   core::CascadeEngine engine_;
@@ -156,7 +174,6 @@ class MisService {
   RecoveryReport recovery_;
   core::BatchResult result_;  // reused per apply
   std::uint64_t lsn_ = 0;
-  std::uint64_t last_checkpoint_lsn_ = 0;
 };
 
 }  // namespace dmis::service

@@ -27,6 +27,13 @@ bool StagingBuffer::spill(const void* data, std::size_t bytes) {
   return ok_;
 }
 
+std::unique_ptr<WritableFile> open_staging(const std::string& path,
+                                           const FileFactory& factory,
+                                           std::string* error) {
+  const std::string tmp = path + kStagingSuffix;
+  return factory ? factory(tmp, error) : open_writable(tmp, error);
+}
+
 bool commit_staged(WritableFile& staged, bool written, const std::string& final_path,
                    std::string* error) {
   // Durability before visibility: the staged bytes are on disk before the

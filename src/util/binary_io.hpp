@@ -1,9 +1,12 @@
 // Shared plumbing for the binary on-disk formats (graph snapshot, topology
 // trace — docs/FORMATS.md): 8-byte section alignment, the FNV-1a payload
-// checksum, and save_staged, the one writer of every file this library
-// publishes. Both formats are a fixed header whose payload_checksum covers
-// the payload behind it, so one implementation keeps the padding,
-// checksum-coverage and publish rules from drifting between them.
+// checksum, and the two writers of every file this library publishes:
+// save_staged streams a payload twice (v1 graph snapshots, traces), and
+// capture_staged + publish_staged take an engine snapshot into memory on
+// the caller's thread and publish it from any thread. Both formats are a
+// fixed header whose payload_checksum covers the payload behind it, so one
+// implementation keeps the padding, checksum-coverage and publish rules
+// from drifting between them.
 #pragma once
 
 #include <cstddef>
@@ -111,12 +114,54 @@ class StagingBuffer {
   bool ok_ = true;
 };
 
+/// Capture sink: PayloadHasher's interface over a buffer that holds the
+/// whole file, the payload starting at `header_bytes`.
+class ImageWriter {
+ public:
+  ImageWriter(std::uint8_t* file, std::uint64_t header_bytes, std::uint64_t file_size)
+      : file_(file), position_(header_bytes), file_size_(file_size) {}
+
+  bool write(const void* data, std::size_t bytes) {
+    DMIS_ASSERT_MSG(bytes <= file_size_ - position_,
+                    "payload runs past the header's file_size");
+    if (bytes > 0) std::memcpy(file_ + position_, data, bytes);
+    position_ += bytes;
+    return true;
+  }
+
+  bool align8() {
+    static constexpr std::uint8_t zeros[8] = {};
+    return write(zeros, static_cast<std::size_t>(pad8(position_) - position_));
+  }
+
+  [[nodiscard]] std::uint64_t position() const noexcept { return position_; }
+
+ private:
+  std::uint8_t* file_;
+  std::uint64_t position_;
+  std::uint64_t file_size_;
+};
+
+/// A file captured in memory for a later publish: `bytes` holds all
+/// header.file_size bytes of it, the header's slot at the front left for
+/// publish_staged, which fills in the payload checksum.
+template <class Header>
+struct StagedImage {
+  Header header{};
+  std::unique_ptr<std::uint8_t[]> bytes;
+};
+
 /// The commit step of every publish: fsync `staged`, close it, rename it
 /// over `final_path` (util::atomic_publish). `written` = false means the
 /// caller's writes failed and only the cleanup runs. On any failure the
 /// staged file is removed, and *error names the path and the syscall.
 bool commit_staged(WritableFile& staged, bool written, const std::string& final_path,
                    std::string* error);
+
+/// `<path>.tmp`, opened fresh by `factory` (open_writable when empty).
+std::unique_ptr<WritableFile> open_staging(const std::string& path,
+                                           const FileFactory& factory,
+                                           std::string* error);
 
 /// Publish `header` + payload at `path` in two passes: `emit(sink)` streams
 /// the payload into a PayloadHasher, which fills in
@@ -133,12 +178,41 @@ bool save_staged(const std::string& path, Header header, const EmitPayload& emit
                   "payload does not end at the header's file_size");
   header.payload_checksum = hasher.checksum();
 
-  const std::string tmp = path + kStagingSuffix;
-  const std::unique_ptr<WritableFile> staged =
-      factory ? factory(tmp, error) : open_writable(tmp, error);
+  const std::unique_ptr<WritableFile> staged = open_staging(path, factory, error);
   if (staged == nullptr) return false;
   StagingBuffer sink(*staged, error);
   const bool written = sink.write(&header, sizeof(header)) && emit(sink) && sink.flush();
+  return commit_staged(*staged, written, path, error);
+}
+
+/// Capture `header` + payload in memory: `emit(sink)` streams the payload
+/// once, into an ImageWriter over a fresh header.file_size buffer. No I/O
+/// and no checksum: publish_staged does both, on whichever thread owns the
+/// image by then.
+template <class Header, class EmitPayload>
+StagedImage<Header> capture_staged(const Header& header, const EmitPayload& emit) {
+  StagedImage<Header> image{header, std::make_unique_for_overwrite<std::uint8_t[]>(
+                                        static_cast<std::size_t>(header.file_size))};
+  ImageWriter sink(image.bytes.get(), sizeof(Header), header.file_size);
+  (void)emit(sink);
+  DMIS_ASSERT_MSG(sink.position() == header.file_size,
+                  "payload does not end at the header's file_size");
+  return image;
+}
+
+/// Publish a captured image at `path`: checksum the payload into the
+/// header, write the whole file to `<path>.tmp` (open_staging) and
+/// commit_staged it. The same failure contract as save_staged.
+template <class Header>
+bool publish_staged(const std::string& path, StagedImage<Header>& image,
+                    const FileFactory& factory, std::string* error) {
+  std::uint8_t* file = image.bytes.get();
+  const auto size = static_cast<std::size_t>(image.header.file_size);
+  image.header.payload_checksum = fnv1a64(file + sizeof(Header), size - sizeof(Header));
+  std::memcpy(file, &image.header, sizeof(Header));
+  const std::unique_ptr<WritableFile> staged = open_staging(path, factory, error);
+  if (staged == nullptr) return false;
+  const bool written = staged->write(file, size, error);
   return commit_staged(*staged, written, path, error);
 }
 

@@ -1,7 +1,7 @@
 // WritableFile — the narrow write/sync seam every byte the library persists
 // goes through (WAL segments, shipped files, and every snapshot, checkpoint
-// and trace via util::save_staged), with a fault-injecting wrapper so
-// crash-safety is proven by tests, not claimed.
+// and trace via util::save_staged or util::publish_staged), with a
+// fault-injecting wrapper so crash-safety is proven by tests, not claimed.
 //
 // The durability logic in service/wal.cpp is exactly the code that must be
 // right when the disk misbehaves, and the misbehaviors that matter (short

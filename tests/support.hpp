@@ -7,17 +7,23 @@
 //
 // Service streams: the service and replication suites drive the same
 // deterministic batch stream, check it against the same never-persisted
-// reference engine, and compare with the same identity check.
+// reference engine, and compare with the same identity check. The service
+// and kill -9 suites hold a background checkpoint publish open with the
+// same PublishGate.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -27,6 +33,7 @@
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
 #include "util/binary_io.hpp"
+#include "util/fault_file.hpp"
 #include "util/rng.hpp"
 #include "workload/batched.hpp"
 #include "workload/churn.hpp"
@@ -138,6 +145,89 @@ inline void expect_same(const core::CascadeEngine& got, const core::CascadeEngin
                         const std::string& where) {
   EXPECT_EQ(core::state_diff(got, want), "") << where;
 }
+
+/// A checkpoint_file_factory that holds one publish open: the `nth` file it
+/// opens blocks in sync() until release(). The publisher thread blocks
+/// there while the test thread waits for that (wait_held) and lets it go.
+/// Declare a gate after the service it holds: its destructor releases, so
+/// a failed assertion never leaves the service's destructor joining a
+/// publish that nothing will let go.
+class PublishGate {
+ public:
+  PublishGate() = default;
+  PublishGate(const PublishGate&) = delete;
+  PublishGate& operator=(const PublishGate&) = delete;
+  ~PublishGate() { release(); }
+
+  [[nodiscard]] util::FileFactory factory(std::uint64_t nth = 0) const {
+    return [state = state_, nth, opened = std::make_shared<std::uint64_t>(0)](
+               const std::string& path,
+               std::string* error) -> std::unique_ptr<util::WritableFile> {
+      std::unique_ptr<util::WritableFile> inner = util::open_writable(path, error);
+      if (inner == nullptr || (*opened)++ != nth) return inner;
+      return std::make_unique<HeldFile>(std::move(inner), state);
+    };
+  }
+
+  /// True once a publish is blocked in the held file's sync().
+  [[nodiscard]] bool held() const {
+    const std::lock_guard<std::mutex> lock(state_->mutex);
+    return state_->held;
+  }
+
+  /// Wait (up to a minute) until a publish is held; false on timeout.
+  [[nodiscard]] bool wait_held() const {
+    std::unique_lock<std::mutex> lock(state_->mutex);
+    return state_->cv.wait_for(lock, std::chrono::minutes(1),
+                               [&] { return state_->held; });
+  }
+
+  void release() {
+    const std::lock_guard<std::mutex> lock(state_->mutex);
+    state_->released = true;
+    state_->cv.notify_all();
+  }
+
+ private:
+  struct State {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool held = false;
+    bool released = false;
+  };
+
+  class HeldFile final : public util::WritableFile {
+   public:
+    HeldFile(std::unique_ptr<util::WritableFile> inner, std::shared_ptr<State> state)
+        : inner_(std::move(inner)), state_(std::move(state)) {}
+
+    bool write(const void* data, std::size_t bytes, std::string* error) override {
+      return inner_->write(data, bytes, error);
+    }
+    bool sync(std::string* error) override {
+      {
+        std::unique_lock<std::mutex> lock(state_->mutex);
+        state_->held = true;
+        state_->cv.notify_all();
+        state_->cv.wait(lock, [&] { return state_->released; });
+      }
+      return inner_->sync(error);
+    }
+    bool close(std::string* error) override { return inner_->close(error); }
+    [[nodiscard]] std::uint64_t bytes_written() const noexcept override {
+      return inner_->bytes_written();
+    }
+    [[nodiscard]] const std::string& path() const noexcept override {
+      return inner_->path();
+    }
+
+   private:
+    std::unique_ptr<util::WritableFile> inner_;
+    std::shared_ptr<State> state_;
+  };
+
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+};
 
 /// A graph with dead ids, spilled adjacency records and edge-table
 /// tombstones: G(n, avg degree 8) after `churn_ops` churn ops — the churned

@@ -19,7 +19,11 @@
 //
 // Randomness: the kill points vary per run (seed from the clock), so
 // repeated CI runs explore different crash surfaces. The seed is printed
-// and can be pinned with DMIS_KILL9_SEED for reproduction.
+// and can be pinned with DMIS_KILL9_SEED for reproduction. One kill point
+// is placed on purpose: while a checkpoint's background publish is held in
+// its fsync (test::PublishGate) and the consumer has acked past it — the
+// crash a publisher thread adds — recovery must start from the checkpoint
+// before it, replay the WAL, and delete the staging file.
 #include <gtest/gtest.h>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -43,6 +47,7 @@
 #include "core/batch.hpp"
 #include "core/cascade_engine.hpp"
 #include "core/identity.hpp"
+#include "service/checkpoint.hpp"
 #include "service/service.hpp"
 #include "support.hpp"
 #include "util/rng.hpp"
@@ -65,23 +70,35 @@ std::vector<core::Batch> make_stream() {
   return workload::drill_stream(100, 6.0, kStreamSeed, 2000, 6);
 }
 
+/// What the child tells the parent, in a shared-memory page.
+struct ChildPage {
+  std::atomic<std::uint64_t> acked{0};  // lsn after the last successful apply
+  std::atomic<std::uint64_t> held{0};   // lsn of the checkpoint held open, once it is
+};
+
 /// Child body (post-fork): ingest the stream, publishing the acked lsn to
-/// the shared page after every successful apply. Never returns; only _exit
-/// (no gtest, no exit handlers — this process is about to be shot anyway).
-[[noreturn]] void run_child(const std::string& dir, FsyncPolicy policy,
-                            std::atomic<std::uint64_t>* acked) {
+/// the shared page after every successful apply. With `hold_publish` the
+/// second checkpoint's publish blocks in its fsync for good, and the page
+/// says so once it does. Never returns; only _exit (no gtest, no exit
+/// handlers — this process is about to be shot anyway).
+[[noreturn]] void run_child(const std::string& dir, FsyncPolicy policy, ChildPage* page,
+                            bool hold_publish) {
+  test::PublishGate gate;  // never released: only _exit or SIGKILL end the child
   ServiceConfig config;
   config.dir = dir;
   config.priority_seed = kPrioritySeed;
   config.fsync = policy;
   config.checkpoint_interval_ops = 300;  // the kill can land mid-checkpoint
+  if (hold_publish) config.checkpoint_file_factory = gate.factory(1);
   std::string error;
   auto svc = MisService::open(config, &error);
   if (!svc.has_value()) _exit(2);
   const auto stream = make_stream();
   for (const core::Batch& batch : stream) {
     if (!svc->apply(batch, &error)) _exit(3);
-    acked->store(svc->lsn(), std::memory_order_release);
+    page->acked.store(svc->lsn(), std::memory_order_release);
+    if (hold_publish && page->held.load(std::memory_order_relaxed) == 0 && gate.held())
+      page->held.store(svc->last_checkpoint_lsn(), std::memory_order_release);
   }
   _exit(0);  // outran the killer: full stream ingested
 }
@@ -91,22 +108,32 @@ struct RoundResult {
   bool child_finished = false;
 };
 
-/// One torture round: fork, let the child reach a random acked lsn, SIGKILL
-/// it, recover, verify against the reference, then churn both onward.
-void torture_round(FsyncPolicy policy, std::uint64_t kill_at, const std::string& tag) {
+/// One torture round: fork, let the child reach a random acked lsn — or,
+/// with `hold_publish`, ack a batch past a checkpoint whose publish is held
+/// open — SIGKILL it, recover, verify against the reference, then churn
+/// both onward.
+void torture_round(FsyncPolicy policy, std::uint64_t kill_at, const std::string& tag,
+                   bool hold_publish = false) {
   TempDir dir(tag);
-  auto* acked = static_cast<std::atomic<std::uint64_t>*>(
-      mmap(nullptr, sizeof(std::atomic<std::uint64_t>), PROT_READ | PROT_WRITE,
-           MAP_SHARED | MAP_ANONYMOUS, -1, 0));
-  ASSERT_NE(acked, MAP_FAILED) << "mmap: " << errno;
-  new (acked) std::atomic<std::uint64_t>(0);
+  auto* page = static_cast<ChildPage*>(mmap(nullptr, sizeof(ChildPage),
+                                            PROT_READ | PROT_WRITE,
+                                            MAP_SHARED | MAP_ANONYMOUS, -1, 0));
+  ASSERT_NE(page, MAP_FAILED) << "mmap: " << errno;
+  new (page) ChildPage();
 
   const pid_t pid = fork();
   ASSERT_NE(pid, -1) << "fork: " << errno;
-  if (pid == 0) run_child(dir.path, policy, acked);
+  if (pid == 0) run_child(dir.path, policy, page, hold_publish);
 
+  const auto kill_now = [&] {
+    const std::uint64_t acked = page->acked.load(std::memory_order_acquire);
+    if (!hold_publish) return acked >= kill_at;
+    const std::uint64_t held = page->held.load(std::memory_order_acquire);
+    return held != 0 && acked > held;
+  };
   RoundResult round;
   int status = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::minutes(1);
   for (;;) {
     const pid_t done = waitpid(pid, &status, WNOHANG);
     ASSERT_NE(done, -1) << "waitpid: " << errno;
@@ -116,15 +143,32 @@ void torture_round(FsyncPolicy policy, std::uint64_t kill_at, const std::string&
       round.child_finished = true;
       break;
     }
-    if (acked->load(std::memory_order_acquire) >= kill_at) {
+    const bool late = std::chrono::steady_clock::now() > deadline;
+    if (kill_now() || late) {
       kill(pid, SIGKILL);
       ASSERT_EQ(waitpid(pid, &status, 0), pid);
+      ASSERT_FALSE(late) << tag << ": the child never reached its kill point";
       break;
     }
     usleep(100);
   }
-  round.acked = acked->load(std::memory_order_acquire);
-  munmap(acked, sizeof(std::atomic<std::uint64_t>));
+  round.acked = page->acked.load(std::memory_order_acquire);
+  const std::uint64_t held = page->held.load(std::memory_order_acquire);
+  munmap(page, sizeof(ChildPage));
+
+  // A held publish died mid-fsync: its staging file is on disk, its
+  // checkpoint is not, and recovery must start from the one before it.
+  std::uint64_t previous_checkpoint = 0;
+  if (hold_publish) {
+    ASSERT_FALSE(round.child_finished) << tag << ": the held publish never blocked";
+    ASSERT_TRUE(std::filesystem::exists(service::checkpoint_path(dir.path, held) +
+                                        util::kStagingSuffix))
+        << tag;
+    const auto checkpoints = service::list_checkpoints(dir.path);
+    ASSERT_EQ(checkpoints.size(), 1U) << tag;
+    previous_checkpoint = checkpoints[0].lsn;
+    ASSERT_LT(previous_checkpoint, held) << tag;
+  }
 
   // Recover. No fault injection here: the only "fault" is whatever on-disk
   // state the SIGKILL froze.
@@ -134,6 +178,10 @@ void torture_round(FsyncPolicy policy, std::uint64_t kill_at, const std::string&
   std::string error;
   auto svc = MisService::open(config, &error);
   ASSERT_TRUE(svc.has_value()) << tag << ": recovery failed: " << error << "\n";
+  if (hold_publish) {
+    EXPECT_EQ(svc->recovery().checkpoint_lsn, previous_checkpoint)
+        << tag << "\n" << svc->recovery().detail;
+  }
   // A kill mid-checkpoint leaves the save's staging file; the open deletes it.
   for (const auto& entry : std::filesystem::directory_iterator(dir.path))
     ASSERT_NE(entry.path().extension(), ".tmp")
@@ -203,6 +251,15 @@ TEST_F(Kill9Recovery, EveryBatchPolicy) {
                   "batch_r" + std::to_string(round));
     if (HasFatalFailure()) return;
   }
+}
+
+TEST_F(Kill9Recovery, KilledWhileAPublishIsHeldOpen) {
+  // Deterministic: the kill lands while the second checkpoint's publish
+  // sits in its fsync on the publisher thread, after the consumer has
+  // acked at least one more batch.
+  torture_round(FsyncPolicy::kEveryBatch, 0, "held_batch", /*hold_publish=*/true);
+  if (HasFatalFailure()) return;
+  torture_round(FsyncPolicy::kEveryOp, 0, "held_op", /*hold_publish=*/true);
 }
 
 TEST_F(Kill9Recovery, EveryOpPolicy) {

@@ -148,6 +148,9 @@ TEST(Replication, CheckpointShipsAndWarmStartsFollower) {
   ASSERT_TRUE(leader.has_value()) << error;
   const auto batches = make_stream(503, 2500, 8);
   for (const core::Batch& batch : batches) ASSERT_TRUE(leader->apply(batch, &error));
+  // Checkpoints publish and truncate in the background: sync() waits for
+  // the last one, so the directory is in its post-truncation shape.
+  ASSERT_TRUE(leader->sync(&error)) << error;
   ASSERT_GT(leader->last_checkpoint_lsn(), 0U);
   {
     bool has_base0 = false;
@@ -210,6 +213,7 @@ TEST(Replication, LaggingFollowerJumpsThroughNewerCheckpoint) {
   // stalls at the end of its local chain and must warm through a newer
   // shipped checkpoint rather than wait forever.
   for (; next < batches.size(); ++next) ASSERT_TRUE(leader->apply(batches[next], &error));
+  ASSERT_TRUE(leader->sync(&error)) << error;  // the last truncation has run
   settle(shipper, *follower);
 
   EXPECT_GT(follower->stats().rewarms, rewarms);
@@ -231,6 +235,7 @@ TEST(Replication, FollowerWarmedPastItsSegmentsJumpsAgain) {
   const auto batches = make_stream(508, 3000, 8);
   std::size_t next = 0;
   while (leader->lsn() < 1000) ASSERT_TRUE(leader->apply(batches[next++], &error));
+  ASSERT_TRUE(leader->sync(&error)) << error;  // a checkpoint to ship is on disk
 
   auto follower = FollowerService::open(follower_dir.path, follower_options(), &error);
   ASSERT_TRUE(follower.has_value()) << error;
@@ -247,6 +252,7 @@ TEST(Replication, FollowerWarmedPastItsSegmentsJumpsAgain) {
   // shipper re-plans from a newer checkpoint whose first segment starts
   // beyond it. Only another warm gets the follower going again.
   for (; next < batches.size(); ++next) ASSERT_TRUE(leader->apply(batches[next], &error));
+  ASSERT_TRUE(leader->sync(&error)) << error;  // the truncation has run
   settle(shipper, *follower);
 
   EXPECT_EQ(follower->applied_lsn(), leader->lsn());
@@ -345,6 +351,9 @@ TEST(Replication, FaultyTransportConvergesAndStaysExact) {
       const auto batches = make_stream(505 + seed, 2000, 8);
       for (const core::Batch& batch : batches) {
         ASSERT_TRUE(leader->apply(batch, &error)) << where << ": " << error;
+        // The shipper sees each checkpoint published and truncated behind,
+        // so the shipment sequence, and the seeded faults on it, replay.
+        ASSERT_TRUE(leader->sync(&error)) << where << ": " << error;
         ASSERT_TRUE(shipper.drain(&error)) << where << ": " << error;
         ASSERT_TRUE(follower->poll(&error)) << where << ": " << error;
       }

@@ -7,14 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/batch.hpp"
 #include "core/cascade_engine.hpp"
+#include "core/engine_snapshot.hpp"
 #include "service/checkpoint.hpp"
 #include "service/service.hpp"
 #include "service/wal.hpp"
@@ -481,132 +486,229 @@ TEST(Service, EveryOpPolicyRecoversIdentically) {
 // --- Checkpoint publish under fault injection ------------------------------
 //
 // The publish path is temp-write → fsync → rename. Whichever step fails,
-// the contract is the same: the previous checkpoint (and the WAL behind
-// it) survives untouched, the service keeps serving, and recovery lands on
-// the exact reference state. config.checkpoint_file_factory is a seam
-// separate from the WAL's so these schedules don't shift the WAL fault
-// counter.
+// and whether checkpoint() published on the calling thread or an
+// auto-checkpoint's publisher thread failed, the contract is the same: the
+// failure surfaces exactly once, naming the staging file and the syscall;
+// the previous checkpoint (and the WAL behind it) survives untouched, with
+// no staging file left; last_checkpoint_lsn() falls back to it, so the next
+// auto-checkpoint is due at once; the service keeps serving; and recovery
+// lands on the exact reference state. config.checkpoint_file_factory is a
+// seam separate from the WAL's so these schedules don't shift the WAL
+// fault counter.
 
-TEST(Service, CheckpointTempWriteFailureLeavesPreviousCheckpointIntact) {
-  TempDir dir("cp_write_fault");
+/// Who takes the failing checkpoint, and who reports its failure.
+enum class Taken {
+  kExplicit,    // checkpoint() publishes on this thread and reports it
+  kAutoApply,   // the publisher thread; the next apply() reports it
+  kAutoSync,    // the publisher thread; sync() waits for it and reports it
+};
+
+/// Checkpoint at half of a 1200-op stream (this one publishes), then at its
+/// end (this one fails: through `factory`, or — `squat` — because a
+/// directory squats on the final path, so only the rename fails).
+void expect_failed_publish_survived(Taken taken, const std::string& tag,
+                                    std::uint64_t stream_seed, util::FileFactory factory,
+                                    bool squat, const std::string& syscall) {
+  const bool automatic = taken != Taken::kExplicit;
+  const std::string mode = taken == Taken::kExplicit    ? "explicit"
+                           : taken == Taken::kAutoApply ? "auto_apply"
+                                                        : "auto_sync";
+  const std::string where = tag + " (" + mode + ")";
+  TempDir dir(tag + "_" + mode);
+  const auto batches = make_stream(stream_seed, 1200, 8);
+  const std::size_t half = batches.size() / 2;
+  const std::uint64_t half_lsn = total_ops(batches, half);
+  const std::uint64_t full_lsn = total_ops(batches);
   ServiceConfig config = config_for(dir.path);
-  // File #0 through this factory is the first checkpoint's temp file
-  // (clean); file #1 — the second checkpoint — dies after 256 bytes.
-  util::FaultPlan plan;
-  plan.write_budget = 256;
-  config.checkpoint_file_factory = util::faulty_factory(plan, 1);
+  config.checkpoint_file_factory = std::move(factory);
+  // Auto-checkpoints then come due at exactly half_lsn and full_lsn.
+  if (automatic) config.checkpoint_interval_ops = half_lsn;
   std::string error;
   auto service = MisService::open(config, &error);
-  ASSERT_TRUE(service.has_value()) << error;
+  ASSERT_TRUE(service.has_value()) << where << ": " << error;
 
-  const auto batches = make_stream(901, 1200, 8);
-  const std::size_t half = batches.size() / 2;
-  std::uint64_t half_lsn = 0;
-  for (std::size_t i = 0; i < half; ++i) {
-    ASSERT_TRUE(service->apply(batches[i], &error)) << error;
-    half_lsn += batches[i].size();
+  for (std::size_t i = 0; i < half; ++i)
+    ASSERT_TRUE(service->apply(batches[i], &error)) << where << ": " << error;
+  if (taken == Taken::kExplicit) {
+    ASSERT_TRUE(service->checkpoint(&error)) << where << ": " << error;
+  } else {
+    ASSERT_TRUE(service->sync(&error)) << where << ": " << error;
   }
-  ASSERT_TRUE(service->checkpoint(&error)) << error;
-  EXPECT_EQ(service->last_checkpoint_lsn(), half_lsn);
+  ASSERT_EQ(service->last_checkpoint_lsn(), half_lsn) << where;
+  const std::string failing = service::checkpoint_path(dir.path, full_lsn);
+  if (squat) std::filesystem::create_directories(failing);
 
   for (std::size_t i = half; i < batches.size(); ++i)
-    ASSERT_TRUE(service->apply(batches[i], &error)) << error;
-  error.clear();
-  EXPECT_FALSE(service->checkpoint(&error)) << "injected write failure must surface";
-  EXPECT_EQ(service->last_checkpoint_lsn(), half_lsn) << "failed publish moved the lsn";
+    ASSERT_TRUE(service->apply(batches[i], &error)) << where << ": " << error;
+  core::CascadeEngine want = reference(batches, batches.size(), 7);
+  core::Batch extra;
+  extra.add_node(std::span<const graph::NodeId>{});  // always valid under churn
+  std::string fault;
+  if (taken == Taken::kExplicit) {
+    EXPECT_FALSE(service->checkpoint(&fault)) << where << ": the failure must surface";
+  } else if (taken == Taken::kAutoSync) {
+    EXPECT_EQ(service->last_checkpoint_lsn(), full_lsn) << where << ": not captured";
+    EXPECT_FALSE(service->sync(&fault)) << where << ": the failure must surface";
+    EXPECT_EQ(service->lsn(), full_lsn) << where;
+  } else {
+    EXPECT_EQ(service->last_checkpoint_lsn(), full_lsn) << where << ": not captured";
+    // Until the publisher has failed, apply() acks as usual; the first one
+    // after it reports the failure before logging its batch.
+    for (int tries = 0;; ++tries) {
+      ASSERT_LT(tries, 400) << where << ": the failed publish never surfaced";
+      const std::uint64_t lsn = service->lsn();
+      if (!service->apply(extra, &fault)) {
+        EXPECT_EQ(service->lsn(), lsn) << where << ": the reporting apply moved the lsn";
+        break;
+      }
+      (void)core::apply_batch(want, extra);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  EXPECT_NE(fault.find(failing + ".tmp"), std::string::npos) << where << ": " << fault;
+  EXPECT_NE(fault.find(": " + syscall + ": "), std::string::npos)
+      << where << ": " << fault;
+  EXPECT_EQ(service->last_checkpoint_lsn(), half_lsn)
+      << where << ": the failed publish moved it";
 
   // The failed attempt left no debris that recovery could mistake for a
   // checkpoint, and the good one is still there.
   const auto checkpoints = service::list_checkpoints(dir.path);
-  ASSERT_EQ(checkpoints.size(), 1U);
-  EXPECT_EQ(checkpoints[0].lsn, half_lsn);
+  ASSERT_EQ(checkpoints.size(), 1U) << where;
+  EXPECT_EQ(checkpoints[0].lsn, half_lsn) << where;
+  EXPECT_TRUE(service::list_checkpoints(dir.path, util::kStagingSuffix).empty()) << where;
 
-  // The service itself is unharmed: the WAL keeps acking ops after the
-  // failed checkpoint.
-  core::Batch extra;
-  extra.add_node(std::span<const graph::NodeId>{});  // always valid under churn
-  ASSERT_TRUE(service->apply(extra, &error)) << error;
-  ASSERT_TRUE(service->close(&error)) << error;
+  // Reported once: the barrier after it is clean. The service itself is
+  // unharmed, and an auto-checkpoint is due again at the next batch.
+  ASSERT_TRUE(service->sync(&error)) << where << ": " << error;
+  ASSERT_TRUE(service->apply(extra, &error)) << where << ": " << error;
+  (void)core::apply_batch(want, extra);
+  const std::uint64_t recovered_from = automatic ? service->lsn() : half_lsn;
+  EXPECT_EQ(service->last_checkpoint_lsn(), recovered_from) << where;
+  ASSERT_TRUE(service->close(&error)) << where << ": " << error;
 
   auto reopened = MisService::open(config_for(dir.path), &error);
-  ASSERT_TRUE(reopened.has_value()) << error;
-  core::CascadeEngine want = reference(batches, batches.size(), 7);
-  (void)core::apply_batch(want, extra);
-  expect_same(reopened->engine(), want, "recovery after failed checkpoint write");
-  EXPECT_EQ(reopened->recovery().checkpoint_lsn, half_lsn)
-      << "recovery must warm-start from the surviving checkpoint";
+  ASSERT_TRUE(reopened.has_value()) << where << ": " << error;
+  expect_same(reopened->engine(), want, "recovery after a failed publish: " + where);
+  EXPECT_EQ(reopened->recovery().checkpoint_lsn, recovered_from)
+      << where << ": recovery must warm-start from the newest surviving checkpoint";
+  if (squat) std::filesystem::remove_all(failing);
+}
+
+TEST(Service, CheckpointTempWriteFailureLeavesPreviousCheckpointIntact) {
+  // File #0 through this factory is the first checkpoint's temp file
+  // (clean); file #1 — the second checkpoint — dies after 256 bytes.
+  util::FaultPlan plan;
+  plan.write_budget = 256;
+  for (const Taken taken : {Taken::kExplicit, Taken::kAutoApply, Taken::kAutoSync})
+    expect_failed_publish_survived(taken, "cp_write_fault", 901,
+                                   util::faulty_factory(plan, 1), false, "write");
 }
 
 TEST(Service, CheckpointFsyncFailureLeavesPreviousCheckpointIntact) {
-  TempDir dir("cp_sync_fault");
-  ServiceConfig config = config_for(dir.path);
   util::FaultPlan plan;
   plan.sync_budget = 0;  // first fsync on the temp file fails
-  config.checkpoint_file_factory = util::faulty_factory(plan, 1);
-  std::string error;
-  auto service = MisService::open(config, &error);
-  ASSERT_TRUE(service.has_value()) << error;
-
-  const auto batches = make_stream(902, 1000, 8);
-  const std::size_t half = batches.size() / 2;
-  std::uint64_t half_lsn = 0;
-  for (std::size_t i = 0; i < half; ++i) {
-    ASSERT_TRUE(service->apply(batches[i], &error)) << error;
-    half_lsn += batches[i].size();
-  }
-  ASSERT_TRUE(service->checkpoint(&error)) << error;
-  for (std::size_t i = half; i < batches.size(); ++i)
-    ASSERT_TRUE(service->apply(batches[i], &error)) << error;
-  EXPECT_FALSE(service->checkpoint(&error)) << "unsynced checkpoint must not publish";
-
-  const auto checkpoints = service::list_checkpoints(dir.path);
-  ASSERT_EQ(checkpoints.size(), 1U);
-  EXPECT_EQ(checkpoints[0].lsn, half_lsn);
-  ASSERT_TRUE(service->close(&error)) << error;
-
-  auto reopened = MisService::open(config_for(dir.path), &error);
-  ASSERT_TRUE(reopened.has_value()) << error;
-  expect_same(reopened->engine(), reference(batches, batches.size(), 7),
-              "recovery after failed checkpoint fsync");
+  for (const Taken taken : {Taken::kExplicit, Taken::kAutoApply, Taken::kAutoSync})
+    expect_failed_publish_survived(taken, "cp_sync_fault", 902,
+                                   util::faulty_factory(plan, 1), false, "fsync");
 }
 
 TEST(Service, CheckpointRenameFailureLeavesPreviousCheckpointIntact) {
-  TempDir dir("cp_rename_fault");
+  for (const Taken taken : {Taken::kExplicit, Taken::kAutoApply, Taken::kAutoSync})
+    expect_failed_publish_survived(taken, "cp_rename_fault", 903, {}, true, "rename");
+}
+
+// --- The ack path while a publish is in flight ----------------------------
+
+/// Apply `batches` from `*next` until an auto-checkpoint is captured.
+void apply_until_captured(MisService& service, const std::vector<core::Batch>& batches,
+                          std::size_t* next) {
   std::string error;
-  auto service = MisService::open(config_for(dir.path), &error);
+  const std::uint64_t before = service.checkpoints_taken();
+  while (service.checkpoints_taken() == before) {
+    ASSERT_LT(*next, batches.size());
+    ASSERT_TRUE(service.apply(batches[(*next)++], &error)) << error;
+  }
+}
+
+TEST(Service, HeldPublishLeavesTheAckPathFree) {
+  TempDir dir("held_publish");
+  const auto batches = make_stream(904, 1200, 8);
+  std::optional<MisService> service;
+  test::PublishGate gate;
+  ServiceConfig config = config_for(dir.path);
+  config.checkpoint_interval_ops = 400;
+  config.checkpoint_file_factory = gate.factory();
+  std::string error;
+  service = MisService::open(config, &error);
   ASSERT_TRUE(service.has_value()) << error;
 
-  const auto batches = make_stream(903, 1000, 8);
-  const std::size_t half = batches.size() / 2;
-  std::uint64_t half_lsn = 0;
-  for (std::size_t i = 0; i < half; ++i) {
-    ASSERT_TRUE(service->apply(batches[i], &error)) << error;
-    half_lsn += batches[i].size();
-  }
-  ASSERT_TRUE(service->checkpoint(&error)) << error;
-  std::uint64_t full_lsn = half_lsn;
-  for (std::size_t i = half; i < batches.size(); ++i) {
-    ASSERT_TRUE(service->apply(batches[i], &error)) << error;
-    full_lsn += batches[i].size();
-  }
+  std::size_t next = 0;
+  apply_until_captured(*service, batches, &next);
+  if (HasFatalFailure()) return;
+  const std::size_t captured_batches = next;
+  const std::uint64_t captured = service->last_checkpoint_lsn();
+  ASSERT_EQ(captured, service->lsn());
+  ASSERT_TRUE(gate.wait_held());
 
-  // Make the rename step itself fail: a directory squats on the final
-  // checkpoint path (temp write and fsync both succeed first).
-  std::filesystem::create_directories(service::checkpoint_path(dir.path, full_lsn));
-  EXPECT_FALSE(service->checkpoint(&error)) << "rename onto a directory must fail";
-  EXPECT_EQ(service->last_checkpoint_lsn(), half_lsn);
+  // The publish is stuck in its fsync; batches keep being acked.
+  for (int i = 0; i < 5; ++i)
+    ASSERT_TRUE(service->apply(batches[next++], &error)) << error;
+  EXPECT_EQ(service->lsn(), total_ops(batches, next));
+  const std::string published = service::checkpoint_path(dir.path, captured);
+  EXPECT_FALSE(std::filesystem::exists(published)) << "published before its fsync";
 
-  // list_checkpoints must not report the squatter; the old checkpoint wins.
-  const auto checkpoints = service::list_checkpoints(dir.path);
-  ASSERT_EQ(checkpoints.size(), 1U);
-  EXPECT_EQ(checkpoints[0].lsn, half_lsn);
+  gate.release();
+  ASSERT_TRUE(service->sync(&error)) << error;
+  // The publisher wrote exactly what a save of the same prefix writes.
+  test::TempFile want("held_publish_want.snap");
+  const core::CascadeEngine prefix = reference(batches, captured_batches, 7);
+  ASSERT_TRUE(core::save_snapshot(prefix, want.path, &error)) << error;
+  EXPECT_EQ(test::read_bytes(published), test::read_bytes(want.path));
   ASSERT_TRUE(service->close(&error)) << error;
 
   auto reopened = MisService::open(config_for(dir.path), &error);
   ASSERT_TRUE(reopened.has_value()) << error;
-  expect_same(reopened->engine(), reference(batches, batches.size(), 7),
-              "recovery after failed checkpoint rename");
-  std::filesystem::remove_all(service::checkpoint_path(dir.path, full_lsn));
+  EXPECT_EQ(reopened->recovery().checkpoint_lsn, captured);
+  expect_same(reopened->engine(), reference(batches, next, 7), "after a held publish");
+}
+
+TEST(Service, CloseWaitsForThePublishInFlight) {
+  TempDir dir("close_mid_publish");
+  const auto batches = make_stream(905, 1200, 8);
+  std::optional<MisService> service;
+  test::PublishGate gate;
+  ServiceConfig config = config_for(dir.path);
+  config.checkpoint_interval_ops = 400;
+  config.checkpoint_file_factory = gate.factory();
+  std::string error;
+  service = MisService::open(config, &error);
+  ASSERT_TRUE(service.has_value()) << error;
+  std::size_t next = 0;
+  apply_until_captured(*service, batches, &next);
+  if (HasFatalFailure()) return;
+  const std::string published =
+      service::checkpoint_path(dir.path, service->last_checkpoint_lsn());
+  ASSERT_TRUE(gate.wait_held());
+
+  std::atomic<bool> closed{false};
+  bool close_ok = false;
+  std::string close_error;
+  std::thread closer([&] {
+    close_ok = service->close(&close_error);
+    closed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(closed.load()) << "close() returned while the publish was held";
+  gate.release();
+  closer.join();
+  EXPECT_TRUE(close_ok) << close_error;
+  EXPECT_TRUE(std::filesystem::exists(published));
+  EXPECT_FALSE(std::filesystem::exists(published + util::kStagingSuffix));
+
+  auto reopened = MisService::open(config_for(dir.path), &error);
+  ASSERT_TRUE(reopened.has_value()) << error;
+  expect_same(reopened->engine(), reference(batches, next, 7), "after close mid-publish");
 }
 
 }  // namespace

@@ -688,7 +688,7 @@ TEST_F(SnapshotFuzzDeathTest, ShallowCorruptNeighborIdAbortsOnFirstTouch) {
 }
 
 TEST_F(SnapshotFuzz, NonFixpointMembershipRejectedByVerifyNotOpen) {
-  // A structurally pristine v2 file whose membership is NOT the greedy
+  // A structurally pristine v4 file whose membership is NOT the greedy
   // fixpoint (all-zero membership on a non-empty graph, checksum freshly
   // computed by the writer): open() must accept it — nothing is memory-
   // unsafe about it — and verify() must name the fixpoint violation.
@@ -703,7 +703,8 @@ TEST_F(SnapshotFuzz, NonFixpointMembershipRejectedByVerifyNotOpen) {
   state.membership = all_out;
   state.priority_seed = 7;
   TempFile file("nonfix.snap");
-  ASSERT_TRUE(graph::save_snapshot(g, state, file.path, util::FileFactory{}));
+  graph::SnapshotImage image = graph::capture_snapshot(g, state);
+  ASSERT_TRUE(util::publish_staged(file.path, image, {}, nullptr));
 
   Snapshot snap;
   std::string error;
