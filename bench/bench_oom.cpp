@@ -8,7 +8,7 @@
 // counts brk plus private *writable* anonymous mappings — exactly what the
 // heap copies of a materialized load are made of — but NOT the read-only
 // MAP_PRIVATE file mapping the borrowed graph reads through. The borrowed
-// graph's only heap is its overlay (dirty adjacency pool + edge delta),
+// graph's only heap is its overlay (dirty adjacency pool + its index),
 // which is O(touched set), not O(graph).
 //
 // Protocol (single process, so both attempts share one machine state):

@@ -48,7 +48,7 @@
 //                     probe, answered off the mapping) — "directory on
 //                     disk" to "first answer" with no O(n + m) copy,
 //   borrow_first_op_s the first mutation (a churn toggle): copy-on-write
-//                     migration of two adjacency records + delta insert,
+//                     migration of two adjacency records + list edits,
 //   borrow_speedup    load_s / borrow_open_s. Acceptance bar: >= 10 at
 //                     n = 1e6 (gated by scripts/check_bench.py).
 // The borrowed graph is compared to the original outside the timed region.
@@ -91,7 +91,7 @@ struct Result {
   // Borrowed (zero-copy) columns, measured rep-interleaved with load_s so
   // the ratio compares within one machine state:
   double borrow_open_s = 0;      // shallow open + borrow + first query
-  double borrow_first_op_s = 0;  // first mutation (copy-on-write + delta)
+  double borrow_first_op_s = 0;  // first mutation (copy-on-write + edits)
   double borrow_speedup = 0;     // load_s / borrow_open_s
   double engine_cold_s = 0;  // open + cold engine start (fresh keys + greedy)
   double engine_warm_s = 0;  // open + warm engine start (persisted state)
@@ -216,7 +216,7 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
     if (rep == 0 || borrow_open < r.borrow_open_s) r.borrow_open_s = borrow_open;
 
     // First mutation: a churn toggle on the probe vertex — copy-on-write
-    // migration of two adjacency records plus one delta-table insert.
+    // migration of two adjacency records, then edits to both lists.
     const NodeId nbr = b.neighbors(probe)[0];
     const auto t_op = Clock::now();
     if (!b.remove_edge(probe, nbr) || !b.add_edge(probe, nbr)) {

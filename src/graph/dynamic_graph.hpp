@@ -3,14 +3,13 @@
 //
 // The paper's model (§2) manipulates an undirected graph under four logical
 // topology changes: edge insertion, edge deletion, node insertion and node
-// deletion. This class provides exactly those operations with O(1) expected
-// edge queries and O(deg) updates, plus the inspection helpers the engines
-// and simulators need.
+// deletion. This class provides exactly those operations, plus the
+// inspection helpers the engines and simulators need. Edge updates cost
+// O(deg) and removing v costs O(deg(v) + Σ deg(w)) over its neighbors w:
+// one walk of v's list.
 //
 // Flat, cache-friendly storage — the per-update constant factor is the whole
 // game for a structure whose algorithmic cost is already expected O(1):
-//   * The edge set is a util::FlatSet (open addressing, contiguous arrays),
-//     so edge queries and updates perform no allocation in steady state.
 //   * Adjacency is an array of 64-byte AdjRecords: liveness flag, degree and
 //     up to 14 inline neighbor slots in a single cache line. Touching an
 //     endpoint (liveness check + neighbor update) is one memory access for
@@ -24,7 +23,11 @@
 // Two storage modes share this one interface:
 //
 //   * Materialized (the default): everything lives in the heap vectors
-//     above. load() bulk-copies a snapshot into this form.
+//     above, and the edge set is also a util::FlatSet (open addressing,
+//     contiguous arrays): O(1) expected edge queries, no allocation in
+//     steady state, uniform edge sampling for the workload generators, and
+//     the table the version-1 snapshot writer stores. load() bulk-copies a
+//     snapshot into this form.
 //   * Borrowed (borrow()): the graph reads the CSR adjacency and alive
 //     bytes *in place* from a mapped graph::Snapshot and keeps only a
 //     dirty-region overlay on the heap. Opening is ~O(header) — no per-byte
@@ -32,18 +35,15 @@
 //     page on demand. Copy-on-write is at adjacency-record granularity: a
 //     node's record (and overflow list) migrates to the heap pool on first
 //     mutation and is found through the `dirty_` index from then on; clean
-//     nodes keep reading the mapping forever. The edge set is layered: a
-//     heap delta FlatSet (`edges_`) holds inserted keys, a second FlatSet
-//     (`removed_edges_`) holds deleted base keys, and base membership is a
-//     scan of the shorter endpoint's mapped CSR list (for every snapshot
-//     version — a stored edge table, where one exists, is never read).
-//     Invariant: a key is in at most one of {delta, removed}, and the delta
-//     never contains a key present in the base — so membership is
-//     `delta ∨ (base ∧ ¬removed)` and steady-state churn on a warmed overlay
-//     is allocation-free (tombstone reuse in both deltas, FlatMap hits in
-//     the dirty index). Checkpoint write-back streams clean records from the
-//     mapping and dirty ones from the pool (node_sections), and copies of a
-//     borrowed graph share the mapping (shared_ptr base).
+//     nodes keep reading the mapping forever. The edge set is the adjacency
+//     lists alone: a node's current list is its dirty record if it has one,
+//     else its mapped CSR list, and edge membership scans the shorter of the
+//     two endpoints' current lists (a stored edge table, where a snapshot
+//     version has one, is never read). Steady-state churn on a warmed
+//     overlay is allocation-free (FlatMap hits in the dirty index, pooled
+//     records at capacity). Checkpoint write-back streams clean records from
+//     the mapping and dirty ones from the pool (node_sections), and copies
+//     of a borrowed graph share the mapping (shared_ptr base).
 //
 // Node identifiers are dense indices assigned in insertion order and never
 // reused, so a NodeId is a stable handle for priorities, histories and
@@ -105,10 +105,12 @@ class DynamicGraph {
   }
 
   /// Pre-size the edge table so `expected_edges` fit without rehashing
-  /// (steady-state churn then never allocates in the edge set). In borrowed
-  /// mode this sizes the *delta* table — pass the expected overlay working
-  /// set, not the base edge count.
-  void reserve_edges(std::size_t expected_edges) { edges_.reserve(expected_edges); }
+  /// (steady-state churn then never allocates in the edge set).
+  /// Materialized mode only: a borrowed graph keeps no edge table.
+  void reserve_edges(std::size_t expected_edges) {
+    DMIS_ASSERT_MSG(!borrowed(), "reserve_edges on a borrowed graph");
+    edges_.reserve(expected_edges);
+  }
 
   /// Insert a fresh node; returns its id (== previous id_bound()).
   NodeId add_node() {
@@ -123,13 +125,26 @@ class DynamicGraph {
     return id;
   }
 
-  /// Remove a node and all incident edges. The id is never reused.
+  /// Remove a node and all incident edges in one walk of its list. The id
+  /// is never reused.
   void remove_node(NodeId v) {
     DMIS_ASSERT(has_node(v));
-    // remove_edge swap-erases v's own entry, so draining from the back is
-    // safe and needs no copy of the neighbor list.
-    while (degree(v) > 0) remove_edge(v, neighbors(v).back());
-    adjacency_[mutable_slot(v)].alive = 0;
+    const std::size_t slot = mutable_slot(v);
+    // By index, re-reading v's record every step: a neighbor's copy-on-write
+    // can grow the pool and move it.
+    for (std::uint32_t i = 0; i < adjacency_[slot].size; ++i) {
+      const NodeId w = record_span(slot)[i];
+      if (!borrowed()) {
+        const bool erased = edges_.erase(edge_key(v, w));
+        DMIS_ASSERT_MSG(erased, "adjacency list inconsistent with edge set");
+      }
+      erase_neighbor(mutable_slot(w), v);
+    }
+    AdjRecord& rec = adjacency_[slot];
+    edge_count_ -= rec.size;
+    rec.size = 0;
+    rec.alive = 0;
+    overflow_[slot].clear();
     --node_count_;
   }
 
@@ -137,39 +152,39 @@ class DynamicGraph {
   bool add_edge(NodeId u, NodeId v) {
     DMIS_ASSERT(has_node(u) && has_node(v));
     DMIS_ASSERT_MSG(u != v, "self-loops are not part of the model");
-    const std::uint64_t key = edge_key(u, v);
+    std::size_t su = u;
+    std::size_t sv = v;
     if (borrowed()) {
-      if (removed_edges_.contains(key)) {
-        (void)removed_edges_.erase(key);  // re-adding a removed base edge
-      } else if (base_has_edge(u, v)) {
-        return false;
-      } else if (!edges_.insert(key)) {
-        return false;
-      }
-    } else if (!edges_.insert(key)) {
+      const Current cu = current(u);
+      const Current cv = current(v);
+      if (listed(cu.list, cv.list, u, v)) return false;
+      su = own(u, cu.slot);
+      sv = own(v, cv.slot);
+    } else if (!edges_.insert(edge_key(u, v))) {
       return false;
     }
-    push_neighbor(mutable_slot(u), v);
-    push_neighbor(mutable_slot(v), u);
+    push_neighbor(su, v);
+    push_neighbor(sv, u);
+    ++edge_count_;
     return true;
   }
 
   /// Remove edge {u, v}; returns false if it was absent.
   bool remove_edge(NodeId u, NodeId v) {
-    const std::uint64_t key = edge_key(u, v);
+    std::size_t su = u;
+    std::size_t sv = v;
     if (borrowed()) {
-      if (edges_.erase(key)) {
-        // delta edge gone
-      } else if (!removed_edges_.contains(key) && base_has_edge(u, v)) {
-        (void)removed_edges_.insert(key);  // shadow the base edge
-      } else {
-        return false;
-      }
-    } else if (!edges_.erase(key)) {
+      const Current cu = current(u);
+      const Current cv = current(v);
+      if (!listed(cu.list, cv.list, u, v)) return false;
+      su = own(u, cu.slot);
+      sv = own(v, cv.slot);
+    } else if (!edges_.erase(edge_key(u, v))) {
       return false;
     }
-    erase_neighbor(mutable_slot(u), v);
-    erase_neighbor(mutable_slot(v), u);
+    erase_neighbor(su, v);
+    erase_neighbor(sv, u);
+    --edge_count_;
     return true;
   }
 
@@ -180,29 +195,22 @@ class DynamicGraph {
     return v < base_bound_ && base_alive_[v] != 0;
   }
 
+  /// O(1) expected in materialized mode; a borrowed graph scans the shorter
+  /// of the two endpoints' current lists.
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const noexcept {
-    const std::uint64_t key = edge_key(u, v);
-    if (edges_.contains(key)) return true;
-    if (!borrowed()) return false;
-    return !removed_edges_.contains(key) && base_has_edge(u, v);
+    if (!borrowed()) return edges_.contains(edge_key(u, v));
+    return listed(current(u).list, current(v).list, u, v);
   }
 
   [[nodiscard]] NodeId node_count() const noexcept { return node_count_; }
-  [[nodiscard]] std::size_t edge_count() const noexcept {
-    if (!borrowed()) return edges_.size();
-    return static_cast<std::size_t>(base_edge_count_) + edges_.size() -
-           removed_edges_.size();
-  }
+  [[nodiscard]] std::size_t edge_count() const noexcept { return edge_count_; }
 
   /// One past the largest id ever assigned; valid ids are < id_bound().
   [[nodiscard]] NodeId id_bound() const noexcept { return bound_; }
 
   [[nodiscard]] std::size_t degree(NodeId v) const {
     DMIS_ASSERT(has_node(v));
-    if (!borrowed()) return adjacency_[v].size;
-    if (const std::uint64_t* slot = dirty_.find(v))
-      return adjacency_[static_cast<std::size_t>(*slot)].size;
-    return static_cast<std::size_t>(base_offs_[v + 1] - base_offs_[v]);
+    return borrowed() ? current(v).list.size() : adjacency_[v].size;
   }
 
   /// Current neighbors of v (unordered view). Invalidated by any mutation.
@@ -211,14 +219,7 @@ class DynamicGraph {
   /// record like the materialized path.
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId v) const {
     DMIS_ASSERT(has_node(v));
-    if (borrowed()) {
-      if (const std::uint64_t* slot = dirty_.find(v)) return record_span(*slot);
-      check_base_node(v);
-      const std::uint64_t begin = base_offs_[v];
-      return {base_nbrs_ + begin,
-              static_cast<std::size_t>(base_offs_[v + 1] - begin)};
-    }
-    return record_span(v);
+    return borrowed() ? current(v).list : record_span(v);
   }
 
   /// Visit every live node id in ascending order, without materializing a
@@ -229,19 +230,18 @@ class DynamicGraph {
       if (has_node(v)) f(v);
   }
 
-  /// Visit every edge as (lo, hi), in unspecified order, without
-  /// materializing a vector. `f` must not mutate the graph.
+  /// Visit every edge once as (lo, hi), in unspecified order, without
+  /// materializing a vector: the table's slot order when materialized, each
+  /// live node's current list (pairs with lo == that node) when borrowed.
+  /// `f` must not mutate the graph.
   template <typename F>
   void for_each_edge(F&& f) const {
     if (borrowed()) {
-      // Base edges from their lower endpoint's CSR list, minus the removed.
-      for (NodeId v = 0; v < base_bound_; ++v) {
-        check_base_node(v);
-        for (std::uint64_t i = base_offs_[v]; i < base_offs_[v + 1]; ++i) {
-          const NodeId u = base_nbrs_[i];
-          if (v < u && !removed_edges_.contains(edge_key(v, u))) f(v, u);
-        }
-      }
+      for_each_node([&](NodeId v) {
+        for (const NodeId u : current(v).list)
+          if (v < u) f(v, u);
+      });
+      return;
     }
     edges_.for_each([&f](std::uint64_t key) {
       f(static_cast<NodeId>(key >> 32), static_cast<NodeId>(key & 0xffffffffULL));
@@ -250,9 +250,9 @@ class DynamicGraph {
 
   /// Uniformly random present edge as (lo, hi) — O(1) expected via the edge
   /// table's slot sampling, no materialized edge vector. False iff
-  /// edgeless. Materialized mode only: a borrowed graph has no table over
-  /// its base edges (the workload generators sample their own materialized
-  /// reference graph).
+  /// edgeless. Materialized mode only: a borrowed graph has no edge table
+  /// (the workload generators sample their own materialized reference
+  /// graph).
   template <typename RngT>
   [[nodiscard]] bool sample_edge(RngT& rng, NodeId& u, NodeId& v) const {
     DMIS_ASSERT_MSG(!borrowed(), "sample_edge on a borrowed graph");
@@ -297,8 +297,8 @@ class DynamicGraph {
   /// materialized mode).
   [[nodiscard]] std::size_t overlay_nodes() const noexcept { return dirty_.size(); }
 
-  /// A materialized graph's edge table (a borrowed graph's holds only its
-  /// insert delta). The version-1 snapshot writer stores it verbatim.
+  /// A materialized graph's edge table, which the version-1 snapshot
+  /// writer stores verbatim. A borrowed graph has none.
   [[nodiscard]] const util::FlatSet& edge_set() const {
     DMIS_ASSERT_MSG(!borrowed(), "edge_set of a borrowed graph");
     return edges_;
@@ -353,31 +353,51 @@ class DynamicGraph {
     return {rec.inline_slots, rec.size};
   }
 
-  /// Base-edge membership: scan the shorter endpoint's mapped CSR list for
-  /// the other (ids past the base are overlay-only). Churn touches these
-  /// lines anyway, since the copy-on-write reads the same records.
-  [[nodiscard]] bool base_has_edge(NodeId u, NodeId v) const {
-    if (u >= base_bound_ || v >= base_bound_) return false;
-    check_base_node(u);
+  /// Borrowed mode: where v's current list lives — its pool slot (kClean
+  /// while v still reads the mapping) — and the list itself: the dirty
+  /// record, else the mapped CSR list, else (an id never assigned) empty.
+  /// One dirty-index probe.
+  static constexpr std::size_t kClean = ~std::size_t{0};
+  struct Current {
+    std::size_t slot;
+    std::span<const NodeId> list;
+  };
+  [[nodiscard]] Current current(NodeId v) const {
+    if (const std::uint64_t* slot = dirty_.find(v)) {
+      const auto dirty = static_cast<std::size_t>(*slot);
+      return {dirty, record_span(dirty)};
+    }
+    if (v >= base_bound_) return {kClean, {}};
     check_base_node(v);
-    if (base_offs_[u + 1] - base_offs_[u] > base_offs_[v + 1] - base_offs_[v])
-      std::swap(u, v);
-    const NodeId* end = base_nbrs_ + base_offs_[u + 1];
-    return std::find(base_nbrs_ + base_offs_[u], end, v) != end;
+    const std::uint64_t begin = base_offs_[v];
+    return {kClean,
+            {base_nbrs_ + begin, static_cast<std::size_t>(base_offs_[v + 1] - begin)}};
+  }
+
+  /// Borrowed edge membership: whether the shorter of u's list `lu` and v's
+  /// list `lv` names the other endpoint.
+  [[nodiscard]] static bool listed(std::span<const NodeId> lu, std::span<const NodeId> lv,
+                                   NodeId u, NodeId v) {
+    if (lu.size() > lv.size()) return std::find(lv.begin(), lv.end(), u) != lv.end();
+    return std::find(lu.begin(), lu.end(), v) != lu.end();
   }
 
   /// Heap record slot for v, for mutation: identity in materialized mode;
   /// in borrowed mode the dirty-index hit, or a copy-on-write migration of
-  /// the clean base record into the pool (the one O(deg) moment a node pays
-  /// on its first write — every later touch is a FlatMap hit).
+  /// the clean base record into the pool.
   [[nodiscard]] std::size_t mutable_slot(NodeId v) {
-    if (!borrowed()) return v;
-    if (const std::uint64_t* slot = dirty_.find(v))
-      return static_cast<std::size_t>(*slot);
-    check_base_node(v);
+    return borrowed() ? own(v, current(v).slot) : v;
+  }
+
+  /// `slot` from current(v) made writable: itself once dirty, else the
+  /// copy-on-write migration of v's clean record into the pool (the one
+  /// O(deg) moment a node pays on its first write — every later touch is a
+  /// FlatMap hit). Migration grows the pool, so it moves every record.
+  [[nodiscard]] std::size_t own(NodeId v, std::size_t slot) {
+    if (slot != kClean) return slot;
     const std::uint64_t begin = base_offs_[v];
     const auto deg = static_cast<std::uint32_t>(base_offs_[v + 1] - begin);
-    const std::size_t slot = adjacency_.size();
+    slot = adjacency_.size();
     AdjRecord rec;
     rec.alive = base_alive_[v];
     rec.size = deg;
@@ -446,12 +466,14 @@ class DynamicGraph {
     DMIS_ASSERT_MSG(false, "adjacency list inconsistent with edge set");
   }
 
-  // Materialized mode: adjacency_/overflow_ are indexed by node id and
-  // bound_ == adjacency_.size(). Borrowed mode: they are the dirty-record
-  // pool, indexed through dirty_; edges_ holds only inserted keys.
+  // Materialized mode: adjacency_/overflow_ are indexed by node id,
+  // bound_ == adjacency_.size(), and edges_ holds every edge key. Borrowed
+  // mode: they are the dirty-record pool, indexed through dirty_, and
+  // edges_ stays empty.
   std::vector<AdjRecord> adjacency_;
   std::vector<std::vector<NodeId>> overflow_;  // only touched once spilled
   util::FlatSet edges_;
+  std::size_t edge_count_ = 0;
   NodeId node_count_ = 0;
   NodeId bound_ = 0;  // one past the largest id ever assigned
 
@@ -464,8 +486,7 @@ class DynamicGraph {
   const NodeId* base_nbrs_ = nullptr;
   NodeId base_bound_ = 0;
   std::uint64_t base_edge_count_ = 0;
-  util::FlatMap dirty_;          // node id → heap pool slot
-  util::FlatSet removed_edges_;  // base keys shadowed by the overlay
+  util::FlatMap dirty_;  // node id → heap pool slot
   // One bit per base node; null when the base was deep-validated at open.
   std::shared_ptr<std::atomic<std::uint64_t>[]> base_checked_;
 };

@@ -300,10 +300,9 @@ void layout_snapshot(const DynamicGraph& g, const util::FlatSet* edges,
   header->file_size = off;
 }
 
-/// The graph's per-node sections, read once per save (DynamicGraph::
-/// node_sections) and walked by each pass over the payload: both of a v1
-/// save's, the one of a v4 capture. 17 bytes per id, freed when the save
-/// returns.
+/// The graph's per-node sections, read once per capture (DynamicGraph::
+/// node_sections) and walked by its one pass over the payload. 17 bytes
+/// per id, freed when the capture returns.
 struct NodeSections {
   std::vector<std::uint8_t> alive;
   std::vector<std::span<const NodeId>> neighbors;  // empty for dead ids
@@ -314,55 +313,61 @@ struct NodeSections {
   }
 };
 
-/// Stream the checksummed payload (everything after SnapshotHeader) through
-/// `w`: either pass of util::save_staged (v1) or util::capture_staged (v4).
-template <class Sink>
-bool stream_snapshot_payload(const NodeSections& nodes, const util::FlatSet* edges,
-                             const SnapshotHeader& header,
-                             const SnapshotEngineExt* ext,
-                             const EngineStateView* state, Sink& w) {
-  bool ok = true;
-  // The extension header is part of the checksummed payload, so it streams
-  // through the writer like any section (never patched afterwards).
-  if (state != nullptr) ok = w.write(ext, sizeof(*ext));
-  ok = ok && w.write(nodes.alive.data(), nodes.alive.size()) && w.align8();
-  std::uint64_t running = 0;
-  for (std::size_t v = 0; ok && v < nodes.neighbors.size(); ++v) {
-    ok = w.write(&running, 8);
-    running += nodes.neighbors[v].size();
-  }
-  ok = ok && w.write(&running, 8) && w.align8();
-  for (std::size_t v = 0; ok && v < nodes.neighbors.size(); ++v)
-    ok = w.write(nodes.neighbors[v].data(), nodes.neighbors[v].size_bytes());
-  ok = ok && w.align8();
-  if (edges != nullptr) {
-    ok = ok && w.write(edges->raw_ctrl().data(), edges->raw_ctrl().size()) && w.align8();
-    ok = ok && w.write(edges->raw_keys().data(), edges->raw_keys().size_bytes()) &&
-         w.align8();
-  }
-  if (state != nullptr) {
-    // Zero-pad short spans to id_bound: a trailing id without an entry is a
-    // dead id that never drew a priority (see EngineStateView).
-    static constexpr std::uint64_t zero_key = 0;
-    ok = ok && w.write(state->keys.data(), state->keys.size_bytes());
-    for (std::size_t v = state->keys.size(); ok && v < header.id_bound; ++v)
-      ok = w.write(&zero_key, 8);
-    ok = ok && w.align8();
-    ok = ok && w.write(state->membership.data(), state->membership.size());
-    static constexpr std::uint8_t zero_member = 0;
-    for (std::size_t v = state->membership.size(); ok && v < header.id_bound; ++v)
-      ok = w.write(&zero_member, 1);
-    ok = ok && w.align8();
-  }
-  return ok;
+/// Capture `g` as laid out by `header` (and `ext`): the checksummed payload,
+/// everything after SnapshotHeader, streams through one ImageWriter.
+/// Exactly one of `edges` (v1) and `state` (v4) is set.
+util::StagedImage<SnapshotHeader> capture_payload(const DynamicGraph& g,
+                                                  const util::FlatSet* edges,
+                                                  const SnapshotHeader& header,
+                                                  const SnapshotEngineExt* ext,
+                                                  const EngineStateView* state) {
+  const NodeSections nodes(g);
+  return util::capture_staged(header, [&](util::ImageWriter& w) {
+    // The extension header is part of the checksummed payload, so it
+    // streams through the writer like any section (never patched
+    // afterwards).
+    if (state != nullptr) w.write(ext, sizeof(*ext));
+    w.write(nodes.alive.data(), nodes.alive.size());
+    w.align8();
+    std::uint64_t running = 0;
+    for (const std::span<const NodeId> list : nodes.neighbors) {
+      w.write(&running, 8);
+      running += list.size();
+    }
+    w.write(&running, 8);
+    w.align8();
+    for (const std::span<const NodeId> list : nodes.neighbors)
+      w.write(list.data(), list.size_bytes());
+    w.align8();
+    if (edges != nullptr) {
+      w.write(edges->raw_ctrl().data(), edges->raw_ctrl().size());
+      w.align8();
+      w.write(edges->raw_keys().data(), edges->raw_keys().size_bytes());
+      w.align8();
+    }
+    if (state != nullptr) {
+      // Zero-pad short spans to id_bound: a trailing id without an entry is
+      // a dead id that never drew a priority (see EngineStateView).
+      static constexpr std::uint64_t zero_key = 0;
+      w.write(state->keys.data(), state->keys.size_bytes());
+      for (std::size_t v = state->keys.size(); v < header.id_bound; ++v)
+        w.write(&zero_key, 8);
+      w.align8();
+      w.write(state->membership.data(), state->membership.size());
+      static constexpr std::uint8_t zero_member = 0;
+      for (std::size_t v = state->membership.size(); v < header.id_bound; ++v)
+        w.write(&zero_member, 1);
+      w.align8();
+    }
+  });
 }
 
 }  // namespace
 
 bool save_snapshot(const DynamicGraph& g, const std::string& path, std::string* error) {
   // The frozen v1 layout stores an edge table: a materialized graph's own,
-  // referenced with no copy, or — a borrowed graph holds only deltas over
-  // its base CSR — one built from its edges.
+  // referenced with no copy, or — a borrowed graph has none — one built
+  // from its edges.
   util::FlatSet built;
   if (g.borrowed()) {
     built.reserve(g.edge_count());
@@ -371,23 +376,15 @@ bool save_snapshot(const DynamicGraph& g, const std::string& path, std::string* 
   const util::FlatSet* edges = g.borrowed() ? &built : &g.edge_set();
   SnapshotHeader header{};
   layout_snapshot(g, edges, nullptr, &header, nullptr);
-  const NodeSections nodes(g);
-  return util::save_staged(
-      path, header,
-      [&](auto& w) {
-        return stream_snapshot_payload(nodes, edges, header, nullptr, nullptr, w);
-      },
-      {}, error);
+  SnapshotImage image = capture_payload(g, edges, header, nullptr, nullptr);
+  return util::publish_staged(path, image, {}, error);
 }
 
 SnapshotImage capture_snapshot(const DynamicGraph& g, const EngineStateView& state) {
   SnapshotHeader header{};
   SnapshotEngineExt ext{};
   layout_snapshot(g, nullptr, &state, &header, &ext);
-  const NodeSections nodes(g);
-  return util::capture_staged(header, [&](auto& w) {
-    return stream_snapshot_payload(nodes, nullptr, header, &ext, &state, w);
-  });
+  return capture_payload(g, nullptr, header, &ext, &state);
 }
 
 DynamicGraph DynamicGraph::load(const Snapshot& snapshot) {
@@ -397,6 +394,7 @@ DynamicGraph DynamicGraph::load(const Snapshot& snapshot) {
   g.adjacency_.reserve(bound);
   g.overflow_.resize(bound);
   g.node_count_ = snapshot.node_count();
+  g.edge_count_ = static_cast<std::size_t>(snapshot.edge_count());
   // Raw-pointer walk of the mapped arrays (open() already bounds-checked
   // them). Records are assembled in a stack-resident cache line and pushed
   // once — resize() + patch would zero all 64 MB/million nodes first and
@@ -447,6 +445,7 @@ DynamicGraph DynamicGraph::borrow(std::shared_ptr<const Snapshot> snapshot) {
   g.base_bound_ = s.id_bound();
   g.bound_ = s.id_bound();
   g.base_edge_count_ = s.edge_count();
+  g.edge_count_ = static_cast<std::size_t>(s.edge_count());
   g.node_count_ = s.node_count();
   if (!s.deep_validated() && g.base_bound_ > 0) {
     // Shallow-opened base: arm the lazy per-node CSR guards (one bit per

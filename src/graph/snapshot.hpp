@@ -46,10 +46,10 @@
 // the greedy fixpoint of the persisted keys (the deep check recovery and
 // the dmis_snapshot CLI run).
 //
-// The v1 save streams through util::save_staged; a v4 image is captured in
-// memory (capture_snapshot) and written by util::publish_staged
-// (util/binary_io.hpp). Both publish the same way: a crash mid-save leaves
-// the old file plus at most `<path>.tmp`, never a torn file at `path`.
+// Every save captures the file in memory (util::capture_staged; for v4,
+// capture_snapshot) and writes it with util::publish_staged
+// (util/binary_io.hpp): a crash mid-save leaves the old file plus at most
+// `<path>.tmp`, never a torn file at `path`.
 #pragma once
 
 #include <cstdint>

@@ -47,14 +47,14 @@ bool TraceFile::save(const std::string& path, const Trace& trace, std::string* e
   header.file_size = pad8(header.arena_off + arena.size() * sizeof(graph::NodeId));
 
   // Crash-safe publish through the same writer as every snapshot.
-  return util::save_staged(
-      path, header,
-      [&](auto& w) {
-        return w.write(records.data(), records.size() * sizeof(TraceOpRecord)) &&
-               w.align8() && w.write(arena.data(), arena.size() * sizeof(graph::NodeId)) &&
-               w.align8();
-      },
-      {}, error);
+  util::StagedImage<TraceFileHeader> image =
+      util::capture_staged(header, [&](util::ImageWriter& w) {
+        w.write(records.data(), records.size() * sizeof(TraceOpRecord));
+        w.align8();
+        w.write(arena.data(), arena.size() * sizeof(graph::NodeId));
+        w.align8();
+      });
+  return util::publish_staged(path, image, {}, error);
 }
 
 bool TraceFile::open(const std::string& path, std::string* error, bool force_read) {

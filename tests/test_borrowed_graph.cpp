@@ -9,9 +9,9 @@
 // the same seeded op stream and require equality throughout — over a v1
 // base (stored edge table, which only the materialized load reads) and a v4
 // base (no table; the load hashes the CSR), since a borrowed graph answers
-// edge queries from the CSR either way — then push the state through
-// write-back (save of a borrowed graph streams clean records from the
-// mapping and dirty ones from the overlay) and require the round-tripped
+// edge queries from its adjacency lists either way — then push the state
+// through write-back (save of a borrowed graph streams clean records from
+// the mapping and dirty ones from the overlay) and require the round-tripped
 // file to load back equal. Engine-level transparency gets the same
 // treatment across every engine: an engine built on a borrowed graph
 // (CascadeEngine warm-started from a v4 snapshot, the distributed engines
@@ -129,20 +129,51 @@ TEST(BorrowedGraph, ShallowOpenBorrowEqualsFullOpenBorrow) {
   ASSERT_TRUE(a == b);
 }
 
+/// The live node of largest degree (lowest id on ties), or kInvalidNode.
+NodeId max_degree_node(const DynamicGraph& g) {
+  NodeId best = graph::kInvalidNode;
+  g.for_each_node([&](NodeId v) {
+    if (best == graph::kInvalidNode || g.degree(v) > g.degree(best)) best = v;
+  });
+  return best;
+}
+
+/// What a fuzz_pair run exercised beyond the random mix.
+struct FuzzTally {
+  int spilled_hub_kills = 0;  // hub kills of a node past the inline slots
+  int base_readds = 0;        // removed base edges added back
+};
+
 /// The differential churn fuzz: one seeded op stream, applied in lockstep
 /// to the borrowed graph and its materialized twin. Ops are chosen from the
 /// twins' (identical) current state, so divergence surfaces as a direct
-/// mismatch at the op that caused it.
+/// mismatch at the op that caused it. Every 40th op also removes the
+/// current max-degree node (the paper's hub adversary), and hub growth ops
+/// push that node past the inline slots first, so spilled records are
+/// removed on both sides.
 void fuzz_pair(DynamicGraph& borrowed, DynamicGraph& materialized,
-               std::uint64_t seed, int ops) {
+               std::uint64_t seed, int ops, FuzzTally& seen) {
   util::Rng rng(seed);
   util::Rng sample_rng(seed + 1);
+  auto base_edges = materialized.edges();
+  std::sort(base_edges.begin(), base_edges.end());
+  std::vector<std::pair<NodeId, NodeId>> removed_base;
   for (int i = 0; i < ops; ++i) {
+    if (i % 40 == 39) {
+      const NodeId hub = max_degree_node(materialized);
+      ASSERT_EQ(hub, max_degree_node(borrowed));
+      if (hub != graph::kInvalidNode) {
+        if (materialized.degree(hub) > DynamicGraph::kInlineNeighbors)
+          ++seen.spilled_hub_kills;
+        borrowed.remove_node(hub);
+        materialized.remove_node(hub);
+      }
+    }
     const std::uint64_t what = rng.next_u64() % 100;
     const NodeId bound = borrowed.id_bound();
-    if (what < 55 && bound >= 2) {
+    if (what < 40 && bound >= 2) {
       // Edge toggle (the overlay's bread and butter: COW the touched
-      // records, route the key through the add/remove deltas).
+      // records, then edit both lists).
       const auto u = static_cast<NodeId>(rng.below(bound));
       const auto v = static_cast<NodeId>(rng.below(bound));
       if (u == v || !borrowed.has_node(u) || !borrowed.has_node(v)) continue;
@@ -151,10 +182,37 @@ void fuzz_pair(DynamicGraph& borrowed, DynamicGraph& materialized,
       if (had) {
         ASSERT_TRUE(borrowed.remove_edge(u, v));
         ASSERT_TRUE(materialized.remove_edge(u, v));
+        const std::pair<NodeId, NodeId> e = std::minmax(u, v);
+        if (std::binary_search(base_edges.begin(), base_edges.end(), e))
+          removed_base.push_back(e);
       } else {
         ASSERT_TRUE(borrowed.add_edge(u, v));
         ASSERT_TRUE(materialized.add_edge(u, v));
       }
+    } else if (what < 50) {
+      // Hub growth: the max-degree node gains up to four random live
+      // neighbors, so hubs pass the inline slots before the next kill.
+      const NodeId hub = max_degree_node(materialized);
+      if (hub == graph::kInvalidNode) continue;
+      for (int k = 0; k < 4; ++k) {
+        const auto v = static_cast<NodeId>(rng.below(bound));
+        if (v == hub || !borrowed.has_node(v) || borrowed.has_edge(hub, v)) continue;
+        ASSERT_TRUE(borrowed.add_edge(hub, v));
+        ASSERT_TRUE(materialized.add_edge(hub, v));
+      }
+    } else if (what < 55) {
+      // A base edge the fuzz removed comes back: the borrowed side must
+      // take it as a new entry in both records, like its twin.
+      if (removed_base.empty()) continue;
+      const auto [u, v] = removed_base[rng.below(removed_base.size())];
+      if (!borrowed.has_node(u) || !borrowed.has_node(v)) continue;
+      const bool had = borrowed.has_edge(u, v);
+      ASSERT_EQ(had, materialized.has_edge(v, u)) << "(" << u << "," << v << ")";
+      if (had) continue;
+      ASSERT_TRUE(borrowed.add_edge(v, u));
+      ASSERT_TRUE(materialized.add_edge(v, u));
+      ASSERT_FALSE(borrowed.add_edge(u, v));
+      ++seen.base_readds;
     } else if (what < 65) {
       // Node insertion appends past the snapshot's id_bound — borrowed mode
       // must route the fresh record through the overlay index.
@@ -208,8 +266,11 @@ TEST(BorrowedGraph, DifferentialChurnMatchesMaterializedTwin) {
       DynamicGraph borrowed = DynamicGraph::borrow(snap);
       DynamicGraph materialized = DynamicGraph::load(*snap);
       expect_same(borrowed, materialized);
-      fuzz_pair(borrowed, materialized, seed * 13 + 5, 2000);
+      FuzzTally tally;
+      fuzz_pair(borrowed, materialized, seed * 13 + 5, 2000, tally);
       EXPECT_GT(borrowed.overlay_nodes(), 0U);  // the fuzz must have dirtied some
+      EXPECT_GT(tally.spilled_hub_kills, 0) << "seed " << seed;
+      EXPECT_GT(tally.base_readds, 0) << "seed " << seed;
     }
   }
 }
@@ -293,10 +354,11 @@ TEST(BorrowedGraph, SpillBoundaryCrossingUnderCow) {
 
 TEST(BorrowedGraph, WriteBackRoundTripsThroughAV1Save) {
   // A v1 save of a borrowed graph builds the edge table it stores from the
-  // graph's edges (base CSR minus removed, plus the insert delta). The
-  // resulting file must load back semantically equal to the churned state —
-  // the twin saved from materialized mode pins the expectation; the tables
-  // differ in tombstone placement, so the check compares graphs, not bytes.
+  // graph's edges (each live node's current list: clean from the mapping,
+  // dirty from the overlay). The resulting file must load back semantically
+  // equal to the churned state — the twin saved from materialized mode pins
+  // the expectation; the tables differ in tombstone placement, so the check
+  // compares graphs, not bytes.
   const DynamicGraph original = churned_graph(220, 41, 660);
   TempFile base("wb_base.snap");
   ASSERT_TRUE(original.save(base.path));
@@ -305,7 +367,8 @@ TEST(BorrowedGraph, WriteBackRoundTripsThroughAV1Save) {
   ASSERT_TRUE(snap->open(base.path, &error)) << error;
   DynamicGraph borrowed = DynamicGraph::borrow(snap);
   DynamicGraph materialized = DynamicGraph::load(*snap);
-  fuzz_pair(borrowed, materialized, 57, 1500);
+  FuzzTally tally;
+  fuzz_pair(borrowed, materialized, 57, 1500, tally);
 
   TempFile from_borrowed("wb_b.snap");
   TempFile from_materialized("wb_m.snap");

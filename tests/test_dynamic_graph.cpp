@@ -3,8 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <string>
 
+#include "core/cascade_engine.hpp"
 #include "graph/dynamic_graph.hpp"
+#include "graph/snapshot.hpp"
+#include "support.hpp"
 
 namespace {
 
@@ -166,6 +174,68 @@ TEST(DynamicGraph, LargeRandomConsistency) {
   std::size_t degree_sum = 0;
   for (const NodeId v : g.nodes()) degree_sum += g.degree(v);
   EXPECT_EQ(degree_sum, 2 * expected);
+}
+
+// ---- node removal walks the list once: linear in the degree ----
+
+/// `count` stars of `leaves` leaves each: centre s is id s, and the leaves
+/// follow all the centres.
+DynamicGraph stars(NodeId count, NodeId leaves) {
+  DynamicGraph g(count + count * leaves);
+  for (NodeId s = 0; s < count; ++s)
+    for (NodeId l = 0; l < leaves; ++l) (void)g.add_edge(s, count + s * leaves + l);
+  return g;
+}
+
+/// A subject for the removal clock: built from a graph outside the clock,
+/// then asked to remove one node.
+using Subject = std::function<std::function<void(NodeId)>(DynamicGraph)>;
+
+/// Seconds to remove every centre of stars(count, leaves) from `subject`.
+double centre_removal_seconds(const Subject& subject, NodeId count, NodeId leaves) {
+  const std::function<void(NodeId)> remove = subject(stars(count, leaves));
+  const auto start = std::chrono::steady_clock::now();
+  for (NodeId s = 0; s < count; ++s) remove(s);
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+TEST(DynamicGraph, RemoveNodeIsLinearInTheDegree) {
+  // One centre of degree 100,000 against 100 centres of degree 1,000: the
+  // same 100,000 edges. A one-pass removal takes about as long for both; a
+  // removal that rescans the centre's list per edge is ~100x slower on the
+  // big star. The bar of 8x leaves room for a noisy clock, and the best of
+  // three attempts absorbs one descheduled run.
+  dmis::test::TempFile file("stars.snap");
+  const std::pair<const char*, Subject> subjects[] = {
+      {"materialized",
+       [](DynamicGraph g) -> std::function<void(NodeId)> {
+         auto graph = std::make_shared<DynamicGraph>(std::move(g));
+         return [graph](NodeId v) { graph->remove_node(v); };
+       }},
+      // Every node clean: each neighbor's copy-on-write grows the pool
+      // while the centre's own record is being walked.
+      {"borrowed v1",
+       [&file](DynamicGraph g) -> std::function<void(NodeId)> {
+         EXPECT_TRUE(g.save(file.path));
+         auto snap = std::make_shared<dmis::graph::Snapshot>();
+         EXPECT_TRUE(snap->open(file.path));
+         auto graph = std::make_shared<DynamicGraph>(DynamicGraph::borrow(snap));
+         return [graph](NodeId v) { graph->remove_node(v); };
+       }},
+      {"CascadeEngine",
+       [](DynamicGraph g) -> std::function<void(NodeId)> {
+         auto engine = std::make_shared<dmis::core::CascadeEngine>(std::move(g), 7);
+         return [engine](NodeId v) { (void)engine->remove_node(v); };
+       }},
+  };
+  for (const auto& [name, subject] : subjects) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int attempt = 0; attempt < 3 && best >= 8; ++attempt)
+      best = std::min(best, centre_removal_seconds(subject, 1, 100'000) /
+                                centre_removal_seconds(subject, 100, 1'000));
+    EXPECT_LT(best, 8.0) << name << ": one hub of degree 100,000 took " << best
+                         << "x as long as 100 hubs of degree 1,000";
+  }
 }
 
 }  // namespace

@@ -121,11 +121,11 @@ void exercise(const std::string& path, std::uint64_t engine_seed) {
       EXPECT_EQ(borrowed.edge_count(), g.edge_count());
       EXPECT_EQ(be, me);
     }
-    // A churn touch (COW a record, route the key through the deltas) must
-    // net to zero. The edge is sampled from the loaded twin (only a
-    // materialized graph has a table to sample); its endpoints must be live
-    // under the borrowed view, and it must sit in both adjacency records
-    // too, since removing an edge a record lacks is a caller bug.
+    // A churn touch (COW both records, edit both lists) must net to zero.
+    // The edge is sampled from the loaded twin (only a materialized graph
+    // has a table to sample); its endpoints must be live under the borrowed
+    // view, and it must sit in both adjacency records too, since removing
+    // an edge a record lacks is a caller bug.
     NodeId u = 0, w = 0;
     util::Rng sample_rng(engine_seed);
     const auto lists = [&](NodeId a, NodeId b) {

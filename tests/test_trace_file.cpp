@@ -283,11 +283,11 @@ TEST(TraceFile, WriterReproducesFrozenBytes) {
 }
 
 TEST(TraceFile, StagedWriterFaultsKeepThePublishedTrace) {
-  // TraceFile::save's writer driven directly: util::save_staged with the
-  // trace header and payload of a three-op trace, laid out by hand. Clean,
-  // it writes exactly the bytes TraceFile::save does; failed at any byte or
-  // at the fsync, the published trace stays byte-identical and no staging
-  // file survives.
+  // TraceFile::save's writer driven directly: util::capture_staged of the
+  // trace header and payload of a three-op trace, laid out by hand, then
+  // util::publish_staged. Clean, it writes exactly the bytes TraceFile::save
+  // does; failed at any byte or at the fsync, the published trace stays
+  // byte-identical and no staging file survives.
   const Trace trace = {GraphOp::add_node(), GraphOp::add_node({0}),
                        GraphOp::remove_edge(0, 1, /*abrupt=*/true)};
   std::vector<TraceOpRecord> records = {
@@ -304,17 +304,21 @@ TEST(TraceFile, StagedWriterFaultsKeepThePublishedTrace) {
   header.ops_off = sizeof(TraceFileHeader);
   header.arena_off = util::pad8(header.ops_off + records.size() * sizeof(TraceOpRecord));
   header.file_size = util::pad8(header.arena_off + arena.size() * sizeof(NodeId));
-  const auto emit = [&](auto& w) {
-    return w.write(records.data(), records.size() * sizeof(TraceOpRecord)) &&
-           w.align8() && w.write(arena.data(), arena.size() * sizeof(NodeId)) &&
-           w.align8();
+  const auto capture = [&] {
+    return util::capture_staged(header, [&](util::ImageWriter& w) {
+      w.write(records.data(), records.size() * sizeof(TraceOpRecord));
+      w.align8();
+      w.write(arena.data(), arena.size() * sizeof(NodeId));
+      w.align8();
+    });
   };
 
   TempFile saved("trace_staged_save.trc");
   TempFile file("trace_staged.trc");
   std::string error;
   ASSERT_TRUE(TraceFile::save(saved.path, trace, &error)) << error;
-  ASSERT_TRUE(util::save_staged(file.path, header, emit, {}, &error)) << error;
+  auto image = capture();
+  ASSERT_TRUE(util::publish_staged(file.path, image, {}, &error)) << error;
   const std::vector<std::uint8_t> published = read_bytes(file.path);
   ASSERT_EQ(published, read_bytes(saved.path));
   ASSERT_EQ(published.size(), header.file_size);
@@ -325,8 +329,9 @@ TEST(TraceFile, StagedWriterFaultsKeepThePublishedTrace) {
   const auto expect_failed_save = [&](const util::FaultPlan& plan,
                                       const std::string& what) {
     std::string fault;
+    auto faulted = capture();
     EXPECT_FALSE(
-        util::save_staged(file.path, header, emit, util::faulty_factory(plan), &fault))
+        util::publish_staged(file.path, faulted, util::faulty_factory(plan), &fault))
         << what;
     EXPECT_NE(fault.find(staging), std::string::npos) << what << ": " << fault;
     EXPECT_EQ(read_bytes(file.path), published) << what;

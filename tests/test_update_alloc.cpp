@@ -98,8 +98,8 @@ TEST(UpdateAlloc, RepeatedRepairIsAllocationFree) {
 
 TEST(UpdateAlloc, BorrowedEngineChurnIsAllocationFreeAfterOverlayWarmUp) {
   // Borrowed mode adds the copy-on-write overlay to the hot path: first
-  // touches migrate adjacency records to the heap pool and grow the edge
-  // deltas, but once the toggle workload's working set has been touched the
+  // touches migrate adjacency records to the heap pool and grow the dirty
+  // index, but once the toggle workload's working set has been touched the
   // overlay is at capacity and steady-state churn must allocate exactly as
   // much as materialized mode — nothing.
   const graph::NodeId n = 64;
@@ -117,8 +117,8 @@ TEST(UpdateAlloc, BorrowedEngineChurnIsAllocationFreeAfterOverlayWarmUp) {
 
   util::Rng rng(11);
   // Warm-up: every node the toggle sequence can touch gets COW-migrated and
-  // both edge deltas (inserts and removed-base keys) reach their
-  // steady-state capacities, alongside the usual engine scratch growth.
+  // its record's overflow list, if it spills, reaches its steady-state
+  // capacity, alongside the usual engine scratch growth.
   (void)toggles(engine, n, 300'000, rng);
 
   const std::uint64_t allocs = toggles(engine, n, 50'000, rng);
